@@ -140,7 +140,7 @@ def cmd_spectral(args) -> dict:
         checks.append(
             _check(
                 f"alpha-bound-m{m}",
-                rep.alpha <= ALPHA_FAMILY_BOUND + args.tol,
+                rep.converged and rep.alpha <= ALPHA_FAMILY_BOUND + args.tol,
                 measured=rep.alpha,
                 bound=ALPHA_FAMILY_BOUND,
                 slack=ALPHA_FAMILY_BOUND + args.tol - rep.alpha,
@@ -204,38 +204,52 @@ def cmd_verify_beta(args) -> dict:
     return _report("verify-beta", config, args.seed, results, checks, t0)
 
 
+def _numeric(value, field: str, dtype=float) -> np.ndarray:
+    """``value`` as a numpy array, or a StructuralError naming the instance field."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise StructuralError(f"instance field {field!r} must be numeric") from None
+
+
 def _instance_from_file(path: str) -> tuple:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructuralError(f"cannot read instance file: {exc}") from None
+    if not isinstance(data, dict):
+        raise StructuralError("instance file must hold a JSON object")
     for field in ("weights", "objects", "z"):
         if field not in data:
             raise StructuralError(f"instance file is missing the {field!r} field")
-    weights = np.asarray(data["weights"], dtype=float)
+    if not isinstance(data["objects"], list):
+        raise StructuralError("instance field 'objects' must be a list of index maps")
+    weights = _numeric(data["weights"], "weights")
     space = FiniteSpace(tuple(range(weights.size)), weights)
     objects = []
     for index_map in data["objects"]:
-        arr = np.asarray(index_map, dtype=np.int64)
+        arr = _numeric(index_map, "objects", np.int64)
         if arr.size == 0:
             raise StructuralError("an object's index map is empty")
         objects.append(RandomObject(space, tuple(range(int(arr.max()) + 1)), arr))
-    z = RandomVariable(space, np.asarray(data["z"], dtype=float))
-    beta = float(data.get("beta", 1.0))
-    eps = data.get("eps", 0.01)
+    z = RandomVariable(space, _numeric(data["z"], "z"))
+    beta = _numeric(data.get("beta", 1.0), "beta")
+    eps = _numeric(data.get("eps", 0.01), "eps")
+    if beta.ndim != 0 or eps.ndim > 1 or eps.size == 0:
+        raise StructuralError("instance 'beta' must be a number, 'eps' a number or nonempty list")
     variant = data.get("variant", "pooled")
-    return z, objects, beta, eps, variant
+    if variant not in ("pooled", "percoord"):
+        raise StructuralError("instance field 'variant' must be 'pooled' or 'percoord'")
+    return z, objects, float(beta), np.atleast_1d(eps).tolist(), variant
 
 
-def _run_bound(z, objects, variant, eps, beta):
+def _run_bound(z, objects, variant, eps: list, beta):
     if variant == "pooled":
-        eps_val = float(eps[0]) if isinstance(eps, (list, tuple)) else float(eps)
-        return pooled_bound(z, objects, eps_val, beta)
-    if isinstance(eps, (int, float)):
-        eps_list = [float(eps)] * len(objects)
-    else:
-        eps_list = [float(e) for e in eps]
-        if len(eps_list) == 1:
-            eps_list = eps_list * len(objects)
-    return percoord_bound(z, objects, eps_list, beta)
+        return pooled_bound(z, objects, eps[0], beta)
+    if len(eps) == 1:
+        eps = eps * len(objects)
+    return percoord_bound(z, objects, eps, beta)
 
 
 def cmd_bound(args) -> dict:
@@ -488,8 +502,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"parse error: line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except WalkboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WalkboundError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     print(text)

@@ -21,10 +21,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, StructuralError
+from .prob import RATIO_TOL
 
 STOCHASTIC_TOL = 1e-12
 SYMMETRY_TOL = 1e-14
-RATIO_TOL = 1e-9
 DENSE_EIGENSOLVE_MAX = 1024   # above this, switch to power iteration
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 100_000

@@ -23,11 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
-from .walks import HybridGraph, Walk, enumerate_walk_vertices, validate_walk, walk_count
+from .walks import HybridGraph, Walk, _per_graph, enumerate_walk_vertices, validate_walk
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
 VALIDATE_PERM_MAX = 20     # permutation flags are checked exhaustively up to this n
-MC_SOUND_CHECK = True
 
 
 def _exact_log2(x: int) -> int:
@@ -359,8 +358,10 @@ def conditioned_reverse_repr(
     return WalkRepr(cur, tuple(reversed(back)) + tuple(prefix_labels), vb, lb)
 
 
+@_per_graph
 def _walk_reverse_ints(g: HybridGraph, t: int) -> np.ndarray:
-    """Reverse representation of every walk, indexed by forward representation."""
+    """Reverse representation of every walk, indexed by forward representation;
+    built once per (graph, t)."""
     verts = enumerate_walk_vertices(g, t)
     _, lb = _graph_bits(g)
     idx = np.arange(verts.shape[0], dtype=np.int64)
@@ -663,7 +664,7 @@ def measure_inversion(
             if v is not None:
                 if int(func.table[v]) == y:
                     hits += 1
-                elif MC_SOUND_CHECK:
+                else:
                     violations += 1
         success = hits / trials
         n_trials = trials

@@ -10,20 +10,20 @@ direct enumeration of the walk space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
 from .expander import ColoredRotation, TransitionMatrix, compose_permutation, transition_matrix
-from .prob import FiniteSpace, RandomObject, subset_sums
+from .prob import (MAX_WITNESSES, RATIO_TOL, FiniteSpace, IndependenceReport, RandomObject,
+                   subset_sums)
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
-RATIO_TOL = 1e-9
 EXT_TOL = 1e-12
-MAX_WITNESSES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,6 +40,7 @@ class HybridGraph:
         n = self.rot.n_vertices
         if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
             raise StructuralError("perm must be a bijection on the rotation's vertex set")
+        object.__setattr__(self, "_tables", {})
 
     @property
     def n_vertices(self) -> int:
@@ -137,9 +138,26 @@ def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
     return Walk(tuple(vertices), tuple(labels))
 
 
+def _per_graph(build):
+    """Memoise ``build(g, t)`` on the graph and hand out the table read-only; the
+    graph is immutable, so a cached table never goes stale."""
+
+    @functools.wraps(build)
+    def cached(g: HybridGraph, t: int) -> np.ndarray:
+        key = (build, t)
+        if key not in g._tables:
+            table = build(g, t)
+            table.setflags(write=False)
+            g._tables[key] = table
+        return g._tables[key]
+
+    return cached
+
+
+@_per_graph
 def enumerate_walk_vertices(g: HybridGraph, t: int) -> np.ndarray:
     """Vertex sequences of every walk, shape ``(N * d**t, t+1)``, row i being the
-    walk with index i."""
+    walk with index i; built once per (graph, t)."""
     total = walk_count(g, t)
     if total > WALK_ENUM_MAX:
         raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
@@ -185,12 +203,8 @@ def terminal_vector(g: HybridGraph, t: int, constraints: Sequence) -> TerminalVe
     if len(constraints) != t + 1:
         raise StructuralError("need one constraint set per walk position (t+1 of them)")
     n = g.n_vertices
-    masks = [_as_mask(n, c) for c in constraints]
-    a = g.transition().entries
-    v = np.where(masks[0], 1.0 / n, 0.0)
-    for i in range(1, t + 1):
-        v = (v @ a) * masks[i]
-    return TerminalVector(v)
+    masks = np.stack([_as_mask(n, c) for c in constraints])
+    return TerminalVector(_terminal_vectors(g.transition().entries, masks))
 
 
 @dataclass(frozen=True)
@@ -235,36 +249,13 @@ def check_extension_identity(g: HybridGraph, t: int, base_indices) -> ExtensionR
     )
 
 
-@dataclass(frozen=True)
-class WalkIndependenceReport:
-    worst_ratio: float
-    witnesses: tuple
-    n_single: int
-    n_sampled: int
-    beta: float
-
-    @property
-    def holds(self) -> bool:
-        return self.worst_ratio <= 1.0 + RATIO_TOL
-
-    def to_dict(self) -> dict:
-        return {
-            "worst_ratio": self.worst_ratio,
-            "witnesses": [list(w) for w in self.witnesses],
-            "n_single": self.n_single,
-            "n_sampled": self.n_sampled,
-            "beta": self.beta,
-            "holds": self.holds,
-        }
-
-
-def _batched_family_probs(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Event probabilities for a batch of families; masks has shape (B, t+1, N)."""
-    n = a.shape[0]
-    v = masks[:, 0, :] / n
-    for i in range(1, masks.shape[1]):
-        v = (v @ a) * masks[:, i, :]
-    return v.sum(axis=1)
+def _terminal_vectors(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Masked matrix products from a uniform start: masks has shape (B, t+1, N)
+    (or (t+1, N) for a single family) and the result (B, N) (or (N,))."""
+    v = masks[..., 0, :] / a.shape[0]
+    for i in range(1, masks.shape[-2]):
+        v = (v @ a) * masks[..., i, :]
+    return v
 
 
 def verify_walk_independence(
@@ -274,7 +265,7 @@ def verify_walk_independence(
     mode: str = "exhaustive",
     trials: int = 10_000,
     seed: int = 0,
-) -> WalkIndependenceReport:
+) -> IndependenceReport:
     """Check the product bound ``P{all positions hit their sets} <=
     prod_i(alpha + beta * mu_i)`` over families of vertex sets.
 
@@ -294,8 +285,10 @@ def verify_walk_independence(
     witnesses: list = []
     n_single = 0
 
-    def _note(ratios: np.ndarray, describe) -> None:
+    def _note(probs: np.ndarray, bound: np.ndarray, describe) -> None:
         nonlocal worst
+        ratios = np.divide(probs, bound, out=np.zeros_like(probs), where=bound > 0)
+        ratios[(bound == 0) & (probs > 0)] = np.inf
         worst = max(worst, float(np.max(ratios)))
         if len(witnesses) < MAX_WITNESSES:
             for idx in np.nonzero(ratios > 1.0 + RATIO_TOL)[0]:
@@ -317,37 +310,25 @@ def verify_walk_independence(
             ids = np.arange(lo, hi, dtype=np.int64)
             masks = ((ids[:, None] >> bit_cols) & 1).astype(float)
             mu = masks.sum(axis=1) / n
-            v = masks / n
-            for _ in range(t):
-                v = (v @ a) * masks
-            probs = v.sum(axis=1)
+            same_set = np.broadcast_to(masks[:, None, :], (hi - lo, t + 1, n))
+            probs = _terminal_vectors(a, same_set).sum(axis=1)
             bound = (alpha + beta * mu) ** (t + 1)
-            ratios = np.divide(probs, bound, out=np.zeros_like(probs), where=bound > 0)
-            ratios[(bound == 0) & (probs > 0)] = np.inf
-            _note(ratios, lambda i, lo=lo: ("single", lo + i))
+            _note(probs, bound, lambda i, lo=lo: ("single", lo + i))
 
     n_sampled = 0
     if trials > 0:
         rng = np.random.default_rng(seed)
-        chunk = 512
-        done = 0
-        while done < trials:
-            b = min(chunk, trials - done)
+        while n_sampled < trials:
+            b = min(512, trials - n_sampled)
             masks = rng.integers(0, 2, size=(b, t + 1, n)).astype(float)
-            probs = _batched_family_probs(a, masks)
+            probs = _terminal_vectors(a, masks).sum(axis=1)
             mus = masks.sum(axis=2) / n
             bound = np.prod(alpha + beta * mus, axis=1)
-            ratios = np.divide(probs, bound, out=np.zeros_like(probs), where=bound > 0)
-            ratios[(bound == 0) & (probs > 0)] = np.inf
             mask_ints = (masks.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=2)
-            _note(
-                ratios,
-                lambda i, mi=mask_ints: ("multi", tuple(int(x) for x in mi[i])),
-            )
-            done += b
+            _note(probs, bound, lambda i, mi=mask_ints: ("multi", tuple(int(x) for x in mi[i])))
             n_sampled += b
 
-    return WalkIndependenceReport(
+    return IndependenceReport(
         worst_ratio=float(worst),
         witnesses=tuple(witnesses),
         n_single=n_single,
@@ -399,16 +380,13 @@ def family_event_probs_matrix(g: HybridGraph, t: int, masks: np.ndarray) -> np.n
     masks = np.asarray(masks)
     if masks.ndim != 3 or masks.shape[1] != t + 1 or masks.shape[2] != g.n_vertices:
         raise StructuralError("masks must have shape (B, t+1, N)")
-    return _batched_family_probs(g.transition().entries, masks.astype(float))
+    return _terminal_vectors(g.transition().entries, masks.astype(float)).sum(axis=1)
 
 
 def projection_objects(g: HybridGraph, t: int) -> tuple:
     """The uniform walk space plus its t+1 position projections as random objects."""
-    total = walk_count(g, t)
-    if total > WALK_ENUM_MAX:
-        raise BudgetError(f"walk space of size {total} exceeds the ceiling")
     verts = enumerate_walk_vertices(g, t)
-    space = FiniteSpace.uniform(range(total))
+    space = FiniteSpace.uniform(range(verts.shape[0]))
     codomain = tuple(range(g.n_vertices))
-    objects = [RandomObject(space, codomain, verts[:, i].copy()) for i in range(t + 1)]
+    objects = [RandomObject(space, codomain, verts[:, i]) for i in range(t + 1)]
     return space, objects

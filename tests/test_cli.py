@@ -67,6 +67,21 @@ class TestSpectral:
         assert [r["graph"] for r in rows] == ["K4", "torus-m2", "torus-m3"]
         assert float(rows[1]["alpha"]) == pytest.approx(0.6035533906, abs=1e-9)
 
+    def test_unconverged_estimate_fails_the_check(self, capsys, monkeypatch):
+        # power iteration stopped after two steps: its Rayleigh quotient sits
+        # below the true alpha and must not pass the bound check
+        from walkbound import expander
+
+        monkeypatch.setattr(expander, "DENSE_EIGENSOLVE_MAX", 16)
+        monkeypatch.setattr(expander, "POWER_MAX_ITER", 2)
+        code, report, _ = run_cli(capsys, ["spectral", "--m", "3"])
+        assert code == 1 and not report["all_hold"]
+        row = report["results"]["rows"][-1]
+        assert row["method"] == "power-iteration" and not row["converged"]
+        assert row["alpha"] <= wb.ALPHA_FAMILY_BOUND
+        check = report["checks"][-1]
+        assert check["name"] == "alpha-bound-m3" and not check["holds"]
+
 
 class TestVerifyBeta:
     def test_passes_with_all_checks(self, capsys):
@@ -179,6 +194,25 @@ class TestBound:
         code, _, err = run_cli(capsys, ["bound", "--instance-file", str(path)])
         assert code == 2 and "objects" in err
 
+    @pytest.mark.parametrize(
+        "content, needle",
+        [
+            (None, "cannot read"),
+            ({"weights": "abc", "objects": [[0]], "z": [0.5]}, "weights"),
+            ({"weights": [1.0], "objects": 5, "z": [0.5]}, "objects"),
+            ({"weights": [1.0], "objects": [[0]], "z": [0.5], "eps": "x"}, "eps"),
+        ],
+        ids=["missing-file", "weights-string", "objects-number", "eps-string"],
+    )
+    def test_malformed_instance_is_a_usage_error(self, capsys, tmp_path, content, needle):
+        path = tmp_path / "inst.json"
+        if content is not None:
+            path.write_text(json.dumps(content))
+        code, report, err = run_cli(capsys, ["bound", "--instance-file", str(path)])
+        assert code == 2 and report is None
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err and "Traceback" not in err
+
 
 class TestAmplify:
     def test_direct_exact(self, capsys):
@@ -273,6 +307,17 @@ class TestHarness:
         path = tmp_path / "report.json"
         _, report, _ = run_cli(capsys, ["bound", "--preset", "cube", "--out", str(path)])
         assert json.loads(path.read_text()) == report
+
+    def test_out_of_memory_is_a_resource_error(self, capsys, monkeypatch):
+        import walkbound.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "second_eigenvalue_magnitude", exhausted)
+        code, report, err = run_cli(capsys, ["spectral", "--m", "3"])
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "memory" in err and err.count("\n") == 1
 
     def test_version_field(self, capsys):
         _, report, _ = run_cli(capsys, ["bound", "--preset", "cube"])

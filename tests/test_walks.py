@@ -250,3 +250,34 @@ class TestProjectionBridge:
     def test_budget(self, g_identity):
         with pytest.raises(BudgetError):
             wb.projection_objects(g_identity, 8)
+
+
+class TestWalkSpaceMemo:
+    def test_one_table_per_graph_and_length(self, g_random):
+        verts = wb.enumerate_walk_vertices(g_random, 2)
+        assert wb.enumerate_walk_vertices(g_random, 2) is verts
+        assert wb.enumerate_walk_vertices(g_random, 1) is not verts
+
+    def test_table_is_read_only(self, g_random):
+        verts = wb.enumerate_walk_vertices(g_random, 2)
+        assert not verts.flags.writeable
+        with pytest.raises(ValueError):
+            verts[0, 0] = 1
+
+    def test_other_permutation_gets_its_own_table(self, rot2, g_random):
+        other = wb.HybridGraph(rot2, np.roll(g_random.perm, 1))
+        mine = wb.enumerate_walk_vertices(g_random, 2)
+        theirs = wb.enumerate_walk_vertices(other, 2)
+        assert theirs is not mine
+        assert np.array_equal(theirs[:, 0], mine[:, 0])
+        assert not np.array_equal(theirs[:, 1:], mine[:, 1:])
+        for idx in (0, 97, 1023):
+            assert tuple(theirs[idx]) == wb.walk_from_index(other, 2, idx).vertices
+
+    def test_reverse_packing_is_shared_read_only(self, g_random):
+        from walkbound import owf
+
+        rho = owf._walk_reverse_ints(g_random, 2)
+        assert owf._walk_reverse_ints(g_random, 2) is rho
+        assert not rho.flags.writeable
+        assert np.array_equal(wb.walk_permutation(g_random, 2).table, rho)
