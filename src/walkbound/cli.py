@@ -290,6 +290,8 @@ def cmd_bound(args) -> dict:
     else:  # sweep
         if seed is None:
             raise ParameterError("--seed is required for randomized presets")
+        if args.count < 0:
+            raise ParameterError(f"--count must be >= 0, got {args.count}")
         seeds = np.random.default_rng(seed).integers(0, 1 << 62, size=args.count)
         rows = []
         for i, s in enumerate(seeds):
@@ -498,6 +500,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ParameterError(f"--seed must be >= 0, got {args.seed}")
         report = args.func(args)
     except json.JSONDecodeError as exc:
         print(f"parse error: line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)

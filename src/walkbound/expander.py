@@ -123,60 +123,67 @@ def k4_rotation() -> ColoredRotation:
     return ColoredRotation(m=0, n_vertices=4, d=3, neighbors=nb, back_labels=bl)
 
 
-@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """A dense doubly stochastic transition matrix, symmetric unless directed."""
+    """A doubly stochastic transition matrix, symmetric unless directed.
 
-    entries: np.ndarray
-    directed: bool = False
+    Stored as its nonzero entries: parallel arrays ``rows``, ``cols``, ``vals``
+    in row-major order.  ``entries`` builds the dense array on demand, for the
+    dense algorithms only.  ``TransitionMatrix(dense)`` wraps a hand-written
+    matrix; ``from_triples`` takes the nonzeros directly.
+    """
 
-    def __post_init__(self):
-        a = np.array(self.entries, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+    def __init__(self, entries, directed: bool = False):
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError("entries must be square")
-        if np.any(a < 0.0):
+        rows, cols = np.indices(a.shape)[:, a != 0.0]
+        self._store(a.shape[0], rows, cols, a[rows, cols], directed)
+
+    @classmethod
+    def from_triples(cls, n_dim: int, rows, cols, vals, directed: bool = False) -> "TransitionMatrix":
+        tm = cls.__new__(cls)
+        tm._store(n_dim, rows, cols, vals, directed)
+        return tm
+
+    def _store(self, n: int, rows, cols, vals, directed: bool) -> None:
+        self.n_dim, self.directed = int(n), bool(directed)
+        self.rows, self.cols = (np.array(x, dtype=np.int64) for x in (rows, cols))
+        self.vals = np.array(vals, dtype=float)
+        for arr in (self.rows, self.cols, self.vals):
+            arr.setflags(write=False)
+        keys = self.rows * n + self.cols
+        if np.any(np.diff(keys) <= 0):
+            raise StructuralError("nonzeros must be distinct and in row-major order")
+        if np.any(self.vals < 0.0):
             raise StructuralError("entries must be nonnegative")
-        rows = np.abs(a.sum(axis=1) - 1.0)
-        cols = np.abs(a.sum(axis=0) - 1.0)
-        if float(rows.max()) > STOCHASTIC_TOL or float(cols.max()) > STOCHASTIC_TOL:
+        row_sums = np.bincount(self.rows, weights=self.vals, minlength=n)
+        col_sums = np.bincount(self.cols, weights=self.vals, minlength=n)
+        if max(np.max(np.abs(row_sums - 1.0)), np.max(np.abs(col_sums - 1.0))) > STOCHASTIC_TOL:
             raise StructuralError("rows and columns must each sum to 1")
-        if not self.directed and float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL:
-            raise StructuralError("undirected transition matrices must be symmetric")
+        if not directed:
+            mirror_keys = self.cols * n + self.rows
+            pos = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
+            mirror = np.where(keys[pos] == mirror_keys, self.vals[pos], 0.0)
+            if float(np.max(np.abs(self.vals - mirror))) > SYMMETRY_TOL:
+                raise StructuralError("undirected transition matrices must be symmetric")
 
     @property
-    def n_dim(self) -> int:
-        return self.entries.shape[0]
+    def entries(self) -> np.ndarray:
+        a = np.zeros((self.n_dim, self.n_dim))
+        a[self.rows, self.cols] = self.vals
+        return a
 
 
 def transition_matrix(rot: ColoredRotation) -> TransitionMatrix:
     """Normalized adjacency of the rotation's graph; parallel edges and loops
     accumulate multiples of 1/d."""
     n, d = rot.n_vertices, rot.d
-    a = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), d)
-    np.add.at(a, (rows, rot.neighbors.reshape(-1)), 1.0)
-    a /= d
-    return TransitionMatrix(a)
-
-
-def _connectivity(entries: np.ndarray) -> tuple:
-    """(connected, has_odd_structure) via BFS 2-coloring; loops break bipartiteness."""
-    n = entries.shape[0]
-    color = np.full(n, -1, dtype=np.int64)
-    color[0] = 0
-    queue = [0]
-    odd = False
-    while queue:
-        u = queue.pop()
-        for v in np.nonzero(entries[u] > 0)[0]:
-            if color[v] < 0:
-                color[v] = 1 - color[u]
-                queue.append(int(v))
-            elif color[v] == color[u]:
-                odd = True
-    return bool(np.all(color >= 0)), odd
+    keys, counts = np.unique(
+        np.repeat(np.arange(n, dtype=np.int64) * n, d) + rot.neighbors.reshape(-1),
+        return_counts=True,
+    )
+    rows, cols = np.divmod(keys, n)
+    return TransitionMatrix.from_triples(n, rows, cols, counts / d)
 
 
 @dataclass(frozen=True)
@@ -230,53 +237,35 @@ def second_eigenvalue_magnitude(tm: TransitionMatrix, tol: float = POWER_TOL) ->
     non-bipartite, symmetric doubly stochastic matrix; beta = 1 - alpha.
 
     Dense symmetric eigensolve up to 1024 dimensions, deterministic deflated
-    power iteration on the shifted operators A+I and I-A above that.
+    power iteration over the nonzeros on the shifted operators A+I and I-A above
+    that.  The spectrum also settles the structure: a second eigenvalue within
+    ``tol`` of 1 means disconnected, a smallest one within ``tol`` of -1 bipartite.
     """
     if tm.directed:
         raise StructuralError("spectral verification requires a symmetric matrix")
-    connected, odd = _connectivity(tm.entries)
-    if not connected:
-        raise StructuralError("graph must be connected")
-    if not odd:
-        raise StructuralError("graph must not be bipartite")
     n = tm.n_dim
     if n <= DENSE_EIGENSOLVE_MAX:
         evals = np.linalg.eigvalsh(tm.entries)
         lam2 = float(evals[-2]) if n > 1 else 0.0
         lam_min = float(evals[0])
-        alpha = max(abs(lam2), abs(lam_min))
-        return SpectralReport(
-            alpha=alpha,
-            beta=1.0 - alpha,
-            lambda_second=lam2,
-            lambda_min=lam_min,
-            method="full-eigensolve",
-            iterations=0,
-            tol=tol,
-            converged=True,
-        )
-    rows, cols = np.nonzero(tm.entries)
-    vals = tm.entries[rows, cols]
+        method, iterations, converged = "full-eigensolve", 0, True
+    else:
+        def step(v):
+            return np.bincount(tm.rows, weights=tm.vals * v[tm.cols], minlength=n)
 
-    def step(v):
-        return np.bincount(rows, weights=vals * v[cols], minlength=n)
-
-    rng = np.random.default_rng(0x5EED)
-    top_plus, it1, ok1 = _power_top(lambda v: step(v) + v, n, tol, POWER_MAX_ITER, rng)
-    top_minus, it2, ok2 = _power_top(lambda v: v - step(v), n, tol, POWER_MAX_ITER, rng)
-    lam2 = top_plus - 1.0
-    lam_min = 1.0 - top_minus
+        rng = np.random.default_rng(0x5EED)
+        top_plus, it1, ok1 = _power_top(lambda v: step(v) + v, n, tol, POWER_MAX_ITER, rng)
+        top_minus, it2, ok2 = _power_top(lambda v: v - step(v), n, tol, POWER_MAX_ITER, rng)
+        lam2 = top_plus - 1.0
+        lam_min = 1.0 - top_minus
+        method, iterations, converged = "power-iteration", it1 + it2, ok1 and ok2
+    if 1.0 - lam2 <= tol:
+        raise StructuralError("graph must be connected")
+    if 1.0 + lam_min <= tol:
+        raise StructuralError("graph must not be bipartite")
     alpha = max(abs(lam2), abs(lam_min))
-    return SpectralReport(
-        alpha=alpha,
-        beta=1.0 - alpha,
-        lambda_second=lam2,
-        lambda_min=lam_min,
-        method="power-iteration",
-        iterations=it1 + it2,
-        tol=tol,
-        converged=ok1 and ok2,
-    )
+    return SpectralReport(alpha=alpha, beta=1.0 - alpha, lambda_second=lam2, lambda_min=lam_min,
+                          method=method, iterations=iterations, tol=tol, converged=converged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,9 +305,6 @@ class Projection:
     @property
     def mu(self) -> float:
         return self.size / self.n_dim
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.mask.astype(float))
 
 
 def projection_apply(s: Projection, v: np.ndarray) -> np.ndarray:
@@ -384,9 +370,9 @@ def compose_permutation(tm: TransitionMatrix, perm: np.ndarray) -> TransitionMat
     n = tm.n_dim
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise StructuralError("perm must be a bijection on the vertex set")
-    inv = np.empty(n, dtype=np.int64)
-    inv[perm] = np.arange(n)
-    return TransitionMatrix(tm.entries[:, inv], directed=True)
+    cols = perm[tm.cols]
+    order = np.argsort(tm.rows * n + cols)
+    return TransitionMatrix.from_triples(n, tm.rows[order], cols[order], tm.vals[order], directed=True)
 
 
 def edge_coloring(rot: ColoredRotation) -> Optional[np.ndarray]:

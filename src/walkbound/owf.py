@@ -36,6 +36,12 @@ def _exact_log2(x: int) -> int:
     return b
 
 
+def _check_table_bits(bits: int, what: str) -> None:
+    """BudgetError unless a 2**bits-entry table fits, before anything allocates it."""
+    if bits < 1 or bits > TABLE_MAX_BITS:
+        raise BudgetError(f"{what} length {bits} outside 1..{TABLE_MAX_BITS}")
+
+
 @dataclass(frozen=True, eq=False)
 class ToyFunction:
     """A function on n-bit strings stored as a full lookup table of integers."""
@@ -46,13 +52,11 @@ class ToyFunction:
     is_permutation: bool
 
     def __post_init__(self):
+        _check_table_bits(self.n, "input")
+        _check_table_bits(self.out_bits, "output")
         t = np.array(self.table, dtype=np.int64)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
-        if self.n < 1 or self.n > TABLE_MAX_BITS:
-            raise BudgetError(f"input length {self.n} outside 1..{TABLE_MAX_BITS}")
-        if self.out_bits < 1 or self.out_bits > TABLE_MAX_BITS:
-            raise BudgetError(f"output length {self.out_bits} outside 1..{TABLE_MAX_BITS}")
         if t.shape != (1 << self.n,):
             raise StructuralError("table must have exactly 2**n entries")
         if np.any(t < 0) or np.any(t >= (1 << self.out_bits)):
@@ -84,12 +88,13 @@ class ToyFunction:
 
 
 def identity_function(n: int) -> ToyFunction:
+    _check_table_bits(n, "input")
     return ToyFunction(n, n, np.arange(1 << n, dtype=np.int64), True)
 
 
 def random_permutation(n: int, seed: int) -> ToyFunction:
-    rng = np.random.default_rng(seed)
-    return ToyFunction(n, n, rng.permutation(1 << n).astype(np.int64), True)
+    _check_table_bits(n, "input")
+    return ToyFunction(n, n, np.random.default_rng(seed).permutation(1 << n), True)
 
 
 def vertex_function(g: HybridGraph) -> ToyFunction:

@@ -274,6 +274,8 @@ def verify_walk_independence(
     families; ``sampled`` does only the sampling.  ``beta`` is the caller's
     measured spectral gap; marginals are uniform so ``mu = |S|/N`` exactly.
     """
+    if t < 0:
+        raise ParameterError(f"t must be >= 0, got {t}")
     if not (0.0 <= beta <= 1.0):
         raise ParameterError(f"beta must lie in [0, 1], got {beta}")
     if mode not in ("exhaustive", "sampled"):

@@ -319,6 +319,19 @@ class TestHarness:
         assert code == 2 and report is None
         assert err.startswith("error:") and "memory" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-beta", "--m", "2", "--t", "-1", "--seed", "1"],
+            ["verify-beta", "--m", "2", "--t", "2", "--seed", "-1"],
+            ["bound", "--preset", "sweep", "--count", "-1", "--seed", "1"],
+        ],
+    )
+    def test_out_of_range_argument_is_a_usage_error(self, capsys, argv):
+        code, report, err = run_cli(capsys, argv)
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_version_field(self, capsys):
         _, report, _ = run_cli(capsys, ["bound", "--preset", "cube"])
         assert report["version"] == wb.__version__

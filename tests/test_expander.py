@@ -1,5 +1,7 @@
 """Expander machinery: rotations, transitions, spectra, masked-norm contraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,18 @@ class TestTransitionMatrix:
         with pytest.raises(StructuralError):
             wb.TransitionMatrix(np.eye(3) * 0.5)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_nonzeros_in_row_major_order(self, m):
+        tm = wb.transition_matrix(wb.mgg_rotation(m))
+        oracle = torus_adjacency_oracle(m)
+        rows, cols = np.nonzero(oracle)
+        assert np.array_equal(tm.rows, rows) and np.array_equal(tm.cols, cols)
+        assert np.array_equal(tm.vals, oracle[rows, cols])
+
+    def test_unordered_nonzeros_rejected(self):
+        with pytest.raises(StructuralError):
+            wb.TransitionMatrix.from_triples(2, [1, 0], [1, 0], [1.0, 1.0])
+
 
 class TestSpectrum:
     def test_k4_alpha_exact(self):
@@ -138,22 +152,39 @@ class TestSpectrum:
         assert abs(power.alpha - dense.alpha) <= 1e-6
         assert abs(power.lambda_min - dense.lambda_min) <= 1e-6
 
-    def test_bipartite_rejected(self):
+    @pytest.mark.parametrize("route", ["dense", "power"])
+    def test_bipartite_rejected(self, monkeypatch, route):
+        if route == "power":
+            monkeypatch.setattr(expander, "DENSE_EIGENSOLVE_MAX", 0)
         cycle = np.zeros((4, 4))
         for i in range(4):
             cycle[i, (i + 1) % 4] = cycle[i, (i - 1) % 4] = 0.5
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="bipartite"):
             wb.second_eigenvalue_magnitude(wb.TransitionMatrix(cycle))
 
-    def test_disconnected_rejected(self):
+    @pytest.mark.parametrize("route", ["dense", "power"])
+    def test_disconnected_rejected(self, monkeypatch, route):
+        if route == "power":
+            monkeypatch.setattr(expander, "DENSE_EIGENSOLVE_MAX", 0)
         two = np.kron(np.eye(2), complete_graph(3).entries)
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="connected"):
             wb.second_eigenvalue_magnitude(wb.TransitionMatrix(two))
 
     def test_directed_rejected(self):
         a = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
         with pytest.raises(StructuralError):
             wb.second_eigenvalue_magnitude(wb.TransitionMatrix(a, directed=True))
+
+    def test_power_route_memory_is_linear_in_the_edges(self):
+        # N = 4096: a dense N x N matrix alone would take 128 MiB
+        tracemalloc.start()
+        try:
+            rep = wb.second_eigenvalue_magnitude(wb.transition_matrix(wb.mgg_rotation(6)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "power-iteration" and rep.converged
+        assert peak < 32 * 2 ** 20
 
 
 class TestProjection:

@@ -1,6 +1,7 @@
 """Toy one-way functions: constructions, reductions, exact success accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ class TestToyFunction:
     def test_apply_range(self):
         with pytest.raises(StructuralError):
             wb.identity_function(3).apply(8)
+
+    @pytest.mark.parametrize(
+        "build", [wb.identity_function, lambda n: wb.random_permutation(n, 0)], ids=["identity", "random"]
+    )
+    def test_table_budget_checked_before_allocation(self, build):
+        # 2**25 int64 entries would be 256 MiB before any copy
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                build(25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_vertex_function(self, g_random):
         f = wb.vertex_function(g_random)
