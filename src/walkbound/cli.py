@@ -37,6 +37,7 @@ from .expander import (
     transition_matrix,
 )
 from .owf import (
+    TABLE_MAX_BITS,
     AdversaryOracle,
     BlockwiseInverter,
     ExperimentConfig,
@@ -112,6 +113,8 @@ def _write_csv(path: str, fieldnames: list, rows: list) -> None:
 
 def cmd_spectral(args) -> dict:
     t0 = time.perf_counter()
+    if not 0.0 < args.tol < np.inf:
+        raise ParameterError(f"--tol must be finite and > 0, got {args.tol}")
     if args.m < args.m_min:
         raise ParameterError(f"--m must be >= --m-min, got {args.m} < {args.m_min}")
     if args.m > SPECTRAL_M_MAX:
@@ -163,6 +166,12 @@ def cmd_spectral(args) -> dict:
 
 def cmd_verify_beta(args) -> dict:
     t0 = time.perf_counter()
+    if args.m > SPECTRAL_M_MAX:
+        raise BudgetError(f"m={args.m} exceeds the eigensolver budget (m <= {SPECTRAL_M_MAX})")
+    if args.trials < 0 or args.agree < 0:
+        raise ParameterError("--trials and --agree must be >= 0")
+    if args.mode == "sampled" and args.trials == 0:
+        raise ParameterError("--mode sampled needs --trials >= 1")
     rot = mgg_rotation(args.m)
     spectral = second_eigenvalue_magnitude(transition_matrix(rot))
     perm = np.random.default_rng(args.seed).permutation(rot.n_vertices)
@@ -324,12 +333,15 @@ def cmd_amplify(args) -> dict:
     if args.construction == "walk":
         if args.m is None:
             raise ParameterError("walk construction requires --m")
-        rot = mgg_rotation(args.m)
         n = 2 * args.m
         if args.n is not None and args.n != n:
             raise ParameterError(f"walk construction at m={args.m} fixes n={n}")
         if args.t < 2:
             raise ParameterError("walk construction needs t >= 2 for its reduction")
+        bits = n + 3 * args.t           # degree-8 torus: 3 label bits per step
+        if bits > TABLE_MAX_BITS:
+            raise BudgetError(f"walk permutation needs {bits} bits, over {TABLE_MAX_BITS}")
+        rot = mgg_rotation(args.m)
     else:
         if args.n is None:
             raise ParameterError("direct construction requires --n")

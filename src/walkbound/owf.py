@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
-from .walks import HybridGraph, Walk, _per_graph, enumerate_walk_vertices, validate_walk
+from .walks import HybridGraph, Walk, _walk_space, enumerate_walk_vertices, validate_walk
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
 VALIDATE_PERM_MAX = 20     # permutation flags are checked exhaustively up to this n
@@ -363,18 +363,10 @@ def conditioned_reverse_repr(
     return WalkRepr(cur, tuple(reversed(back)) + tuple(prefix_labels), vb, lb)
 
 
-@_per_graph
 def _walk_reverse_ints(g: HybridGraph, t: int) -> np.ndarray:
     """Reverse representation of every walk, indexed by forward representation;
-    built once per (graph, t)."""
-    verts = enumerate_walk_vertices(g, t)
-    _, lb = _graph_bits(g)
-    idx = np.arange(verts.shape[0], dtype=np.int64)
-    rho = verts[:, t].copy()
-    for s in range(t, 0, -1):
-        lab = (idx >> (lb * (t - s))) & (g.d - 1)
-        rho = (rho << lb) | g.rot.back_labels[verts[:, s - 1], lab]
-    return rho
+    built once per (graph, t) with the walk space."""
+    return _walk_space(g, t)[1]
 
 
 def walk_permutation(g: HybridGraph, t: int) -> ToyFunction:
@@ -483,7 +475,6 @@ class ReducedDirectInverter(Inverter):
         self.inner = inner
         self.t = t
         self.seed = int(seed)
-        self.f_evals = 0
 
     def invert(self, y: int) -> Optional[int]:
         q = self.query_count
@@ -493,7 +484,6 @@ class ReducedDirectInverter(Inverter):
         i = int(rng.integers(t))
         fills = rng.integers(0, 1 << func.n, size=t)
         ys = [int(func.table[f]) for f in fills]
-        self.f_evals += t - 1
         ys[i] = y
         yvec = 0
         for v in ys:
@@ -504,7 +494,6 @@ class ReducedDirectInverter(Inverter):
         parts = []
         for j in range(t):
             parts.append((ans >> (func.n * (t - 1 - j))) & ((1 << func.n) - 1))
-        self.f_evals += t
         if any(int(func.table[x]) != ys[j] for j, x in enumerate(parts)):
             return None
         return int(parts[i])
@@ -549,7 +538,6 @@ class ReducedWalkInverter(Inverter):
         self.g = g
         self.t = t
         self.seed = int(seed)
-        self.f_evals = 0
 
     def invert(self, y: int) -> Optional[int]:
         q = self.query_count
@@ -560,7 +548,6 @@ class ReducedWalkInverter(Inverter):
         fwd = [int(v) for v in rng.integers(0, g.d, size=t - i)]
         prefix = [int(v) for v in rng.integers(0, g.d, size=i)]
         rep = conditioned_reverse_repr(g, t, i, y, fwd, prefix)
-        self.f_evals += t - i
         ans = self.inner.invert(rep.to_int())
         if ans is None:
             return None
@@ -569,7 +556,6 @@ class ReducedWalkInverter(Inverter):
             walk = forward_inv(g, WalkRepr.from_int(ans, t, vb, lb))
         except StructuralError:
             return None
-        self.f_evals += t
         if reverse_repr(g, walk).to_int() != rep.to_int():
             return None
         return int(g.rot.neighbors[walk.vertices[i - 1], walk.labels[i - 1]])

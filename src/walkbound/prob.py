@@ -17,6 +17,7 @@ way spectral-gap arguments require (see ``walkbound.walks``).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,14 +155,9 @@ def _require_unit_range(z: RandomVariable) -> None:
         raise ParameterError("Z must take values in [0, 1]")
 
 
-def _chain_product(factors) -> float:
-    out = 1.0
-    for f in factors:
-        out *= f
-    return out
-
-
 def _chain_sum(terms) -> float:
+    # left to right on purpose: sum() of floats is compensated from Python 3.12,
+    # which would make bound_value differ between interpreter versions
     out = 0.0
     for s in terms:
         out += s
@@ -246,7 +242,7 @@ def pooled_bound(
     p = tail_probability(pooled, eps)
     t = len(objects)
     alpha = 1.0 - beta
-    bound = _chain_product([alpha + beta * p] * t) + _chain_sum([eps] * t)
+    bound = math.prod([alpha + beta * p] * t) + _chain_sum([eps] * t)
     exp = expectation(z)
     slack = bound - exp
     return BoundReport(
@@ -286,7 +282,7 @@ def percoord_bound(
     tails = tuple(
         tail_probability(conditional_expectation(z, u), e) for u, e in zip(objects, eps_list)
     )
-    bound = _chain_product([alpha + beta * p for p in tails]) + _chain_sum(eps_list)
+    bound = math.prod([alpha + beta * p for p in tails]) + _chain_sum(eps_list)
     exp = expectation(z)
     slack = bound - exp
     return BoundReport(
@@ -442,6 +438,20 @@ def check_independence(
     )
 
 
+def _product_space(margs: Sequence[np.ndarray]) -> tuple:
+    """The product of the marginals ``margs`` over the grid of their index
+    tuples, in ``itertools.product`` order, plus the grid's coordinate columns
+    (row i holds coordinate i of every outcome).  Each weight is the product
+    ``1 * m_0[c_0] * m_1[c_1] * ...`` taken left to right, then normalised."""
+    shape = tuple(len(m) for m in margs)
+    coords = np.indices(shape).reshape(len(shape), -1)
+    weights = np.ones(coords.shape[1])
+    for m, c in zip(margs, coords):
+        weights = weights * m[c]
+    outcomes = tuple(itertools.product(*(range(k) for k in shape)))
+    return FiniteSpace(outcomes, weights / np.sum(weights)), coords
+
+
 def cube_instance(p: float, t: int) -> tuple:
     """Two-point product grid with an indicator of the all-zeros corner.
 
@@ -454,16 +464,11 @@ def cube_instance(p: float, t: int) -> tuple:
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     q = p ** (1.0 / t)
-    marg = (q, 1.0 - q)
-    outcomes = tuple(itertools.product((0, 1), repeat=t))
-    weights = np.array([_chain_product([marg[b] for b in out]) for out in outcomes])
-    weights = weights / np.sum(weights)
-    space = FiniteSpace(outcomes, weights)
-    z = RandomVariable(space, np.array([1.0 if all(b == 0 for b in o) else 0.0 for o in outcomes]))
-    objects = [
-        RandomObject(space, (0, 1), np.array([o[i] for o in outcomes], dtype=np.int64))
-        for i in range(t)
-    ]
+    space, coords = _product_space([np.array((q, 1.0 - q))] * t)
+    z_values = np.zeros(space.size)
+    z_values[0] = 1.0                   # grid point 0 is the all-zeros corner
+    z = RandomVariable(space, z_values)
+    objects = [RandomObject(space, (0, 1), c) for c in coords]
     return z, objects
 
 
@@ -486,16 +491,7 @@ def random_product_instance(
         for _ in range(t):
             m = rng.uniform(0.1, 1.0, psi)
             margs.append(m / m.sum())
-    outcomes = tuple(itertools.product(range(psi), repeat=t))
-    weights = np.ones(len(outcomes))
-    for i in range(t):
-        coord = np.array([o[i] for o in outcomes])
-        weights = weights * margs[i][coord]
-    weights = weights / np.sum(weights)
-    space = FiniteSpace(outcomes, weights)
-    z = RandomVariable(space, rng.random(len(outcomes)))
-    objects = [
-        RandomObject(space, tuple(range(psi)), np.array([o[i] for o in outcomes], dtype=np.int64))
-        for i in range(t)
-    ]
+    space, coords = _product_space(margs)
+    z = RandomVariable(space, rng.random(space.size))
+    objects = [RandomObject(space, tuple(range(psi)), c) for c in coords]
     return z, objects

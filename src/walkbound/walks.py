@@ -10,7 +10,6 @@ direct enumeration of the walk space.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,38 +137,42 @@ def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
     return Walk(tuple(vertices), tuple(labels))
 
 
-def _per_graph(build):
-    """Memoise ``build(g, t)`` on the graph and hand out the table read-only; the
-    graph is immutable, so a cached table never goes stale."""
+def _walk_space(g: HybridGraph, t: int) -> tuple:
+    """Vertex columns and reverse packing of every walk, built once per (graph, t)
+    and cached read-only on the graph (immutable, so never stale).
 
-    @functools.wraps(build)
-    def cached(g: HybridGraph, t: int) -> np.ndarray:
-        key = (build, t)
-        if key not in g._tables:
-            table = build(g, t)
-            table.setflags(write=False)
-            g._tables[key] = table
-        return g._tables[key]
+    The walk space is the grid (start, label_1, ..., label_t) in walk-index
+    order.  Step s follows every label out of the N * d**(s-1) distinct prefixes
+    and broadcasts the N * d**s results into column s.  Alongside, the reverse
+    packing sums each step's back label times d**(s-1); the terminal vertex
+    times d**t completes it (base-d digits, last step most significant).
+    """
+    if t not in g._tables:
+        total = walk_count(g, t)
+        if total > WALK_ENUM_MAX:
+            raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
+        n, d = g.n_vertices, g.d
+        verts = np.empty((total, t + 1), dtype=np.int64)
+        cur = np.arange(n, dtype=np.int64)
+        rho = np.zeros(n, dtype=np.int64)
+        verts.reshape(n, -1, t + 1)[:, :, 0] = cur[:, None]
+        for s in range(1, t + 1):
+            back = g.rot.back_labels[cur] * d ** (s - 1)
+            back += rho[:, None]
+            rho = back.reshape(-1)
+            cur = g.perm[g.rot.neighbors[cur]].reshape(-1)
+            verts.reshape(cur.size, -1, t + 1)[:, :, s] = cur[:, None]
+        rho += cur * d ** t
+        verts.setflags(write=False)
+        rho.setflags(write=False)
+        g._tables[t] = (verts, rho)
+    return g._tables[t]
 
-    return cached
 
-
-@_per_graph
 def enumerate_walk_vertices(g: HybridGraph, t: int) -> np.ndarray:
     """Vertex sequences of every walk, shape ``(N * d**t, t+1)``, row i being the
     walk with index i; built once per (graph, t)."""
-    total = walk_count(g, t)
-    if total > WALK_ENUM_MAX:
-        raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
-    idx = np.arange(total, dtype=np.int64)
-    verts = np.empty((total, t + 1), dtype=np.int64)
-    verts[:, 0] = idx // g.d ** t
-    cur = verts[:, 0]
-    for s in range(1, t + 1):
-        lab = (idx // g.d ** (t - s)) % g.d
-        cur = g.perm[g.rot.neighbors[cur, lab]]
-        verts[:, s] = cur
-    return verts
+    return _walk_space(g, t)[0]
 
 
 def _as_mask(n: int, subset) -> np.ndarray:
@@ -366,7 +369,7 @@ def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
     verts = enumerate_walk_vertices(g, t)
     total = verts.shape[0]
     out = np.empty(masks.shape[0])
-    chunk = 256
+    chunk = WALK_ENUM_MAX // total      # families per pass: 16 MiB of membership flags
     for lo in range(0, masks.shape[0], chunk):
         hi = min(lo + chunk, masks.shape[0])
         member = masks[lo:hi, 0][:, verts[:, 0]]

@@ -332,6 +332,33 @@ class TestHarness:
         assert code == 2 and report is None
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["amplify", "--construction", "walk", "--m", "13", "--t", "2", "--seed", "1"],
+            ["verify-beta", "--m", "10", "--t", "2", "--seed", "1"],
+            ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--mode", "sampled",
+             "--trials", "-5"],
+            ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--agree", "-5"],
+            ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--mode", "sampled",
+             "--trials", "0"],
+            ["spectral", "--m", "2", "--tol", "-1"],
+            ["spectral", "--m", "2", "--tol", "nan"],
+        ],
+        ids=["walk-table-over-budget", "verify-m-over-budget", "negative-trials",
+             "negative-agree", "sampled-zero-trials", "negative-tol", "nan-tol"],
+    )
+    def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
+        import walkbound.cli as cli
+
+        def never(m):
+            raise AssertionError(f"mgg_rotation({m}) ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, "mgg_rotation", never)
+        code, report, err = run_cli(capsys, argv)
+        assert code == 2 and report is None
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_version_field(self, capsys):
         _, report, _ = run_cli(capsys, ["bound", "--preset", "cube"])
         assert report["version"] == wb.__version__

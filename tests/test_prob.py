@@ -267,6 +267,22 @@ class TestCubeInstance:
             cube_instance(0.25, 0)
 
 
+class TestProductGrid:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: cube_instance(0.25, 3), lambda: random_product_instance(3, 4, 6, identical=False)],
+        ids=["cube", "random"],
+    )
+    def test_projections_and_weights_follow_the_outcomes(self, build):
+        z, objs = build()
+        space = z.domain
+        for i, u in enumerate(objs):
+            assert u.index_map.tolist() == [o[i] for o in space.outcomes]
+        dists = [u.distribution() for u in objs]
+        product = [np.prod([d[c] for d, c in zip(dists, o)]) for o in space.outcomes]
+        np.testing.assert_allclose(space.weights, product, rtol=1e-12)
+
+
 class TestSubsetSums:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 """Hybrid walks: indexing, uniformity, terminal vectors, route agreement."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,14 @@ class TestEnumeration:
         for idx in (0, 1, 97, 500, 1023):
             assert tuple(verts[idx]) == wb.walk_from_index(g_random, 2, idx).vertices
 
+    def test_rows_match_walk_from_index_at_degree_three(self):
+        # d = 3 is not a power of two, so no walk index may be read as bit fields
+        g = wb.HybridGraph(wb.k4_rotation(), [2, 0, 3, 1])
+        verts = wb.enumerate_walk_vertices(g, 3)
+        assert verts.shape == (4 * 3 ** 3, 4)
+        for idx in range(verts.shape[0]):
+            assert tuple(verts[idx]) == wb.walk_from_index(g, 3, idx).vertices
+
     def test_budget(self, g_identity):
         with pytest.raises(BudgetError):
             wb.enumerate_walk_vertices(g_identity, 8)   # 16 * 8^8 > 2^24
@@ -182,6 +191,20 @@ class TestRouteAgreement:
             fam = np.broadcast_to(mask.astype(bool), (3, 16))[None]
             p = wb.family_event_probs_matrix(g_random, 2, fam)[0]
             assert table[int(sub)] == p
+
+    def test_enumeration_route_memory_is_bounded(self):
+        # W = 16 * 8**5 walks: 256 families in one pass would hold 2 x 128 MiB of flags
+        g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(3).permutation(16))
+        wb.enumerate_walk_vertices(g, 5)
+        masks = random_masks(np.random.default_rng(14), 256, 5, 16)
+        tracemalloc.start()
+        try:
+            p_enum = wb.family_event_probs(g, 5, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert np.array_equal(p_enum, wb.family_event_probs_matrix(g, 5, masks))
 
     def test_mask_shape_validation(self, g_random):
         with pytest.raises(StructuralError):
