@@ -62,6 +62,7 @@ from .prob import (
     random_product_instance,
 )
 from .walks import (
+    SUBSET_EXH_MAX_N,
     HybridGraph,
     family_event_probs,
     family_event_probs_matrix,
@@ -172,6 +173,11 @@ def cmd_verify_beta(args) -> dict:
         raise ParameterError("--trials and --agree must be >= 0")
     if args.mode == "sampled" and args.trials == 0:
         raise ParameterError("--mode sampled needs --trials >= 1")
+    if args.mode == "exhaustive" and 4 ** args.m > SUBSET_EXH_MAX_N:
+        raise BudgetError(
+            f"--mode exhaustive sweeps 2**{4 ** args.m} subsets at m={args.m}, over the "
+            f"2**{SUBSET_EXH_MAX_N} ceiling (use --mode sampled)"
+        )
     rot = mgg_rotation(args.m)
     spectral = second_eigenvalue_magnitude(transition_matrix(rot))
     perm = np.random.default_rng(args.seed).permutation(rot.n_vertices)

@@ -312,6 +312,13 @@ def subset_sums(values: np.ndarray, nbits: int) -> np.ndarray:
     return out.reshape(-1)
 
 
+def mask_int(mask) -> int:
+    """A boolean row as the nonnegative int with bit v set iff ``mask[v]``, exact
+    at any length (witness encoding of a set of codomain indices)."""
+    row = np.packbits(np.asarray(mask, dtype=bool), bitorder="little")
+    return int.from_bytes(row.tobytes(), "little")
+
+
 @dataclass(frozen=True)
 class IndependenceReport:
     worst_ratio: float
@@ -378,12 +385,12 @@ def check_independence(
     witnesses: list = []
     n_single = 0
 
-    def _note(ratio: float, descr) -> None:
+    def _note(ratio: float, describe) -> None:
         nonlocal worst
         if ratio > worst:
             worst = ratio
         if ratio > 1.0 + RATIO_TOL and len(witnesses) < MAX_WITNESSES:
-            witnesses.append((descr, float(ratio)))
+            witnesses.append((describe(), float(ratio)))
 
     if mode == "exhaustive":
         n_single = 1 << k
@@ -406,7 +413,7 @@ def check_independence(
             ratios[bad_zero] = np.inf
         order = np.argsort(ratios)[::-1]
         for idx in order[: max(MAX_WITNESSES, 1)]:
-            _note(float(ratios[idx]), ("single", int(idx)))
+            _note(float(ratios[idx]), lambda: ("single", int(idx)))
         worst = max(worst, float(np.max(ratios)))
 
     n_sampled = 0
@@ -425,8 +432,7 @@ def check_independence(
                 ratio = joint / prod
             else:
                 ratio = 0.0 if joint == 0.0 else np.inf
-            descr = ("multi", tuple(int(np.sum(m.astype(np.int64) << np.arange(k))) for m in fam_masks))
-            _note(ratio, descr)
+            _note(ratio, lambda: ("multi", tuple(map(mask_int, fam_masks))))
             n_sampled += 1
 
     return IndependenceReport(

@@ -18,11 +18,12 @@ import numpy as np
 from .errors import BudgetError, ParameterError, StructuralError
 from .expander import ColoredRotation, TransitionMatrix, compose_permutation, transition_matrix
 from .prob import (MAX_WITNESSES, RATIO_TOL, FiniteSpace, IndependenceReport, RandomObject,
-                   subset_sums)
+                   mask_int, subset_sums)
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
 EXT_TOL = 1e-12
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1    # [v, i] = bit i of byte v
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,6 +285,11 @@ def verify_walk_independence(
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     n = g.n_vertices
+    if mode == "exhaustive" and n > SUBSET_EXH_MAX_N:
+        raise BudgetError(
+            f"exhaustive single-set sweep needs 2**{n} subsets, over the "
+            f"2**{SUBSET_EXH_MAX_N} ceiling"
+        )
     alpha = 1.0 - beta
     a = g.transition().entries
     worst = 0.0
@@ -302,11 +308,6 @@ def verify_walk_independence(
                 witnesses.append((describe(int(idx)), float(ratios[idx])))
 
     if mode == "exhaustive":
-        if n > SUBSET_EXH_MAX_N:
-            raise BudgetError(
-                f"exhaustive single-set sweep needs 2**{n} subsets, over the "
-                f"2**{SUBSET_EXH_MAX_N} ceiling"
-            )
         n_single = 1 << n
         chunk = 1 << 16
         bit_cols = np.arange(n, dtype=np.int64)
@@ -325,12 +326,12 @@ def verify_walk_independence(
         rng = np.random.default_rng(seed)
         while n_sampled < trials:
             b = min(512, trials - n_sampled)
-            masks = rng.integers(0, 2, size=(b, t + 1, n)).astype(float)
+            bits = rng.integers(0, 2, size=(b, t + 1, n))
+            masks = bits.astype(float)
             probs = _terminal_vectors(a, masks).sum(axis=1)
             mus = masks.sum(axis=2) / n
             bound = np.prod(alpha + beta * mus, axis=1)
-            mask_ints = (masks.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=2)
-            _note(probs, bound, lambda i, mi=mask_ints: ("multi", tuple(int(x) for x in mi[i])))
+            _note(probs, bound, lambda i, bits=bits: ("multi", tuple(map(mask_int, bits[i]))))
             n_sampled += b
 
     return IndependenceReport(
@@ -362,21 +363,34 @@ def single_set_event_probs(g: HybridGraph, t: int) -> np.ndarray:
 
 def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
     """Exact probabilities for a batch of families by walk enumeration; ``masks``
-    has shape (B, t+1, N) boolean."""
+    has shape (B, t+1, N) boolean.
+
+    Bit-sliced: each block of 64 families becomes one word per (position, vertex),
+    bit f meaning family f.  Every walk ANDs the words of its t+1 vertices, so one
+    word holds its membership in all 64 families; each byte lane's set bits are
+    then counted exactly through a 256-bin histogram.
+    """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 3 or masks.shape[1] != t + 1 or masks.shape[2] != g.n_vertices:
         raise StructuralError("masks must have shape (B, t+1, N)")
     verts = enumerate_walk_vertices(g, t)
     total = verts.shape[0]
-    out = np.empty(masks.shape[0])
-    chunk = WALK_ENUM_MAX // total      # families per pass: 16 MiB of membership flags
-    for lo in range(0, masks.shape[0], chunk):
-        hi = min(lo + chunk, masks.shape[0])
-        member = masks[lo:hi, 0][:, verts[:, 0]]
+    n_blocks = -(-masks.shape[0] // 64)
+    packed = np.packbits(masks, axis=0, bitorder="little")
+    padded = np.zeros((8 * n_blocks,) + packed.shape[1:], dtype=np.uint8)
+    padded[: packed.shape[0]] = packed
+    # little-endian words: byte k of block w holds families 64w + 8k ... 64w + 8k + 7
+    words = padded.reshape(n_blocks, 8, t + 1, g.n_vertices).transpose(0, 2, 3, 1).copy()
+    words = words.view("<u8")[..., 0]
+    counts = np.empty(64 * n_blocks, dtype=np.int64)
+    for w in range(n_blocks):
+        member = words[w, 0][verts[:, 0]]
         for s in range(1, t + 1):
-            member &= masks[lo:hi, s][:, verts[:, s]]
-        out[lo:hi] = member.sum(axis=1) / total
-    return out
+            member &= words[w, s][verts[:, s]]
+        lanes = member.view(np.uint8).reshape(total, 8)
+        hist = np.stack([np.bincount(lanes[:, k], minlength=256) for k in range(8)])
+        counts[64 * w: 64 * (w + 1)] = (hist @ _BYTE_BITS).reshape(-1)
+    return counts[: masks.shape[0]] / total
 
 
 def family_event_probs_matrix(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:

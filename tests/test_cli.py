@@ -337,6 +337,7 @@ class TestHarness:
         [
             ["amplify", "--construction", "walk", "--m", "13", "--t", "2", "--seed", "1"],
             ["verify-beta", "--m", "10", "--t", "2", "--seed", "1"],
+            ["verify-beta", "--m", "7", "--t", "2", "--seed", "1"],
             ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--mode", "sampled",
              "--trials", "-5"],
             ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--agree", "-5"],
@@ -345,8 +346,9 @@ class TestHarness:
             ["spectral", "--m", "2", "--tol", "-1"],
             ["spectral", "--m", "2", "--tol", "nan"],
         ],
-        ids=["walk-table-over-budget", "verify-m-over-budget", "negative-trials",
-             "negative-agree", "sampled-zero-trials", "negative-tol", "nan-tol"],
+        ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
+             "negative-trials", "negative-agree", "sampled-zero-trials", "negative-tol",
+             "nan-tol"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
         import walkbound.cli as cli

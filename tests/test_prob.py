@@ -1,5 +1,7 @@
 """Probability core: spaces, conditionals, tails, bound evaluators, independence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,22 @@ class TestIndependence:
         z, objs = random_product_instance(2, 5, 5, identical=True)
         rep = wb.check_independence(objs, beta=1.0, mode="sampled", trials=300, seed=2)
         assert rep.n_single == 0 and rep.n_sampled == 300 and rep.holds
+
+    def test_multi_witnesses_encode_codomains_past_63_points(self):
+        # one uniform object on 4 of 70 codomain points, taken twice: fully
+        # dependent, so beta = 1 is overstated and multi-set witnesses appear
+        pts = [0, 63, 64, 69]
+        u = wb.RandomObject(wb.FiniteSpace.uniform(range(4)), tuple(range(70)), np.array(pts))
+        rep = wb.check_independence([u, u], beta=1.0, mode="sampled", trials=300, seed=3)
+        multi = [(sets, ratio) for (kind, sets), ratio in rep.witnesses if kind == "multi"]
+        assert len(multi) == len(rep.witnesses) > 0
+        assert any(s >> p & 1 for sets, _ in multi for s in sets for p in (63, 64, 69))
+        for sets, ratio in multi:
+            assert all(0 <= s < 1 << 70 for s in sets)
+            # quarter weights: every sum and product below is exact
+            joint = sum(0.25 for p in pts if all(s >> p & 1 for s in sets))
+            prod = math.prod(sum(0.25 for p in pts if s >> p & 1) for s in sets)
+            assert joint / prod == ratio
 
     def test_mode_validation(self):
         z, objs = random_product_instance(2, 3, 0, identical=True)

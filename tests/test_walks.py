@@ -206,6 +206,30 @@ class TestRouteAgreement:
         assert peak < 64 * 2 ** 20
         assert np.array_equal(p_enum, wb.family_event_probs_matrix(g, 5, masks))
 
+    @pytest.mark.parametrize("b", [0, 1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("graph", ["g_random", "k4", "m3"])
+    def test_bit_sliced_blocks_are_exact(self, request, graph, b):
+        # batch sizes around the 64-family word: empty, one family, a full word,
+        # one past it and a third, partly filled word
+        if graph == "g_random":
+            g, t = request.getfixturevalue("g_random"), 3
+        elif graph == "k4":
+            g, t = wb.HybridGraph(wb.k4_rotation(), [2, 0, 3, 1]), 3
+        else:
+            g, t = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(9).permutation(64)), 2
+        masks = random_masks(np.random.default_rng(b), b, t, g.n_vertices)
+        p_enum = wb.family_event_probs(g, t, masks)
+        p_mat = wb.family_event_probs_matrix(g, t, masks)
+        assert p_enum.shape == (b,)
+        for i in {0, 63, 64, b - 1} & set(range(b)):
+            assert p_enum[i] == float(exact_family_prob(g, t, masks[i]))
+        if g.d == 8:
+            # transition entries are multiples of 1/8: the matrix route is exact too
+            assert np.array_equal(p_enum, p_mat)
+        else:
+            # entries of 1/3 round, so only the enumeration route is exact
+            np.testing.assert_allclose(p_enum, p_mat, rtol=1e-14, atol=0)
+
     def test_mask_shape_validation(self, g_random):
         with pytest.raises(StructuralError):
             wb.family_event_probs(g_random, 2, np.ones((1, 2, 16), dtype=bool))
@@ -248,6 +272,34 @@ class TestWalkIndependence:
         g = wb.HybridGraph(rot, np.arange(64))
         with pytest.raises(BudgetError):
             wb.verify_walk_independence(g, 2, 0.3, mode="exhaustive", trials=0)
+
+    def test_exhaustive_budget_is_checked_before_the_dense_matrix(self):
+        # N = 1024: the dense transition matrix alone would take 8 MiB
+        g = wb.HybridGraph(wb.mgg_rotation(5), np.random.default_rng(4).permutation(1024))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                wb.verify_walk_independence(g, 2, 0.3, mode="exhaustive", trials=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_multi_witnesses_decode_to_their_families(self):
+        # N = 64: a set holding vertex 63 needs bit 63, the sign bit of an int64
+        g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(5).permutation(64))
+        t = 2
+        rep = wb.verify_walk_independence(g, t, 1.0, mode="sampled", trials=2000, seed=6)
+        multi = [(sets, ratio) for (kind, sets), ratio in rep.witnesses if kind == "multi"]
+        assert len(multi) == len(rep.witnesses) > 0
+        assert any(s >> 63 & 1 for sets, _ in multi for s in sets)
+        for sets, ratio in multi:
+            assert all(0 <= s < 1 << 64 for s in sets)
+            masks = np.array([[s >> v & 1 for v in range(64)] for s in sets], dtype=bool)
+            p = wb.family_event_probs_matrix(g, t, masks[None])[0]
+            # alpha = 0, so the bound is the product of the set densities; all
+            # values are dyadic, so the recorded ratio is reproduced exactly
+            assert p / np.prod(masks.sum(axis=1) / 64) == ratio
 
     def test_report_serializes(self, g_random):
         rep = wb.verify_walk_independence(g_random, 2, 0.3, mode="sampled", trials=100, seed=4)
