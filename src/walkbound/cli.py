@@ -22,7 +22,6 @@ import csv
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .expander import (
     k4_rotation,
     mgg_rotation,
     second_eigenvalue_magnitude,
+    torus_spectrum,
     transition_matrix,
 )
 from .owf import (
@@ -62,6 +62,7 @@ from .prob import (
     random_product_instance,
 )
 from .walks import (
+    DENSE_WALK_MAX_BYTES,
     SUBSET_EXH_MAX_N,
     HybridGraph,
     family_event_probs,
@@ -104,8 +105,16 @@ def _report(command: str, config: dict, seed, results: dict, checks: list, t0: f
     }
 
 
+def _open_output(path: str, newline=None):
+    """``path`` opened for writing; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str, fieldnames: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
@@ -134,10 +143,11 @@ def cmd_spectral(args) -> dict:
         )
     )
 
-    last_rot = None
+    # each level is the base of the next one's covering route
+    last_rot, rep, alphas = None, None, []
     for m in range(args.m_min, args.m + 1):
         rot = mgg_rotation(m)
-        rep = second_eigenvalue_magnitude(transition_matrix(rot))
+        rep = torus_spectrum(rot, rep)
         rows.append(
             {"graph": f"torus-m{m}", "m": m, "n_vertices": rot.n_vertices, "degree": 8, **rep.to_dict()}
         )
@@ -150,15 +160,21 @@ def cmd_spectral(args) -> dict:
                 slack=ALPHA_FAMILY_BOUND + args.tol - rep.alpha,
             )
         )
+        alphas.append(rep.alpha)
         last_rot = rot
+    # spec(m-1) is contained in spec(m), so alpha never drops along the sweep
+    drops = [lo - hi for lo, hi in zip(alphas, alphas[1:])]
+    checks.insert(1, _check("alpha-monotone", all(x <= rep.tol for x in drops),
+                            max_drop=max(drops, default=0.0), tol=rep.tol))
 
     if args.dump_graph:
-        Path(args.dump_graph).write_text(adjacency_text(last_rot))
+        with _open_output(args.dump_graph) as fh:
+            fh.write(adjacency_text(last_rot))
     if args.csv:
         _write_csv(
             args.csv,
             ["graph", "m", "n_vertices", "degree", "alpha", "beta", "lambda_second",
-             "lambda_min", "method", "iterations", "converged"],
+             "lambda_min", "method", "iterations", "converged", "alpha_cover"],
             rows,
         )
     config = {"m_min": args.m_min, "m_max": args.m, "tol": args.tol}
@@ -178,15 +194,21 @@ def cmd_verify_beta(args) -> dict:
             f"--mode exhaustive sweeps 2**{4 ** args.m} subsets at m={args.m}, over the "
             f"2**{SUBSET_EXH_MAX_N} ceiling (use --mode sampled)"
         )
+    walk_bytes = 8 * 16 ** args.m
+    if walk_bytes > DENSE_WALK_MAX_BYTES:
+        raise BudgetError(
+            f"the matrix routes' dense walk matrix needs {walk_bytes} bytes at m={args.m}, over "
+            f"the {DENSE_WALK_MAX_BYTES}-byte budget"
+        )
     rot = mgg_rotation(args.m)
-    spectral = second_eigenvalue_magnitude(transition_matrix(rot))
+    spectral = torus_spectrum(rot)
     perm = np.random.default_rng(args.seed).permutation(rot.n_vertices)
     g = HybridGraph(rot, perm)
     rep = verify_walk_independence(
         g, args.t, spectral.beta, mode=args.mode, trials=args.trials, seed=args.seed
     )
     checks = [
-        _check("product-bound", rep.holds, worst_ratio=rep.worst_ratio),
+        _check("product-bound", spectral.converged and rep.holds, worst_ratio=rep.worst_ratio),
     ]
 
     # Dual-route agreement on a fresh batch of sampled families.
@@ -372,9 +394,10 @@ def cmd_amplify(args) -> dict:
         reduced = reduce_direct(amplified, func, cfg.t, red_seed)
         amplified_bits = cfg.n * cfg.t
         spectral_row = None
+        spectral_ok = True
     else:
-        spectral = second_eigenvalue_magnitude(transition_matrix(rot))
-        alpha, beta = spectral.alpha, spectral.beta
+        spectral = torus_spectrum(rot)
+        alpha, beta, spectral_ok = spectral.alpha, spectral.beta, spectral.converged
         g = HybridGraph(rot, func.table)
         big = walk_permutation(g, cfg.t)
         amplified = WalkChainInverter(base, g, cfg.t, permutation=big)
@@ -392,7 +415,7 @@ def cmd_amplify(args) -> dict:
     checks.append(
         _check(
             "amplified-bound",
-            amp_exact.success <= bound + EXACT_CHECK_TOL,
+            spectral_ok and amp_exact.success <= bound + EXACT_CHECK_TOL,
             measured=amp_exact.success,
             bound=bound,
             slack=bound - amp_exact.success,
@@ -521,17 +544,18 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ParameterError(f"--seed must be >= 0, got {args.seed}")
         report = args.func(args)
+        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+        out = getattr(args, "out", None)
+        if out:
+            with _open_output(out) as fh:
+                fh.write(text + "\n")
     except json.JSONDecodeError as exc:
         print(f"parse error: line {exc.lineno} column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
     except (WalkboundError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     print(text)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text + "\n")
     return 0 if report["all_hold"] else 1
 
 

@@ -15,19 +15,21 @@ variant with ``x+y`` in place of ``x+2y`` has second eigenvalue drifting past
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import BudgetError, ParameterError, StructuralError
 from .prob import RATIO_TOL
 
 STOCHASTIC_TOL = 1e-12
 SYMMETRY_TOL = 1e-14
-DENSE_EIGENSOLVE_MAX = 1024   # above this, switch to power iteration
-POWER_TOL = 1e-8
-POWER_MAX_ITER = 100_000
+DENSE_EIGENSOLVE_MAX = 1024   # above this, switch to Lanczos
+EIGEN_TOL = 1e-8              # residual stop of the Lanczos routes
+LANCZOS_MAX_STEPS = 400
+LANCZOS_BLOCK = 32            # basis vectors allocated at a time
+LANCZOS_BASIS_BYTES = 2 ** 30 # worst-case Krylov basis, (steps + 1) * N * 8
 EXACT_NORM_MAX = 256          # SVD-based exact operator norms up to this dimension
 ALPHA_FAMILY_BOUND = 5.0 * np.sqrt(2.0) / 8.0
 
@@ -188,6 +190,12 @@ def transition_matrix(rot: ColoredRotation) -> TransitionMatrix:
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """The two extreme nontrivial eigenvalues and the engine that found them.
+
+    ``matvecs`` counts operator applications per route (empty for the dense
+    eigensolve).  ``alpha_cover`` is the covering route's alpha when that
+    route ran; ``converged`` then also requires the two routes to agree."""
+
     alpha: float
     beta: float
     lambda_second: float
@@ -196,9 +204,11 @@ class SpectralReport:
     iterations: int
     tol: float
     converged: bool
+    matvecs: dict = field(default_factory=dict)
+    alpha_cover: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "alpha": self.alpha,
             "beta": self.beta,
             "lambda_second": self.lambda_second,
@@ -207,39 +217,76 @@ class SpectralReport:
             "iterations": self.iterations,
             "tol": self.tol,
             "converged": self.converged,
+            "matvecs": dict(self.matvecs),
         }
+        if self.alpha_cover is not None:
+            out["alpha_cover"] = self.alpha_cover
+        return out
 
 
-def _power_top(matvec, n: int, tol: float, max_iter: int, rng) -> tuple:
-    """Top eigenvalue of a symmetric PSD operator restricted to the complement of
-    the all-ones direction.  Residual-based stop: ||Av - lam*v|| <= tol certifies
-    |lam - lam_true| <= tol."""
-    u0 = np.full(n, 1.0 / np.sqrt(n))
-    v = rng.standard_normal(n)
-    v -= (v @ u0) * u0
+def _spectral_report(lam2: float, lam_min: float, tol: float, method: str, iterations: int,
+                     converged: bool, matvecs: dict) -> SpectralReport:
+    """Report of a computed spectrum, after the structural checks it settles: a
+    second eigenvalue within ``tol`` of 1 means disconnected, a smallest one
+    within ``tol`` of -1 bipartite."""
+    if 1.0 - lam2 <= tol:
+        raise StructuralError("graph must be connected")
+    if 1.0 + lam_min <= tol:
+        raise StructuralError("graph must not be bipartite")
+    alpha = max(abs(lam2), abs(lam_min))
+    return SpectralReport(alpha=alpha, beta=1.0 - alpha, lambda_second=lam2, lambda_min=lam_min,
+                          method=method, iterations=iterations, tol=tol, converged=converged,
+                          matvecs=matvecs)
+
+
+def _lanczos_extremes(matvec, project, n: int, tol: float) -> tuple:
+    """Largest and smallest eigenvalue of a symmetric operator on the subspace
+    kept by ``project``, an orthogonal projection that commutes with it.
+
+    Lanczos from a fixed random start, with the three-term recurrence followed
+    by a full reorthogonalisation pass against the basis (Paige 1980).  The
+    basis grows in blocks of ``LANCZOS_BLOCK`` vectors; its worst case,
+    ``(LANCZOS_MAX_STEPS + 1) * n * 8`` bytes, is checked against
+    ``LANCZOS_BASIS_BYTES`` first.  Stops when both extreme Ritz residuals
+    ``|b_k s_k|`` are at most ``tol``, which certifies an eigenvalue within
+    ``tol`` of each.  Returns ``(top, bottom, steps, converged)``.
+    """
+    need = (LANCZOS_MAX_STEPS + 1) * n * 8
+    if need > LANCZOS_BASIS_BYTES:
+        raise BudgetError(f"Lanczos basis needs {need} bytes at N={n}, "
+                          f"over the {LANCZOS_BASIS_BYTES}-byte budget")
+    v = project(np.random.default_rng(0x5EED).standard_normal(n))
     v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = matvec(v)
-        w -= (w @ u0) * u0
-        lam = float(v @ w)
-        if np.linalg.norm(w - lam * v) <= tol:
-            return lam, it, True
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, it, True
-        v = w / nw
-    return lam, max_iter, False
+    blocks, diag, off = [], [], []
+    v_prev, b = v, 0.0
+    for k in range(LANCZOS_MAX_STEPS):
+        row = k % LANCZOS_BLOCK
+        if row == 0:
+            blocks.append(np.empty((LANCZOS_BLOCK, n)))
+        blocks[-1][row] = v
+        w = project(matvec(v))
+        a = float(v @ w)
+        w -= a * v
+        w -= b * v_prev
+        for blk in blocks[:-1] + [blocks[-1][: row + 1]]:
+            w -= (blk @ w) @ blk
+        diag.append(a)
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        if b * max(abs(s[-1, 0]), abs(s[-1, -1])) <= tol:
+            return float(theta[-1]), float(theta[0]), k + 1, True
+        off.append(b)
+        v_prev, v = v, w / b
+    return float(theta[-1]), float(theta[0]), LANCZOS_MAX_STEPS, False
 
 
-def second_eigenvalue_magnitude(tm: TransitionMatrix, tol: float = POWER_TOL) -> SpectralReport:
+def second_eigenvalue_magnitude(tm: TransitionMatrix, tol: float = EIGEN_TOL) -> SpectralReport:
     """alpha = max(|second largest|, |most negative|) eigenvalue of a connected,
     non-bipartite, symmetric doubly stochastic matrix; beta = 1 - alpha.
 
-    Dense symmetric eigensolve up to 1024 dimensions, deterministic deflated
-    power iteration over the nonzeros on the shifted operators A+I and I-A above
-    that.  The spectrum also settles the structure: a second eigenvalue within
-    ``tol`` of 1 means disconnected, a smallest one within ``tol`` of -1 bipartite.
+    Dense symmetric eigensolve up to ``DENSE_EIGENSOLVE_MAX`` dimensions; above
+    that, one Lanczos run over the nonzeros on the complement of the all-ones
+    vector gives both ends of the spectrum.
     """
     if tm.directed:
         raise StructuralError("spectral verification requires a symmetric matrix")
@@ -247,25 +294,74 @@ def second_eigenvalue_magnitude(tm: TransitionMatrix, tol: float = POWER_TOL) ->
     if n <= DENSE_EIGENSOLVE_MAX:
         evals = np.linalg.eigvalsh(tm.entries)
         lam2 = float(evals[-2]) if n > 1 else 0.0
-        lam_min = float(evals[0])
-        method, iterations, converged = "full-eigensolve", 0, True
-    else:
-        def step(v):
-            return np.bincount(tm.rows, weights=tm.vals * v[tm.cols], minlength=n)
+        return _spectral_report(lam2, float(evals[0]), tol, "full-eigensolve", 0, True, {})
 
-        rng = np.random.default_rng(0x5EED)
-        top_plus, it1, ok1 = _power_top(lambda v: step(v) + v, n, tol, POWER_MAX_ITER, rng)
-        top_minus, it2, ok2 = _power_top(lambda v: v - step(v), n, tol, POWER_MAX_ITER, rng)
-        lam2 = top_plus - 1.0
-        lam_min = 1.0 - top_minus
-        method, iterations, converged = "power-iteration", it1 + it2, ok1 and ok2
-    if 1.0 - lam2 <= tol:
-        raise StructuralError("graph must be connected")
-    if 1.0 + lam_min <= tol:
-        raise StructuralError("graph must not be bipartite")
-    alpha = max(abs(lam2), abs(lam_min))
-    return SpectralReport(alpha=alpha, beta=1.0 - alpha, lambda_second=lam2, lambda_min=lam_min,
-                          method=method, iterations=iterations, tol=tol, converged=converged)
+    def step(v):
+        return np.bincount(tm.rows, weights=tm.vals * v[tm.cols], minlength=n)
+
+    lam2, lam_min, steps, converged = _lanczos_extremes(step, lambda v: v - v.mean(), n, tol)
+    return _spectral_report(lam2, lam_min, tol, "lanczos", steps, converged, {"lanczos": steps})
+
+
+def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport,
+                         tol: float = EIGEN_TOL) -> SpectralReport:
+    """The spectrum of the affine torus at level m from that of level m-1.
+
+    Reducing both coordinates mod ``2**(m-1)`` maps ``rot`` onto the level m-1
+    torus and preserves labels, so every eigenvector of level m-1 lifts to one
+    of level m (Bilu & Linial 2006): spec(m-1) is contained in spec(m), and the
+    other eigenvalues live on functions that sum to 0 on each 4-vertex fiber.
+    ``base`` is the level m-1 spectrum; the fiber complement is solved by
+    Lanczos with the step applied as a gather over the neighbor table, and
+    its extremes are merged with ``base``'s.  The covering property is checked
+    on the tables first.
+    """
+    m, n, d = rot.m, rot.n_vertices, rot.d
+    quotient = mgg_rotation(m - 1)
+    half = 1 << (m - 1)
+    mask = half - 1
+    nb = rot.neighbors
+    reduced = (((nb >> m) & mask) << (m - 1)) | (nb & mask)
+    if n != 4 * quotient.n_vertices or d != quotient.d or not np.all(
+        reduced.reshape(2, half, 2, half, d) == quotient.neighbors.reshape(1, half, 1, half, d)
+    ):
+        raise StructuralError(f"rotation is not a label-preserving cover of the level {m - 1} torus")
+    by_label = np.ascontiguousarray(nb.T)
+
+    def step(v):
+        return v[by_label].sum(axis=0) / d
+
+    def fiber_free(v):
+        f = v.reshape(2, half, 2, half)
+        return (f - f.mean(axis=(0, 2), keepdims=True)).reshape(-1)
+
+    top, bottom, steps, converged = _lanczos_extremes(step, fiber_free, n, tol)
+    return _spectral_report(max(base.lambda_second, top), min(base.lambda_min, bottom), tol,
+                            "torus-cover", steps, converged and base.converged,
+                            {"torus-cover": steps})
+
+
+def torus_spectrum(rot: ColoredRotation, base: Optional[SpectralReport] = None,
+                   tol: float = EIGEN_TOL) -> SpectralReport:
+    """Spectrum of ``mgg_rotation(m)`` by every route that applies.
+
+    Up to ``DENSE_EIGENSOLVE_MAX`` vertices this is the dense eigensolve.  Above
+    it, route A (Lanczos over the transition nonzeros) and route B
+    (``torus_cover_spectrum`` over ``base``, the level m-1 spectrum, computed
+    here when not given) both run; the report is route A's, with both routes'
+    matvecs, route B's alpha, and ``converged`` only if both converged and
+    their alphas agree within ``tol``.
+    """
+    lanczos = second_eigenvalue_magnitude(transition_matrix(rot), tol)
+    if lanczos.method == "full-eigensolve":
+        return lanczos
+    if base is None:
+        base = second_eigenvalue_magnitude(transition_matrix(mgg_rotation(rot.m - 1)), tol)
+    cover = torus_cover_spectrum(rot, base, tol)
+    agree = abs(lanczos.alpha - cover.alpha) <= tol
+    return replace(lanczos, iterations=lanczos.iterations + cover.iterations,
+                   converged=lanczos.converged and cover.converged and agree,
+                   matvecs={**lanczos.matvecs, **cover.matvecs}, alpha_cover=cover.alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ from .prob import (MAX_WITNESSES, RATIO_TOL, FiniteSpace, IndependenceReport, Ra
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
+DENSE_WALK_MAX_BYTES = 2 ** 32  # the matrix routes' dense N x N walk matrix, 8 * N**2 bytes
 EXT_TOL = 1e-12
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1    # [v, i] = bit i of byte v
 

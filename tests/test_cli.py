@@ -36,7 +36,7 @@ class TestSpectral:
         jsonschema.validate(report, report_schema())
         names = [c["name"] for c in report["checks"]]
         assert names[0] == "K4-alpha-exact"
-        assert names[1:] == ["alpha-bound-m2", "alpha-bound-m3", "alpha-bound-m4"]
+        assert names[1:] == ["alpha-monotone", "alpha-bound-m2", "alpha-bound-m3", "alpha-bound-m4"]
         rows = report["results"]["rows"]
         assert rows[0]["graph"] == "K4" and rows[1]["n_vertices"] == 16
 
@@ -68,19 +68,77 @@ class TestSpectral:
         assert float(rows[1]["alpha"]) == pytest.approx(0.6035533906, abs=1e-9)
 
     def test_unconverged_estimate_fails_the_check(self, capsys, monkeypatch):
-        # power iteration stopped after two steps: its Rayleigh quotient sits
-        # below the true alpha and must not pass the bound check
+        # Lanczos stopped after two steps: its Ritz values sit inside the
+        # spectrum, below the true alpha, and must not pass the bound check
         from walkbound import expander
 
         monkeypatch.setattr(expander, "DENSE_EIGENSOLVE_MAX", 16)
-        monkeypatch.setattr(expander, "POWER_MAX_ITER", 2)
+        monkeypatch.setattr(expander, "LANCZOS_MAX_STEPS", 2)
         code, report, _ = run_cli(capsys, ["spectral", "--m", "3"])
         assert code == 1 and not report["all_hold"]
         row = report["results"]["rows"][-1]
-        assert row["method"] == "power-iteration" and not row["converged"]
+        assert row["method"] == "lanczos" and not row["converged"]
         assert row["alpha"] <= wb.ALPHA_FAMILY_BOUND
         check = report["checks"][-1]
         assert check["name"] == "alpha-bound-m3" and not check["holds"]
+
+    def test_both_routes_reported_above_the_dense_limit(self, capsys, monkeypatch):
+        from walkbound import expander
+
+        monkeypatch.setattr(expander, "DENSE_EIGENSOLVE_MAX", 16)
+        code, report, _ = run_cli(capsys, ["spectral", "--m", "4"])
+        assert code == 0 and report["all_hold"]
+        jsonschema.validate(report, report_schema())
+        rows = report["results"]["rows"]
+        assert rows[1]["method"] == "full-eigensolve" and rows[1]["matvecs"] == {}
+        assert "alpha_cover" not in rows[1]
+        for row, frozen in zip(rows[2:], (0.7028819489, 0.7567894801)):
+            assert row["method"] == "lanczos" and row["converged"]
+            assert set(row["matvecs"]) == {"lanczos", "torus-cover"}
+            assert row["iterations"] == sum(row["matvecs"].values())
+            assert abs(row["alpha"] - frozen) <= 1e-9
+            assert abs(row["alpha_cover"] - row["alpha"]) <= row["tol"]
+
+    def test_alpha_drop_fails_the_monotone_check(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        import walkbound.cli as cli
+
+        honest = cli.torus_spectrum
+
+        def dropped(rot, base=None):
+            rep = honest(rot, base)
+            return replace(rep, alpha=rep.alpha - 0.2) if rot.m == 3 else rep
+
+        monkeypatch.setattr(cli, "torus_spectrum", dropped)
+        code, report, _ = run_cli(capsys, ["spectral", "--m", "3"])
+        assert code == 1
+        check = report["checks"][1]
+        assert check["name"] == "alpha-monotone" and not check["holds"]
+        assert check["max_drop"] == pytest.approx(0.2 - (0.70288194886 - 0.60355339059), abs=1e-9)
+        assert all(c["holds"] for c in report["checks"] if c["name"] != "alpha-monotone")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["amplify", "--construction", "walk", "--m", "2", "--t", "2", "--seed", "1"],
+             "amplified-bound"),
+            (["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--mode", "sampled",
+              "--trials", "50", "--agree", "5"], "product-bound"),
+        ],
+        ids=["amplify", "verify-beta"],
+    )
+    def test_unconverged_spectrum_fails_its_consumers(self, capsys, monkeypatch, argv, name):
+        from dataclasses import replace
+
+        import walkbound.cli as cli
+
+        honest = cli.torus_spectrum
+        monkeypatch.setattr(cli, "torus_spectrum",
+                            lambda rot: replace(honest(rot), converged=False))
+        code, report, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert [c["holds"] for c in report["checks"] if c["name"] == name] == [False]
 
 
 class TestVerifyBeta:
@@ -338,6 +396,8 @@ class TestHarness:
             ["amplify", "--construction", "walk", "--m", "13", "--t", "2", "--seed", "1"],
             ["verify-beta", "--m", "10", "--t", "2", "--seed", "1"],
             ["verify-beta", "--m", "7", "--t", "2", "--seed", "1"],
+            ["verify-beta", "--m", "8", "--t", "2", "--mode", "sampled", "--trials", "10",
+             "--agree", "10", "--seed", "1"],
             ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--mode", "sampled",
              "--trials", "-5"],
             ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--agree", "-5"],
@@ -347,7 +407,7 @@ class TestHarness:
             ["spectral", "--m", "2", "--tol", "nan"],
         ],
         ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
-             "negative-trials", "negative-agree", "sampled-zero-trials", "negative-tol",
+             "verify-dense-walk-over-budget", "negative-trials", "negative-agree", "sampled-zero-trials", "negative-tol",
              "nan-tol"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
@@ -358,6 +418,21 @@ class TestHarness:
 
         monkeypatch.setattr(cli, "mgg_rotation", never)
         code, report, err = run_cli(capsys, argv)
+        assert code == 2 and report is None
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectral", "--m", "2", "--out"],
+            ["spectral", "--m", "3", "--csv"],
+            ["spectral", "--m", "3", "--dump-graph"],
+            ["bound", "--preset", "sweep", "--count", "3", "--seed", "1", "--csv"],
+        ],
+        ids=["out", "csv", "dump-graph", "bound-csv"],
+    )
+    def test_unwritable_output_path_is_a_usage_error(self, capsys, tmp_path, argv):
+        code, report, err = run_cli(capsys, argv + [str(tmp_path / "missing" / "x")])
         assert code == 2 and report is None
         assert err.startswith("error:") and err.count("\n") == 1
 

@@ -1,12 +1,13 @@
 """Expander machinery: rotations, transitions, spectra, masked-norm contraction."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import walkbound as wb
-from walkbound.errors import ParameterError, StructuralError
+from walkbound.errors import BudgetError, ParameterError, StructuralError
 from walkbound import expander
 
 
@@ -148,7 +149,7 @@ class TestSpectrum:
         dense = wb.second_eigenvalue_magnitude(tm)
         monkeypatch.setattr(expander, "DENSE_EIGENSOLVE_MAX", 16)
         power = wb.second_eigenvalue_magnitude(tm, tol=1e-10)
-        assert power.method == "power-iteration" and power.converged
+        assert power.method == "lanczos" and power.converged
         assert abs(power.alpha - dense.alpha) <= 1e-6
         assert abs(power.lambda_min - dense.lambda_min) <= 1e-6
 
@@ -183,8 +184,122 @@ class TestSpectrum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.method == "power-iteration" and rep.converged
+        assert rep.method == "lanczos" and rep.converged
         assert peak < 32 * 2 ** 20
+
+
+def lifted(f, m):
+    """``f`` on level m-1 read through the covering map: both coordinates of a
+    level-m vertex reduced mod 2**(m-1)."""
+    half = 1 << (m - 1)
+    idx = np.arange(4 ** m)
+    x, y = idx >> m, idx & ((1 << m) - 1)
+    return f[(x % half) * half + y % half]
+
+
+class TestLanczos:
+    @pytest.mark.parametrize(
+        "tm",
+        [wb.transition_matrix(wb.k4_rotation())]
+        + [wb.transition_matrix(wb.mgg_rotation(m)) for m in range(1, 6)]
+        + [complete_graph(n) for n in (3, 4, 5, 8)],
+        ids=["K4"] + [f"torus-m{m}" for m in range(1, 6)] + [f"complete-{n}" for n in (3, 4, 5, 8)],
+    )
+    def test_matches_dense(self, monkeypatch, tm):
+        evals = np.linalg.eigvalsh(tm.entries)
+        monkeypatch.setattr(expander, "DENSE_EIGENSOLVE_MAX", 0)
+        rep = wb.second_eigenvalue_magnitude(tm)
+        assert rep.method == "lanczos" and rep.converged
+        assert rep.matvecs == {"lanczos": rep.iterations}
+        assert abs(rep.lambda_second - evals[-2]) <= 1e-9
+        assert abs(rep.lambda_min - evals[0]) <= 1e-9
+        assert abs(rep.alpha - max(abs(evals[-2]), abs(evals[0]))) <= 1e-9
+
+    def test_both_ends_are_certified(self):
+        # the top is isolated and converges in a few steps; the bottom sits
+        # 1e-5 from its neighbor and needs many more
+        lam = np.concatenate([[1.0], np.linspace(-0.5, 0.5, 298), [-0.50001]])
+        top, bottom, steps, converged = expander._lanczos_extremes(
+            lambda v: lam * v, lambda v: v, lam.size, 1e-10)
+        assert converged and steps <= lam.size
+        assert abs(top - 1.0) <= 1e-10 and abs(bottom + 0.50001) <= 1e-10
+
+    def test_basis_budget_checked_before_allocating(self, monkeypatch):
+        tm = wb.transition_matrix(wb.mgg_rotation(6))
+        monkeypatch.setattr(expander, "LANCZOS_BASIS_BYTES", 2 ** 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="Lanczos basis"):
+                wb.second_eigenvalue_magnitude(tm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+class TestCoveringRoute:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_lifted_eigenvectors_stay_eigenvectors(self, m):
+        evals, vecs = np.linalg.eigh(torus_adjacency_oracle(m - 1))
+        a = torus_adjacency_oracle(m)
+        up = lifted(vecs, m)
+        residual = np.linalg.norm(a @ up - up * evals, axis=0) / np.linalg.norm(up, axis=0)
+        assert residual.max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_dense(self, m):
+        rot = wb.mgg_rotation(m)
+        evals = np.linalg.eigvalsh(wb.transition_matrix(rot).entries)
+        base = wb.second_eigenvalue_magnitude(wb.transition_matrix(wb.mgg_rotation(m - 1)))
+        rep = wb.torus_cover_spectrum(rot, base)
+        assert rep.method == "torus-cover" and rep.converged
+        assert rep.matvecs == {"torus-cover": rep.iterations}
+        assert abs(rep.lambda_second - evals[-2]) <= 1e-9
+        assert abs(rep.lambda_min - evals[0]) <= 1e-9
+
+    def test_base_spectrum_is_kept(self):
+        # spec(m-1) is part of spec(m): extremes of the base survive the merge
+        rot = wb.mgg_rotation(3)
+        base = wb.second_eigenvalue_magnitude(wb.transition_matrix(wb.mgg_rotation(2)))
+        wide = replace(base, lambda_second=0.9, lambda_min=-0.95, converged=False)
+        rep = wb.torus_cover_spectrum(rot, wide)
+        assert rep.lambda_second == 0.9 and rep.lambda_min == -0.95 and rep.alpha == 0.95
+        assert not rep.converged
+
+    def test_agrees_with_lanczos_at_m6(self):
+        rep = wb.torus_spectrum(wb.mgg_rotation(6))
+        assert rep.method == "lanczos" and rep.converged
+        assert set(rep.matvecs) == {"lanczos", "torus-cover"}
+        assert rep.iterations == sum(rep.matvecs.values())
+        assert abs(rep.alpha - rep.alpha_cover) <= rep.tol
+        assert rep.alpha <= wb.ALPHA_FAMILY_BOUND
+
+    def test_disagreeing_routes_do_not_converge(self, monkeypatch):
+        honest = expander.torus_cover_spectrum
+
+        def shifted(rot, base, tol):
+            return replace(honest(rot, base, tol), alpha=0.5)
+
+        monkeypatch.setattr(expander, "torus_cover_spectrum", shifted)
+        monkeypatch.setattr(expander, "DENSE_EIGENSOLVE_MAX", 16)
+        rep = wb.torus_spectrum(wb.mgg_rotation(3))
+        assert rep.alpha_cover == 0.5 and not rep.converged
+
+    def test_dense_sizes_run_one_route(self):
+        rep = wb.torus_spectrum(wb.mgg_rotation(3))
+        assert rep.method == "full-eigensolve" and rep.matvecs == {} and rep.alpha_cover is None
+        assert "alpha_cover" not in rep.to_dict()
+
+    def test_non_cover_rejected(self):
+        rot = wb.mgg_rotation(3)
+        sigma = np.random.default_rng(3).permutation(rot.n_vertices)
+        relabeled = wb.ColoredRotation(
+            m=3, n_vertices=rot.n_vertices, d=8,
+            neighbors=sigma[rot.neighbors[np.argsort(sigma)]], back_labels=rot.back_labels,
+        )
+        base = wb.second_eigenvalue_magnitude(wb.transition_matrix(wb.mgg_rotation(2)))
+        with pytest.raises(StructuralError, match="cover"):
+            wb.torus_cover_spectrum(relabeled, base)
 
 
 class TestProjection:
