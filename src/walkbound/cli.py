@@ -62,8 +62,8 @@ from .prob import (
     random_product_instance,
 )
 from .walks import (
-    DENSE_WALK_MAX_BYTES,
     SUBSET_EXH_MAX_N,
+    WALK_ENUM_MAX,
     HybridGraph,
     family_event_probs,
     family_event_probs_matrix,
@@ -194,11 +194,11 @@ def cmd_verify_beta(args) -> dict:
             f"--mode exhaustive sweeps 2**{4 ** args.m} subsets at m={args.m}, over the "
             f"2**{SUBSET_EXH_MAX_N} ceiling (use --mode sampled)"
         )
-    walk_bytes = 8 * 16 ** args.m
-    if walk_bytes > DENSE_WALK_MAX_BYTES:
+    walks = 4 ** args.m * 8 ** args.t
+    if args.agree > 0 and walks > WALK_ENUM_MAX:
         raise BudgetError(
-            f"the matrix routes' dense walk matrix needs {walk_bytes} bytes at m={args.m}, over "
-            f"the {DENSE_WALK_MAX_BYTES}-byte budget"
+            f"--agree enumerates {walks} walks at m={args.m}, t={args.t}, over the "
+            f"{WALK_ENUM_MAX} ceiling (use --agree 0)"
         )
     rot = mgg_rotation(args.m)
     spectral = torus_spectrum(rot)

@@ -35,6 +35,7 @@ IDENTICAL_TOL = 1e-12     # marginal histograms closer than this count as identi
 HOLDS_SLACK = 1e-9        # bound - E[Z] >= -HOLDS_SLACK counts as the bound holding
 RATIO_TOL = 1e-9          # joint/product ratios up to 1 + RATIO_TOL count as bounded
 EVENT_BUDGET = 2 ** 24    # exhaustive independence checks may evaluate this many events
+GRID_MAX_BYTES = 2 ** 30  # product-space grids: coordinates, weights and outcome tuples
 MAX_WITNESSES = 16
 
 
@@ -448,9 +449,23 @@ def _product_space(margs: Sequence[np.ndarray]) -> tuple:
     """The product of the marginals ``margs`` over the grid of their index
     tuples, in ``itertools.product`` order, plus the grid's coordinate columns
     (row i holds coordinate i of every outcome).  Each weight is the product
-    ``1 * m_0[c_0] * m_1[c_1] * ...`` taken left to right, then normalised."""
+    ``1 * m_0[c_0] * m_1[c_1] * ...`` taken left to right, then normalised.
+
+    A grid point costs t int64 coordinates, a float64 weight and a t-tuple
+    outcome (8t + 64 bytes in CPython); the whole grid must fit GRID_MAX_BYTES.
+    """
     shape = tuple(len(m) for m in margs)
-    coords = np.indices(shape).reshape(len(shape), -1)
+    size = math.prod(shape)
+    if size * (16 * len(shape) + 72) > GRID_MAX_BYTES:
+        raise BudgetError(
+            f"a product grid of {size} outcomes over {len(shape)} coordinates exceeds the "
+            f"{GRID_MAX_BYTES}-byte budget"
+        )
+    # coordinate i counts through its k values in runs of prod(shape[i+1:]);
+    # written through reshaped views, so any number of coordinates works
+    coords = np.empty((len(shape), size), dtype=np.int64)
+    for i, k in enumerate(shape):
+        coords[i].reshape(-1, k, math.prod(shape[i + 1:]))[...] = np.arange(k)[:, None]
     weights = np.ones(coords.shape[1])
     for m, c in zip(margs, coords):
         weights = weights * m[c]

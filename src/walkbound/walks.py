@@ -4,13 +4,14 @@ A length-t walk is generated by a uniform start vertex plus t uniform edge
 labels, so the walk space has exactly ``N * d**t`` points; vertex sequences are
 derived data (parallel edges mean several label sequences can share one vertex
 sequence).  Events over walks are handled two independent ways that tests
-compare: masked transition-matrix products (terminal probability vectors) and
-direct enumeration of the walk space.
+compare: integer walk counts pushed step by step through the predecessor table
+(terminal vectors, no N x N matrix) and direct enumeration of the walk space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .prob import (MAX_WITNESSES, RATIO_TOL, FiniteSpace, IndependenceReport, Ra
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
-DENSE_WALK_MAX_BYTES = 2 ** 32  # the matrix routes' dense N x N walk matrix, 8 * N**2 bytes
+WALK_SCRATCH_BYTES = 2 ** 21   # working memory of one batch of families of the count operator
 EXT_TOL = 1e-12
 _BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1    # [v, i] = bit i of byte v
 
@@ -57,7 +58,20 @@ class HybridGraph:
         return int(self.perm[v])
 
     def transition(self) -> TransitionMatrix:
+        """The dense-capable one-step matrix; the walk routes never build it, tests
+        use it as their oracle."""
         return compose_permutation(transition_matrix(self.rot), self.perm)
+
+    @cached_property
+    def predecessors(self) -> np.ndarray:
+        """``pred[k, w]``, k < d: the vertices one step before w, with multiplicity.
+
+        The rotation is an involution, so the d edges into ``perm^-1(w)`` are the
+        d edges out of it: ``pred = neighbors[perm^-1].T``, read-only.
+        """
+        pred = np.ascontiguousarray(self.rot.neighbors[np.argsort(self.perm)].T)
+        pred.setflags(write=False)
+        return pred
 
 
 @dataclass(frozen=True)
@@ -203,13 +217,14 @@ class TerminalVector:
 
 def terminal_vector(g: HybridGraph, t: int, constraints: Sequence) -> TerminalVector:
     """Masses ``p_j = P{walk stays in the constraint sets and ends at j}`` via
-    masked matrix products (uniform start, one mask per position 0..t)."""
+    the walk-count operator (uniform start, one mask per position 0..t)."""
     constraints = list(constraints)
     if len(constraints) != t + 1:
         raise StructuralError("need one constraint set per walk position (t+1 of them)")
     n = g.n_vertices
-    masks = np.stack([_as_mask(n, c) for c in constraints])
-    return TerminalVector(_terminal_vectors(g.transition().entries, masks))
+    masks = np.stack([_as_mask(n, c) for c in constraints])[:, :, None]
+    counts = _walk_counts(g, masks[0].astype(np.int64), masks[1:])[:, 0]
+    return TerminalVector(counts / walk_count(g, t))
 
 
 @dataclass(frozen=True)
@@ -239,13 +254,13 @@ def check_extension_identity(g: HybridGraph, t: int, base_indices) -> ExtensionR
     ends = np.empty(base_indices.size, dtype=np.int64)
     for pos, idx in enumerate(base_indices):
         ends[pos] = walk_from_index(g, t - 1, int(idx)).vertices[-1]
-    v_base = np.bincount(ends, minlength=n).astype(float) / total_base
+    base_counts = np.bincount(ends, minlength=n)
     prob_base = base_indices.size / total_base
     # every extension: d fresh labels per base walk
     ext_ends = g.perm[g.rot.neighbors[ends]]            # (|S'|, d)
     v_ext = np.bincount(ext_ends.reshape(-1), minlength=n).astype(float) / total_ext
     prob_ext = base_indices.size * g.d / total_ext
-    pushed = v_base @ g.transition().entries
+    pushed = _walk_counts(g, base_counts[:, None], [True])[:, 0] / total_ext  # one unmasked step
     return ExtensionReport(
         prob_base=float(prob_base),
         prob_extended=float(prob_ext),
@@ -254,13 +269,39 @@ def check_extension_identity(g: HybridGraph, t: int, base_indices) -> ExtensionR
     )
 
 
-def _terminal_vectors(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Masked matrix products from a uniform start: masks has shape (B, t+1, N)
-    (or (t+1, N) for a single family) and the result (B, N) (or (N,))."""
-    v = masks[..., 0, :] / a.shape[0]
-    for i in range(1, masks.shape[-2]):
-        v = (v @ a) * masks[..., i, :]
-    return v
+def _walk_counts(g: HybridGraph, counts: np.ndarray, masks) -> np.ndarray:
+    """Integer walk counts pushed one step per mask, with no transition matrix.
+
+    ``counts`` has shape (N, B): walks ending at each vertex, per family.  Each
+    mask broadcasts to (N, B), and a step is ``c[w] = mask[w] * sum_k
+    c[pred[k, w]]``, one row gather per k.  A count never exceeds the walk
+    count, which ``walk_count`` keeps below 2**63.
+    """
+    for mask in masks:
+        nxt = counts[g.predecessors[0]]
+        for row in g.predecessors[1:]:
+            nxt += counts[row]
+        nxt *= mask
+        counts = nxt
+    return counts
+
+
+def _batch_size(n: int, t: int) -> int:
+    """Families per batch: the (B, t+1, N) int64 draws, their bool masks and the
+    masks' transposed copy, plus three (N, B) int64 count arrays, fit in
+    WALK_SCRATCH_BYTES (at least one family)."""
+    return max(1, WALK_SCRATCH_BYTES // (n * (10 * (t + 1) + 24)))
+
+
+def _family_counts(g: HybridGraph, masks: np.ndarray) -> np.ndarray:
+    """Walks that meet every position mask, per family: ``masks`` is (B, t+1, N)
+    boolean and the result (B,) int64, computed in batches of ``_batch_size``."""
+    per = _batch_size(g.n_vertices, masks.shape[1] - 1)
+    out = np.empty(masks.shape[0], dtype=np.int64)
+    for lo in range(0, masks.shape[0], per):
+        fam = np.ascontiguousarray(masks[lo: lo + per].transpose(1, 2, 0))
+        out[lo: lo + per] = _walk_counts(g, fam[0].astype(np.int64), fam[1:]).sum(axis=0)
+    return out
 
 
 def verify_walk_independence(
@@ -292,7 +333,8 @@ def verify_walk_independence(
             f"2**{SUBSET_EXH_MAX_N} ceiling"
         )
     alpha = 1.0 - beta
-    a = g.transition().entries
+    total = walk_count(g, t)
+    per = _batch_size(n, t)
     worst = 0.0
     witnesses: list = []
     n_single = 0
@@ -310,15 +352,13 @@ def verify_walk_independence(
 
     if mode == "exhaustive":
         n_single = 1 << n
-        chunk = 1 << 16
         bit_cols = np.arange(n, dtype=np.int64)
-        for lo in range(0, n_single, chunk):
-            hi = min(lo + chunk, n_single)
-            ids = np.arange(lo, hi, dtype=np.int64)
-            masks = ((ids[:, None] >> bit_cols) & 1).astype(float)
-            mu = masks.sum(axis=1) / n
-            same_set = np.broadcast_to(masks[:, None, :], (hi - lo, t + 1, n))
-            probs = _terminal_vectors(a, same_set).sum(axis=1)
+        for lo in range(0, n_single, per):
+            ids = np.arange(lo, min(lo + per, n_single), dtype=np.int64)
+            sets = ((ids[:, None] >> bit_cols) & 1).astype(bool)
+            mu = sets.sum(axis=1) / n
+            same_set = np.broadcast_to(sets[:, None, :], (ids.size, t + 1, n))
+            probs = _family_counts(g, same_set) / total
             bound = (alpha + beta * mu) ** (t + 1)
             _note(probs, bound, lambda i, lo=lo: ("single", lo + i))
 
@@ -326,13 +366,13 @@ def verify_walk_independence(
     if trials > 0:
         rng = np.random.default_rng(seed)
         while n_sampled < trials:
-            b = min(512, trials - n_sampled)
-            bits = rng.integers(0, 2, size=(b, t + 1, n))
-            masks = bits.astype(float)
-            probs = _terminal_vectors(a, masks).sum(axis=1)
+            # one 32-bit half per 0/1 draw, so the family stream ignores the batching
+            b = min(per, trials - n_sampled)
+            masks = rng.integers(0, 2, size=(b, t + 1, n)).astype(bool)
+            probs = _family_counts(g, masks) / total
             mus = masks.sum(axis=2) / n
             bound = np.prod(alpha + beta * mus, axis=1)
-            _note(probs, bound, lambda i, bits=bits: ("multi", tuple(map(mask_int, bits[i]))))
+            _note(probs, bound, lambda i, masks=masks: ("multi", tuple(map(mask_int, masks[i]))))
             n_sampled += b
 
     return IndependenceReport(
@@ -395,12 +435,12 @@ def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
 
 
 def family_event_probs_matrix(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
-    """Matrix-product route for a batch of families: same contract as
-    family_event_probs, computed via terminal vectors instead of enumeration."""
-    masks = np.asarray(masks)
+    """Walk-count route for a batch of families: same contract as
+    family_event_probs, computed via terminal counts instead of enumeration."""
+    masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 3 or masks.shape[1] != t + 1 or masks.shape[2] != g.n_vertices:
         raise StructuralError("masks must have shape (B, t+1, N)")
-    return _terminal_vectors(g.transition().entries, masks.astype(float)).sum(axis=1)
+    return _family_counts(g, masks) / walk_count(g, t)
 
 
 def projection_objects(g: HybridGraph, t: int) -> tuple:

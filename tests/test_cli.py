@@ -383,6 +383,8 @@ class TestHarness:
             ["verify-beta", "--m", "2", "--t", "-1", "--seed", "1"],
             ["verify-beta", "--m", "2", "--t", "2", "--seed", "-1"],
             ["bound", "--preset", "sweep", "--count", "-1", "--seed", "1"],
+            ["bound", "--preset", "random", "--t", "40", "--psi", "6", "--seed", "1"],
+            ["bound", "--preset", "cube", "--t", "70"],
         ],
     )
     def test_out_of_range_argument_is_a_usage_error(self, capsys, argv):
@@ -396,7 +398,7 @@ class TestHarness:
             ["amplify", "--construction", "walk", "--m", "13", "--t", "2", "--seed", "1"],
             ["verify-beta", "--m", "10", "--t", "2", "--seed", "1"],
             ["verify-beta", "--m", "7", "--t", "2", "--seed", "1"],
-            ["verify-beta", "--m", "8", "--t", "2", "--mode", "sampled", "--trials", "10",
+            ["verify-beta", "--m", "7", "--t", "4", "--mode", "sampled", "--trials", "10",
              "--agree", "10", "--seed", "1"],
             ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--mode", "sampled",
              "--trials", "-5"],
@@ -407,8 +409,8 @@ class TestHarness:
             ["spectral", "--m", "2", "--tol", "nan"],
         ],
         ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
-             "verify-dense-walk-over-budget", "negative-trials", "negative-agree", "sampled-zero-trials", "negative-tol",
-             "nan-tol"],
+             "verify-agree-over-enumeration-ceiling", "negative-trials", "negative-agree",
+             "sampled-zero-trials", "negative-tol", "nan-tol"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
         import walkbound.cli as cli

@@ -1,6 +1,7 @@
 """Probability core: spaces, conditionals, tails, bound evaluators, independence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,26 @@ class TestProductGrid:
         dists = [u.distribution() for u in objs]
         product = [np.prod([d[c] for d, c in zip(dists, o)]) for o in space.outcomes]
         np.testing.assert_allclose(space.weights, product, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: cube_instance(0.25, 70), lambda: random_product_instance(40, 6, 1)],
+        ids=["cube", "random"],
+    )
+    def test_grid_budget_is_checked_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_more_coordinates_than_array_dimensions(self):
+        # 65 coordinates of one point each: a single outcome, past numpy's 64 axes
+        z, objs = random_product_instance(65, 1, 2)
+        assert z.domain.outcomes == ((0,) * 65,) and len(objs) == 65
+        assert all(u.index_map.tolist() == [0] for u in objs)
 
 
 class TestSubsetSums:

@@ -227,8 +227,56 @@ class TestRouteAgreement:
             # transition entries are multiples of 1/8: the matrix route is exact too
             assert np.array_equal(p_enum, p_mat)
         else:
-            # entries of 1/3 round, so only the enumeration route is exact
+            # products of rounded 1/3 entries would drift; both routes instead
+            # divide an exact integer count by the walk count once
             np.testing.assert_allclose(p_enum, p_mat, rtol=1e-14, atol=0)
+            assert np.array_equal(p_enum, p_mat)
+
+    @pytest.mark.parametrize("m, t", [(2, 3), (3, 2)])
+    def test_count_operator_matches_the_dense_product(self, m, t):
+        # the dense walk matrix survives only here, as an oracle: at d = 8 every
+        # mass is dyadic, so the masked products are exact and must agree bit for bit
+        g = wb.HybridGraph(wb.mgg_rotation(m), np.random.default_rng(m).permutation(4 ** m))
+        masks = random_masks(np.random.default_rng(15), 100, t, g.n_vertices)
+        a = g.transition().entries
+        v = masks[:, 0, :] / g.n_vertices
+        for i in range(1, t + 1):
+            v = (v @ a) * masks[:, i, :]
+        assert np.array_equal(wb.family_event_probs_matrix(g, t, masks), v.sum(axis=1))
+        tv = wb.terminal_vector(g, t, list(masks[0]))
+        assert np.array_equal(tv.probs, v[0])
+
+    def test_matrix_route_memory_is_linear_in_the_vertices(self):
+        # N = 4096: the dense walk matrix alone would take 128 MiB
+        g = wb.HybridGraph(wb.mgg_rotation(6), np.random.default_rng(16).permutation(4096))
+        masks = random_masks(np.random.default_rng(17), 64, 2, 4096)
+        tracemalloc.start()
+        try:
+            p_mat = wb.family_event_probs_matrix(g, 2, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert np.array_equal(p_mat, wb.family_event_probs(g, 2, masks))
+
+    def test_runtime_routes_never_build_the_transition_matrix(self, monkeypatch, g_random):
+        def dense(self):
+            raise AssertionError("a runtime route built the dense transition matrix")
+
+        monkeypatch.setattr(wb.HybridGraph, "transition", dense)
+        masks = random_masks(np.random.default_rng(18), 5, 2, 16)
+        wb.family_event_probs_matrix(g_random, 2, masks)
+        wb.terminal_vector(g_random, 2, list(masks[0]))
+        assert wb.check_extension_identity(g_random, 2, range(40)).holds
+        wb.verify_walk_independence(g_random, 1, 0.3, trials=10, seed=0)
+
+    def test_predecessors_invert_one_step(self, g_random):
+        pred = g_random.predecessors
+        assert pred.shape == (8, 16) and not pred.flags.writeable
+        assert g_random.predecessors is pred
+        for w in range(16):
+            into = sorted(u for u in range(16) for j in range(8) if g_random.step(u, j) == w)
+            assert sorted(pred[:, w]) == into
 
     def test_mask_shape_validation(self, g_random):
         with pytest.raises(StructuralError):
@@ -300,6 +348,36 @@ class TestWalkIndependence:
             # alpha = 0, so the bound is the product of the set densities; all
             # values are dyadic, so the recorded ratio is reproduced exactly
             assert p / np.prod(masks.sum(axis=1) / 64) == ratio
+
+    @pytest.mark.parametrize(
+        "mode, scratch", [("sampled", 1), ("sampled", 3 * 2 ** 12), ("exhaustive", 3 * 2 ** 12)]
+    )
+    def test_batch_size_does_not_change_the_report(self, monkeypatch, mode, scratch):
+        # one family per batch, or a few: the 0/1 draws form one stream however
+        # they are split, and witnesses keep the stream's order
+        from walkbound import walks
+
+        g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(8).permutation(16))
+        kwargs = dict(mode=mode, trials=700, seed=9)
+        whole = wb.verify_walk_independence(g, 2, 1.0, **kwargs).to_dict()
+        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", scratch)
+        assert walks._batch_size(16, 2) < 700
+        split = wb.verify_walk_independence(g, 2, 1.0, **kwargs).to_dict()
+        assert split == whole
+        assert len(whole["witnesses"]) > 0
+
+    def test_sampled_batches_fit_the_scratch_budget(self):
+        # N = 4096: 100 families drawn at once would take 9.4 MiB of int64 draws
+        from walkbound import walks
+
+        g = wb.HybridGraph(wb.mgg_rotation(6), np.random.default_rng(19).permutation(4096))
+        tracemalloc.start()
+        try:
+            wb.verify_walk_independence(g, 2, 0.3, mode="sampled", trials=100, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * walks.WALK_SCRATCH_BYTES
 
     def test_report_serializes(self, g_random):
         rep = wb.verify_walk_independence(g_random, 2, 0.3, mode="sampled", trials=100, seed=4)
