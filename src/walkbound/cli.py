@@ -59,6 +59,7 @@ from .prob import (
     cube_instance,
     percoord_bound,
     pooled_bound,
+    product_bound_sweep,
     random_product_instance,
 )
 from .walks import (
@@ -67,6 +68,7 @@ from .walks import (
     HybridGraph,
     family_event_probs,
     family_event_probs_matrix,
+    random_families,
     terminal_vector,
     verify_walk_independence,
 )
@@ -215,7 +217,7 @@ def cmd_verify_beta(args) -> dict:
     agreement = 0.0
     if args.agree > 0:
         rng = np.random.default_rng([args.seed, 17])
-        masks = rng.integers(0, 2, size=(args.agree, args.t + 1, g.n_vertices)).astype(bool)
+        masks = random_families(rng, args.agree, args.t, g.n_vertices)
         by_matrix = family_event_probs_matrix(g, args.t, masks)
         by_enum = family_event_probs(g, args.t, masks)
         agreement = float(np.max(np.abs(by_matrix - by_enum)))
@@ -281,12 +283,17 @@ def _instance_from_file(path: str) -> tuple:
     return z, objects, float(beta), np.atleast_1d(eps).tolist(), variant
 
 
-def _run_bound(z, objects, variant, eps: list, beta):
+def _bound_eps(variant, eps: list, t: int):
+    """The eps argument of the bound: the first value for ``pooled``, else one
+    value per object (a single value is repeated)."""
     if variant == "pooled":
-        return pooled_bound(z, objects, eps[0], beta)
-    if len(eps) == 1:
-        eps = eps * len(objects)
-    return percoord_bound(z, objects, eps, beta)
+        return eps[0]
+    return eps * t if len(eps) == 1 else eps
+
+
+def _run_bound(z, objects, variant, eps: list, beta):
+    bound = pooled_bound if variant == "pooled" else percoord_bound
+    return bound(z, objects, _bound_eps(variant, eps, len(objects)), beta)
 
 
 def cmd_bound(args) -> dict:
@@ -329,17 +336,16 @@ def cmd_bound(args) -> dict:
             raise ParameterError("--seed is required for randomized presets")
         if args.count < 0:
             raise ParameterError(f"--count must be >= 0, got {args.count}")
-        seeds = np.random.default_rng(seed).integers(0, 1 << 62, size=args.count)
-        rows = []
-        for i, s in enumerate(seeds):
-            z, objects = random_product_instance(
-                args.t, args.psi, int(s), identical=args.variant == "pooled"
-            )
-            rep = _run_bound(z, objects, args.variant, args.eps, args.beta)
-            rows.append(
-                {"index": i, "seed": int(s), "expectation": rep.expectation,
-                 "bound": rep.bound_value, "slack": rep.slack, "holds": rep.holds}
-            )
+        seeds = np.random.default_rng(seed).integers(0, 1 << 62, size=args.count).tolist()
+        reports = product_bound_sweep(
+            args.t, args.psi, seeds, _bound_eps(args.variant, args.eps, args.t), args.beta,
+            pooled=args.variant == "pooled",
+        )
+        rows = [
+            {"index": i, "seed": s, "expectation": rep.expectation,
+             "bound": rep.bound_value, "slack": rep.slack, "holds": rep.holds}
+            for i, (s, rep) in enumerate(zip(seeds, reports))
+        ]
         n_bad = sum(1 for r in rows if not r["holds"])
         checks.append(_check("sweep-all-hold", n_bad == 0, violations=n_bad, count=len(rows)))
         results["rows"] = rows

@@ -12,6 +12,10 @@ force summation over the full outcome set.  Two bound evaluators are provided:
 
 ``beta = 1`` is full independence; smaller ``beta`` relaxes the product bound the
 way spectral-gap arguments require (see ``walkbound.walks``).
+
+Both evaluators are the one-row case of a block evaluator: ``product_bound_sweep``
+runs it over blocks of random product instances that share one grid, with every
+check of the per-instance path and bit-identical reports.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ HOLDS_SLACK = 1e-9        # bound - E[Z] >= -HOLDS_SLACK counts as the bound hol
 RATIO_TOL = 1e-9          # joint/product ratios up to 1 + RATIO_TOL count as bounded
 EVENT_BUDGET = 2 ** 24    # exhaustive independence checks may evaluate this many events
 GRID_MAX_BYTES = 2 ** 30  # product-space grids: coordinates, weights and outcome tuples
+SWEEP_SCRATCH_BYTES = 2 ** 21  # working memory of one block of a product-instance sweep
 MAX_WITNESSES = 16
 
 
@@ -43,6 +48,41 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+# A check over a block of instances is a fault: (flags, error), where flags is
+# a (rows,) bool array, or one bool when the check does not depend on the row,
+# and error(row) builds the exception that row raises.
+
+def _raise_first(faults, rows: int) -> None:
+    """Raise what checking the rows one at a time would: the error of the first
+    row with any fault and, within that row, of the first fault in list order."""
+    bad = np.zeros((len(faults), rows), dtype=bool)
+    for j, (flags, _) in enumerate(faults):
+        bad[j] = flags
+    hit = bad.any(axis=0)
+    if hit.any():
+        row = int(np.argmax(hit))
+        raise faults[int(np.argmax(bad[:, row]))][1](row)
+
+
+def _weight_faults(weights: np.ndarray) -> list:
+    """FiniteSpace's weight checks on each row of ``weights``."""
+    totals = np.sum(weights, axis=1)
+    return [
+        (np.any(weights < 0.0, axis=1), lambda r: StructuralError("weights must be nonnegative")),
+        (np.abs(totals - 1.0) > WEIGHT_TOL, lambda r: StructuralError(
+            f"weights sum to {float(totals[r])!r}, expected 1 within {WEIGHT_TOL}")),
+    ]
+
+
+def _finite_fault(values: np.ndarray) -> tuple:
+    return ~np.all(np.isfinite(values), axis=1), lambda r: StructuralError("values must be finite")
+
+
+def _map_fault(index_map: np.ndarray, k: int) -> tuple:
+    return (bool(np.any(index_map < 0) or np.any(index_map >= k)),
+            lambda r: StructuralError("index_map values must index the codomain"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +99,7 @@ class FiniteSpace:
             raise StructuralError("outcomes and weights must align one to one")
         if self.weights.size == 0:
             raise StructuralError("a sample space needs at least one outcome")
-        if np.any(self.weights < 0.0):
-            raise StructuralError("weights must be nonnegative")
-        total = float(np.sum(self.weights))
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise StructuralError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
+        _raise_first(_weight_faults(self.weights[None]), 1)
 
     @classmethod
     def uniform(cls, outcomes) -> "FiniteSpace":
@@ -101,8 +137,7 @@ class RandomObject:
             raise StructuralError("index_map must assign exactly one codomain point per outcome")
         if len(self.codomain) == 0:
             raise StructuralError("codomain must be nonempty")
-        if np.any(self.index_map < 0) or np.any(self.index_map >= len(self.codomain)):
-            raise StructuralError("index_map values must index the codomain")
+        _raise_first([_map_fault(self.index_map, len(self.codomain))], 1)
 
     def distribution(self) -> np.ndarray:
         """Pushforward weights: P{U = psi} for each codomain point, in order."""
@@ -123,8 +158,7 @@ class RandomVariable:
         object.__setattr__(self, "values", _frozen_array(self.values))
         if self.values.ndim != 1 or self.values.size != self.domain.size:
             raise StructuralError("values must assign exactly one real per outcome")
-        if not np.all(np.isfinite(self.values)):
-            raise StructuralError("values must be finite")
+        _raise_first([_finite_fault(self.values[None])], 1)
 
 
 def expectation(z: RandomVariable) -> float:
@@ -149,11 +183,6 @@ def conditional_expectation(z: RandomVariable, u: RandomObject) -> RandomVariabl
 def tail_probability(w: RandomVariable, eps: float) -> float:
     """Mass of the strict tail {w > eps} under w's own space."""
     return float(np.sum(w.domain.weights[w.values > eps]))
-
-
-def _require_unit_range(z: RandomVariable) -> None:
-    if np.any(z.values < 0.0) or np.any(z.values > 1.0):
-        raise ParameterError("Z must take values in [0, 1]")
 
 
 def _chain_sum(terms) -> float:
@@ -197,15 +226,138 @@ class BoundReport:
         }
 
 
-def _check_bound_inputs(z: RandomVariable, objects: Sequence[RandomObject], beta: float) -> None:
+def _tail_masses(mass: np.ndarray, values: np.ndarray, eps: float) -> np.ndarray:
+    """``np.sum(mass[r][values[r] > eps])`` for every row r.
+
+    Each row's tail is packed to the left and summed over its own length, as
+    the one-row call does: numpy sums 8 or more terms pairwise, so zeros left
+    in place of the dropped entries would change the rounding.
+    """
+    over = values > eps
+    counts = over.sum(axis=1)
+    packed = np.take_along_axis(mass, np.argsort(~over, axis=1, kind="stable"), axis=1)
+    out = np.empty(mass.shape[0])
+    for n in np.unique(counts):
+        rows = counts == n
+        out[rows] = np.sum(packed[rows, :n], axis=1)
+    return out
+
+
+def _evaluate(
+    weights: np.ndarray,
+    values: np.ndarray,
+    maps: Sequence[np.ndarray],
+    sizes: Sequence[int],
+    eps,
+    beta: float,
+    pooled: bool,
+    faults=(),
+    same_space: bool = True,
+    one_codomain: bool = True,
+) -> list:
+    """BoundReports of a block of instances that share their random objects.
+
+    Row r is the instance with outcome weights ``weights[r]`` and Z values
+    ``values[r]``; object i maps outcome w to ``maps[i][w]`` among ``sizes[i]``
+    codomain points.  ``pooled`` selects pooled_bound (``eps`` one float) over
+    percoord_bound (``eps`` one float per object).  ``faults`` are the checks
+    that building the instances runs; the bound's own checks follow them.
+
+    Per row and object, the codomain masses and numerators of E[Z | U_i] are
+    one ``np.bincount`` over ``maps[i] + sizes[i] * row``: every bin adds its
+    outcomes in order, so each row matches the one-row call bit for bit.
+    """
+    rows, t = weights.shape[0], len(maps)
+    faults = [
+        *faults,
+        (not 0.0 <= beta <= 1.0, lambda r: ParameterError(f"beta must lie in [0, 1], got {beta}")),
+        (np.any((values < 0.0) | (values > 1.0), axis=1),
+         lambda r: ParameterError("Z must take values in [0, 1]")),
+        (not same_space, lambda r: StructuralError("all objects must share Z's sample space")),
+    ]
+    if pooled:
+        faults += [
+            (not 0.0 < eps < 1.0, lambda r: ParameterError(f"eps must lie in (0, 1), got {eps}")),
+            (not one_codomain, lambda r: StructuralError("pooled bound requires one common codomain")),
+        ]
+    else:
+        bad_eps = [e for e in eps if not 0.0 < e < 1.0]
+        faults += [
+            (len(eps) != t, lambda r: StructuralError("need exactly one eps per object")),
+            (bool(bad_eps), lambda r: ParameterError(f"every eps must lie in (0, 1), got {bad_eps[0]}")),
+        ]
+    # a check that fails on every row fails on row 0 first, and nothing below
+    # may run on inputs it rejects
+    if any(flags for flags, _ in faults if np.ndim(flags) == 0):
+        _raise_first(faults, rows)
+
+    weighted = weights * values
+    offsets = np.arange(rows)[:, None]
+    masses, conds = [], []
+    for index_map, k in zip(maps, sizes):
+        idx = (index_map + k * offsets).ravel()
+        mass = np.bincount(idx, weights.ravel(), minlength=rows * k).reshape(rows, k)
+        num = np.bincount(idx, weighted.ravel(), minlength=rows * k).reshape(rows, k)
+        masses.append(mass)
+        conds.append(np.divide(num, mass, out=np.zeros_like(num), where=mass > 0))
+    if pooled:
+        mismatch = np.zeros(rows, dtype=bool)
+        for mass in masses[1:]:
+            mismatch |= np.max(np.abs(mass - masses[0]), axis=1) > IDENTICAL_TOL
+        faults.append((mismatch, lambda r: MarginalMismatchError(
+            "objects are not identically distributed within 1e-12; use percoord_bound")))
+    for mass, cond in zip(masses, conds):
+        faults += [*_weight_faults(mass), _finite_fault(cond)]
+    if pooled:
+        stacked = np.stack(conds, axis=1)
+        # Averaging t bit-identical arrays must return the array itself, otherwise
+        # the identical-inputs agreement with percoord_bound is lost to rounding.
+        same = np.all(stacked == stacked[:, :1], axis=(1, 2))
+        average = np.where(same[:, None], stacked[:, 0], np.sum(stacked, axis=1) / t)
+        faults.append(_finite_fault(average))
+    _raise_first(faults, rows)
+
+    if pooled:
+        tails = _tail_masses(masses[0], average, eps)[:, None]
+        epsilons = (eps,)
+        variant = "pooled-independent" if beta == 1.0 else "pooled-relaxed"
+    else:
+        tails = np.stack(
+            [_tail_masses(m, c, e) for m, c, e in zip(masses, conds, eps)], axis=1
+        )
+        epsilons = tuple(eps)
+        variant = "percoord-independent" if beta == 1.0 else "percoord-relaxed"
+    correction = _chain_sum(epsilons * t if pooled else epsilons)
+    alpha = 1.0 - beta
+    reports = []
+    for p, exp in zip(tails.tolist(), np.sum(weighted, axis=1).tolist()):
+        terms = [alpha + beta * p[0]] * t if pooled else [alpha + beta * q for q in p]
+        bound = math.prod(terms) + correction
+        slack = bound - exp
+        reports.append(BoundReport(
+            expectation=exp,
+            tail_terms=tuple(p),
+            bound_value=bound,
+            slack=slack,
+            holds=slack >= -HOLDS_SLACK,
+            variant=variant,
+            beta=beta,
+            epsilons=epsilons,
+            t=t,
+        ))
+    return reports
+
+
+def _object_bound(z: RandomVariable, objects: list, eps, beta: float, pooled: bool) -> BoundReport:
     if len(objects) == 0:
         raise StructuralError("need at least one random object")
-    if not (0.0 <= beta <= 1.0):
-        raise ParameterError(f"beta must lie in [0, 1], got {beta}")
-    _require_unit_range(z)
-    for u in objects:
-        if not u.domain.same_space(z.domain):
-            raise StructuralError("all objects must share Z's sample space")
+    return _evaluate(
+        z.domain.weights[None], z.values[None],
+        [u.index_map for u in objects], [len(u.codomain) for u in objects],
+        eps, beta, pooled,
+        same_space=all(u.domain.same_space(z.domain) for u in objects),
+        one_codomain=all(u.codomain == objects[0].codomain for u in objects),
+    )[0]
 
 
 def pooled_bound(
@@ -217,46 +369,7 @@ def pooled_bound(
     is ``(alpha + beta*p)**t + t*eps`` (``alpha = 1 - beta``).  Objects whose
     marginals differ by more than 1e-12 are rejected; use ``percoord_bound``.
     """
-    objects = list(objects)
-    _check_bound_inputs(z, objects, beta)
-    if not (0.0 < eps < 1.0):
-        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    codomain = objects[0].codomain
-    for u in objects[1:]:
-        if u.codomain != codomain:
-            raise StructuralError("pooled bound requires one common codomain")
-    dists = [u.distribution() for u in objects]
-    for d in dists[1:]:
-        if float(np.max(np.abs(d - dists[0]))) > IDENTICAL_TOL:
-            raise MarginalMismatchError(
-                "objects are not identically distributed within 1e-12; use percoord_bound"
-            )
-    conds = [conditional_expectation(z, u) for u in objects]
-    first = conds[0].values
-    # Averaging t bit-identical arrays must return the array itself, otherwise the
-    # identical-inputs agreement with percoord_bound is lost to rounding.
-    if all(np.array_equal(c.values, first) for c in conds[1:]):
-        avg_values = first
-    else:
-        avg_values = np.sum(np.stack([c.values for c in conds]), axis=0) / len(conds)
-    pooled = RandomVariable(conds[0].domain, avg_values)
-    p = tail_probability(pooled, eps)
-    t = len(objects)
-    alpha = 1.0 - beta
-    bound = math.prod([alpha + beta * p] * t) + _chain_sum([eps] * t)
-    exp = expectation(z)
-    slack = bound - exp
-    return BoundReport(
-        expectation=exp,
-        tail_terms=(p,),
-        bound_value=bound,
-        slack=slack,
-        holds=slack >= -HOLDS_SLACK,
-        variant="pooled-independent" if beta == 1.0 else "pooled-relaxed",
-        beta=beta,
-        epsilons=(eps,),
-        t=t,
-    )
+    return _object_bound(z, list(objects), eps, beta, pooled=True)
 
 
 def percoord_bound(
@@ -271,32 +384,7 @@ def percoord_bound(
     term equals ``t * mean(eps_i)``).  Objects may have distinct codomains and
     distributions.
     """
-    objects = list(objects)
-    eps_list = [float(e) for e in eps_list]
-    _check_bound_inputs(z, objects, beta)
-    if len(eps_list) != len(objects):
-        raise StructuralError("need exactly one eps per object")
-    for e in eps_list:
-        if not (0.0 < e < 1.0):
-            raise ParameterError(f"every eps must lie in (0, 1), got {e}")
-    alpha = 1.0 - beta
-    tails = tuple(
-        tail_probability(conditional_expectation(z, u), e) for u, e in zip(objects, eps_list)
-    )
-    bound = math.prod([alpha + beta * p for p in tails]) + _chain_sum(eps_list)
-    exp = expectation(z)
-    slack = bound - exp
-    return BoundReport(
-        expectation=exp,
-        tail_terms=tails,
-        bound_value=bound,
-        slack=slack,
-        holds=slack >= -HOLDS_SLACK,
-        variant="percoord-independent" if beta == 1.0 else "percoord-relaxed",
-        beta=beta,
-        epsilons=tuple(eps_list),
-        t=len(objects),
-    )
+    return _object_bound(z, list(objects), [float(e) for e in eps_list], beta, pooled=False)
 
 
 def subset_sums(values: np.ndarray, nbits: int) -> np.ndarray:
@@ -445,16 +533,14 @@ def check_independence(
     )
 
 
-def _product_space(margs: Sequence[np.ndarray]) -> tuple:
-    """The product of the marginals ``margs`` over the grid of their index
-    tuples, in ``itertools.product`` order, plus the grid's coordinate columns
-    (row i holds coordinate i of every outcome).  Each weight is the product
-    ``1 * m_0[c_0] * m_1[c_1] * ...`` taken left to right, then normalised.
+def _grid(shape: tuple) -> np.ndarray:
+    """Coordinate columns of the grid of index tuples over ``shape``, in
+    ``itertools.product`` order: row i holds coordinate i of every point.
 
-    A grid point costs t int64 coordinates, a float64 weight and a t-tuple
-    outcome (8t + 64 bytes in CPython); the whole grid must fit GRID_MAX_BYTES.
+    A grid point of an instance costs t int64 coordinates, a float64 weight
+    and a t-tuple outcome (8t + 64 bytes in CPython); the whole grid must fit
+    GRID_MAX_BYTES, which is checked before anything is allocated.
     """
-    shape = tuple(len(m) for m in margs)
     size = math.prod(shape)
     if size * (16 * len(shape) + 72) > GRID_MAX_BYTES:
         raise BudgetError(
@@ -466,11 +552,32 @@ def _product_space(margs: Sequence[np.ndarray]) -> tuple:
     coords = np.empty((len(shape), size), dtype=np.int64)
     for i, k in enumerate(shape):
         coords[i].reshape(-1, k, math.prod(shape[i + 1:]))[...] = np.arange(k)[:, None]
-    weights = np.ones(coords.shape[1])
-    for m, c in zip(margs, coords):
-        weights = weights * m[c]
-    outcomes = tuple(itertools.product(*(range(k) for k in shape)))
-    return FiniteSpace(outcomes, weights / np.sum(weights)), coords
+    return coords
+
+
+def _grid_weights(margs: Sequence[np.ndarray]) -> np.ndarray:
+    """Product weights over the grid for a block of rows: ``margs[i]`` is
+    (rows, k_i), coordinate i's marginal per row.  Each weight is the product
+    ``1 * m_0[c_0] * m_1[c_1] * ...`` taken left to right, and each row is then
+    divided by its own ``np.sum``."""
+    shape = tuple(m.shape[1] for m in margs)
+    rows = margs[0].shape[0]
+    weights = np.ones((rows, math.prod(shape)))
+    for i, m in enumerate(margs):
+        # the same runs as in _grid: a 4-d view broadcasts any number of coordinates
+        view = weights.reshape(rows, -1, shape[i], math.prod(shape[i + 1:]))
+        view *= m[:, None, :, None]
+    weights /= np.sum(weights, axis=1, keepdims=True)
+    return weights
+
+
+def _product_space(margs: Sequence[np.ndarray]) -> tuple:
+    """The product of the marginals ``margs`` over the grid of their index
+    tuples, plus the grid's coordinate columns (see ``_grid``)."""
+    coords = _grid(tuple(len(m) for m in margs))
+    weights = _grid_weights([np.asarray(m)[None] for m in margs])[0]
+    outcomes = tuple(itertools.product(*(range(len(m)) for m in margs)))
+    return FiniteSpace(outcomes, weights), coords
 
 
 def cube_instance(p: float, t: int) -> tuple:
@@ -493,6 +600,27 @@ def cube_instance(p: float, t: int) -> tuple:
     return z, objects
 
 
+def _instance_grid(t: int, psi: int) -> np.ndarray:
+    if t < 1 or psi < 1:
+        raise ParameterError("need t >= 1 and psi >= 1")
+    return _grid((psi,) * t)
+
+
+def _draw_instances(seeds: Sequence[int], t: int, psi: int, identical: bool) -> tuple:
+    """Grid weights and Z values, each (len(seeds), psi**t), of the random
+    product instance of every seed.  A seed's ``default_rng`` draws one
+    marginal (``identical``) or t of them from U(0.1, 1), then the values."""
+    margs = np.empty((len(seeds), 1 if identical else t, psi))
+    values = np.empty((len(seeds), psi ** t))
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        margs[r] = rng.uniform(0.1, 1.0, margs.shape[1:])
+        rng.random(out=values[r])
+    margs /= np.sum(margs, axis=2, keepdims=True)
+    weights = _grid_weights([margs[:, 0 if identical else i] for i in range(t)])
+    return weights, values
+
+
 def random_product_instance(
     t: int, psi: int, seed: int, identical: bool = True
 ) -> tuple:
@@ -501,18 +629,38 @@ def random_product_instance(
     Coordinates are genuinely independent; with ``identical=True`` they share one
     marginal, otherwise each coordinate draws its own.  Returns ``(z, objects)``.
     """
-    if t < 1 or psi < 1:
-        raise ParameterError("need t >= 1 and psi >= 1")
-    rng = np.random.default_rng(seed)
-    if identical:
-        m = rng.uniform(0.1, 1.0, psi)
-        margs = [m / m.sum()] * t
-    else:
-        margs = []
-        for _ in range(t):
-            m = rng.uniform(0.1, 1.0, psi)
-            margs.append(m / m.sum())
-    space, coords = _product_space(margs)
-    z = RandomVariable(space, rng.random(space.size))
+    coords = _instance_grid(t, psi)
+    weights, values = _draw_instances([seed], t, psi, identical)
+    space = FiniteSpace(tuple(itertools.product(range(psi), repeat=t)), weights[0])
+    z = RandomVariable(space, values[0])
     objects = [RandomObject(space, tuple(range(psi)), c) for c in coords]
     return z, objects
+
+
+def product_bound_sweep(
+    t: int, psi: int, seeds: Sequence[int], eps, beta: float = 1.0, pooled: bool = False
+) -> list:
+    """For each seed, the BoundReport of ``pooled_bound(z, objects, eps, beta)``
+    (``pooled``) or ``percoord_bound(z, objects, eps, beta)`` on
+    ``random_product_instance(t, psi, seed, identical=pooled)``, bit for bit,
+    with every check those calls run and the error the first failing instance
+    would raise, but without building the instances.
+
+    All instances share one grid.  Seeds are drawn and evaluated in blocks of
+    about SWEEP_SCRATCH_BYTES: weights, values, their products and the bincount
+    indices take some 40 bytes per instance and grid point.
+    """
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        return []
+    coords = _instance_grid(t, psi)
+    if not pooled:
+        eps = [float(e) for e in eps]
+    per = max(1, SWEEP_SCRATCH_BYTES // (40 * coords.shape[1]))
+    maps_fault = _map_fault(coords, psi)
+    reports = []
+    for lo in range(0, len(seeds), per):
+        weights, values = _draw_instances(seeds[lo: lo + per], t, psi, pooled)
+        built = [*_weight_faults(weights), _finite_fault(values), maps_fault]
+        reports += _evaluate(weights, values, coords, [psi] * t, eps, beta, pooled, built)
+    return reports

@@ -223,7 +223,7 @@ def terminal_vector(g: HybridGraph, t: int, constraints: Sequence) -> TerminalVe
         raise StructuralError("need one constraint set per walk position (t+1 of them)")
     n = g.n_vertices
     masks = np.stack([_as_mask(n, c) for c in constraints])[:, :, None]
-    counts = _walk_counts(g, masks[0].astype(np.int64), masks[1:])[:, 0]
+    counts = _walk_counts(g, t, masks[0], masks[1:])[:, 0]
     return TerminalVector(counts / walk_count(g, t))
 
 
@@ -260,7 +260,7 @@ def check_extension_identity(g: HybridGraph, t: int, base_indices) -> ExtensionR
     ext_ends = g.perm[g.rot.neighbors[ends]]            # (|S'|, d)
     v_ext = np.bincount(ext_ends.reshape(-1), minlength=n).astype(float) / total_ext
     prob_ext = base_indices.size * g.d / total_ext
-    pushed = _walk_counts(g, base_counts[:, None], [True])[:, 0] / total_ext  # one unmasked step
+    pushed = _walk_counts(g, t, base_counts[:, None], [True])[:, 0] / total_ext  # one unmasked step
     return ExtensionReport(
         prob_base=float(prob_base),
         prob_extended=float(prob_ext),
@@ -269,14 +269,16 @@ def check_extension_identity(g: HybridGraph, t: int, base_indices) -> ExtensionR
     )
 
 
-def _walk_counts(g: HybridGraph, counts: np.ndarray, masks) -> np.ndarray:
+def _walk_counts(g: HybridGraph, t: int, counts: np.ndarray, masks) -> np.ndarray:
     """Integer walk counts pushed one step per mask, with no transition matrix.
 
     ``counts`` has shape (N, B): walks ending at each vertex, per family.  Each
     mask broadcasts to (N, B), and a step is ``c[w] = mask[w] * sum_k
-    c[pred[k, w]]``, one row gather per k.  A count never exceeds the walk
-    count, which ``walk_count`` keeps below 2**63.
+    c[pred[k, w]]``, one row gather per k.  ``t`` is the walks' length after
+    the last step, so no count exceeds ``walk_count(g, t)``: the counts are
+    int32 when that is below 2**31 (half the memory traffic), else int64.
     """
+    counts = counts.astype(np.int32 if walk_count(g, t) < 1 << 31 else np.int64)
     for mask in masks:
         nxt = counts[g.predecessors[0]]
         for row in g.predecessors[1:]:
@@ -288,19 +290,33 @@ def _walk_counts(g: HybridGraph, counts: np.ndarray, masks) -> np.ndarray:
 
 def _batch_size(n: int, t: int) -> int:
     """Families per batch: the (B, t+1, N) int64 draws, their bool masks and the
-    masks' transposed copy, plus three (N, B) int64 count arrays, fit in
-    WALK_SCRATCH_BYTES (at least one family)."""
+    masks' transposed copy, plus three (N, B) count arrays of at most int64,
+    fit in WALK_SCRATCH_BYTES (at least one family)."""
     return max(1, WALK_SCRATCH_BYTES // (n * (10 * (t + 1) + 24)))
+
+
+def random_families(rng: np.random.Generator, count: int, t: int, n: int) -> np.ndarray:
+    """``count`` uniformly random families of t+1 vertex sets, as a (count, t+1, N)
+    boolean array filled ``_batch_size`` families at a time, so the int64 draws
+    of a batch stay within WALK_SCRATCH_BYTES.  Each 0/1 draw takes one 32-bit
+    half and N = 4**m is even, so the stream does not depend on the batching."""
+    masks = np.empty((count, t + 1, n), dtype=bool)
+    per = _batch_size(n, t)
+    for lo in range(0, count, per):
+        batch = masks[lo: lo + per]
+        batch[...] = rng.integers(0, 2, size=batch.shape)
+    return masks
 
 
 def _family_counts(g: HybridGraph, masks: np.ndarray) -> np.ndarray:
     """Walks that meet every position mask, per family: ``masks`` is (B, t+1, N)
     boolean and the result (B,) int64, computed in batches of ``_batch_size``."""
-    per = _batch_size(g.n_vertices, masks.shape[1] - 1)
+    t = masks.shape[1] - 1
+    per = _batch_size(g.n_vertices, t)
     out = np.empty(masks.shape[0], dtype=np.int64)
     for lo in range(0, masks.shape[0], per):
         fam = np.ascontiguousarray(masks[lo: lo + per].transpose(1, 2, 0))
-        out[lo: lo + per] = _walk_counts(g, fam[0].astype(np.int64), fam[1:]).sum(axis=0)
+        out[lo: lo + per] = _walk_counts(g, t, fam[0], fam[1:]).sum(axis=0)
     return out
 
 
@@ -366,9 +382,8 @@ def verify_walk_independence(
     if trials > 0:
         rng = np.random.default_rng(seed)
         while n_sampled < trials:
-            # one 32-bit half per 0/1 draw, so the family stream ignores the batching
             b = min(per, trials - n_sampled)
-            masks = rng.integers(0, 2, size=(b, t + 1, n)).astype(bool)
+            masks = random_families(rng, b, t, n)
             probs = _family_counts(g, masks) / total
             mus = masks.sum(axis=2) / n
             bound = np.prod(alpha + beta * mus, axis=1)

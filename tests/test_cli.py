@@ -203,6 +203,26 @@ class TestBound:
         assert len(rows) == 12
         assert all(r["holds"] == "True" for r in rows)
 
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            (["--count", "1", "--t", "40", "--psi", "6"], 2,
+             "error: a product grid of 13367494538843734067838845976576 outcomes over 40 "
+             "coordinates exceeds the 1073741824-byte budget"),
+            (["--t", "0"], 2, "error: need t >= 1 and psi >= 1"),
+            (["--count", "0", "--t", "0"], 0, ""),
+            (["--eps", "0.1", "0.2", "--variant", "percoord", "--t", "3"], 2,
+             "error: need exactly one eps per object"),
+            (["--eps", "1.5"], 2, "error: eps must lie in (0, 1), got 1.5"),
+            (["--beta", "1.5"], 2, "error: beta must lie in [0, 1], got 1.5"),
+        ],
+        ids=["grid-budget", "t-zero", "no-instances", "eps-count", "eps-range", "beta-range"],
+    )
+    def test_sweep_exit_codes_and_errors(self, capsys, argv, code, error):
+        got, report, err = run_cli(capsys, ["bound", "--preset", "sweep", "--seed", "1"] + argv)
+        assert got == code and err.strip() == error
+        assert (report is None) == (code == 2)
+
     def test_instance_file_pooled(self, capsys, tmp_path):
         z, objs = wb.cube_instance(0.25, 2)
         inst = {
@@ -385,6 +405,12 @@ class TestHarness:
             ["bound", "--preset", "sweep", "--count", "-1", "--seed", "1"],
             ["bound", "--preset", "random", "--t", "40", "--psi", "6", "--seed", "1"],
             ["bound", "--preset", "cube", "--t", "70"],
+            ["bound", "--preset", "sweep", "--count", "1", "--t", "40", "--psi", "6", "--seed", "1"],
+            ["bound", "--preset", "sweep", "--t", "0", "--seed", "1"],
+            ["bound", "--preset", "sweep", "--eps", "0.1", "0.2", "--variant", "percoord",
+             "--t", "3", "--seed", "1"],
+            ["bound", "--preset", "sweep", "--eps", "1.5", "--seed", "1"],
+            ["bound", "--preset", "sweep", "--beta", "1.5", "--seed", "1"],
         ],
     )
     def test_out_of_range_argument_is_a_usage_error(self, capsys, argv):

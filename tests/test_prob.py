@@ -1,5 +1,6 @@
 """Probability core: spaces, conditionals, tails, bound evaluators, independence."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -379,6 +380,127 @@ class TestIndependence:
         z, objs = random_product_instance(2, 3, 0, identical=True)
         with pytest.raises(ParameterError):
             wb.check_independence(objs, beta=1.0, mode="everything")
+
+
+def reference_sweep(t, psi, seeds, eps, beta, pooled):
+    """Per-instance bound terms from the object model alone: each instance built
+    outcome by outcome as a FiniteSpace, then conditional_expectation and
+    tail_probability per object, with the evaluators' left-to-right arithmetic."""
+    grid = list(itertools.product(range(psi), repeat=t))
+    cols = np.array(grid, dtype=np.int64).reshape(len(grid), t).T
+    rows = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws = [rng.uniform(0.1, 1.0, psi) for _ in range(1 if pooled else t)]
+        margs = [m / m.sum() for m in draws] * (t if pooled else 1)
+        w = np.ones(len(grid))
+        for m, c in zip(margs, cols):
+            w = w * m[c]
+        space = wb.FiniteSpace(grid, w / np.sum(w))
+        z = wb.RandomVariable(space, rng.random(len(grid)))
+        conds = [wb.conditional_expectation(z, wb.RandomObject(space, range(psi), c)) for c in cols]
+        if pooled:
+            vals = [c.values for c in conds]
+            same = all(np.array_equal(v, vals[0]) for v in vals)
+            avg = vals[0] if same else np.sum(np.stack(vals), axis=0) / t
+            tails = (wb.tail_probability(wb.RandomVariable(conds[0].domain, avg), eps),)
+            terms, eps_all = [(1.0 - beta) + beta * tails[0]] * t, [eps] * t
+        else:
+            tails = tuple(wb.tail_probability(c, e) for c, e in zip(conds, eps))
+            terms, eps_all = [(1.0 - beta) + beta * p for p in tails], eps
+        correction = 0.0
+        for e in eps_all:
+            correction += e
+        bound = math.prod(terms) + correction
+        rows.append((wb.expectation(z), tails, bound, bound - wb.expectation(z)))
+    return rows
+
+
+def sweep_terms(reports):
+    return [(r.expectation, r.tail_terms, r.bound_value, r.slack) for r in reports]
+
+
+def first_error(calls):
+    """(type, message) of the first call that raises, running them in order."""
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestBoundSweep:
+    @pytest.mark.parametrize("scratch", ["default", "one-byte"])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["percoord", "pooled"])
+    @pytest.mark.parametrize("t, psi", [(4, 6), (3, 10), (2, 17), (5, 3), (1, 1)])
+    def test_rows_match_the_per_instance_reference(self, monkeypatch, t, psi, pooled, scratch):
+        # psi >= 8 reaches numpy's pairwise summation, where a tail summed with
+        # zeros in place of the dropped entries rounds differently
+        from walkbound import prob
+
+        if scratch == "one-byte":
+            monkeypatch.setattr(prob, "SWEEP_SCRATCH_BYTES", 1)
+        seeds = np.random.default_rng(100 * t + psi).integers(0, 1 << 62, 60).tolist()
+        eps = 0.5 if pooled else [0.45 + 0.1 * i / t for i in range(t)]
+        reports = wb.product_bound_sweep(t, psi, seeds, eps, 0.3, pooled=pooled)
+        assert sweep_terms(reports) == reference_sweep(t, psi, seeds, eps, 0.3, pooled)
+        bound = wb.pooled_bound if pooled else wb.percoord_bound
+        for seed, rep in zip(seeds[:3], reports):
+            z, objs = random_product_instance(t, psi, seed, identical=pooled)
+            assert bound(z, objs, eps, 0.3) == rep
+
+    def test_memory_is_bounded_by_the_block(self):
+        seeds = np.random.default_rng(1).integers(0, 1 << 62, 2000).tolist()
+        tracemalloc.start()
+        try:
+            reports = wb.product_bound_sweep(4, 6, seeds, [0.01] * 4, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 2000 and all(r.holds for r in reports)
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("scratch", ["default", "one-byte"])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["percoord", "pooled"])
+    @pytest.mark.parametrize("fault", ["negative-weight", "late-check-early-row", "zero-weight-tol"])
+    def test_raises_the_error_of_the_first_failing_instance(
+        self, monkeypatch, fault, pooled, scratch
+    ):
+        # rows are checked in order, and each row's checks in the order the
+        # per-instance path runs them, even when both share one block
+        from walkbound import prob
+
+        if fault == "zero-weight-tol":
+            monkeypatch.setattr(prob, "WEIGHT_TOL", 0.0)
+        else:
+            draw = prob._draw_instances
+
+            def corrupted(batch, t, psi, identical):
+                weights, values = draw(batch, t, psi, identical)
+                for r, seed in enumerate(batch):
+                    if seed == 13 and fault == "late-check-early-row":  # Z leaves [0, 1]
+                        values[r, 5] = 1.5
+                    if seed == 17:      # a negative weight, which no later check sees
+                        weights[r, 1] += 2 * weights[r, 0]
+                        weights[r, 0] *= -1.0
+                return weights, values
+
+            monkeypatch.setattr(prob, "_draw_instances", corrupted)
+        if scratch == "one-byte":
+            monkeypatch.setattr(prob, "SWEEP_SCRATCH_BYTES", 1)
+        seeds = list(range(40))
+        eps = 0.05 if pooled else [0.05] * 3
+        bound = wb.pooled_bound if pooled else wb.percoord_bound
+
+        def one(seed):
+            z, objs = random_product_instance(3, 4, seed, identical=pooled)
+            bound(z, objs, eps, 0.5)
+
+        expected = first_error([lambda s=s: one(s) for s in seeds])
+        assert expected is not None
+        got = first_error([lambda: wb.product_bound_sweep(3, 4, seeds, eps, 0.5, pooled=pooled)])
+        assert got == expected
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -246,6 +246,17 @@ class TestRouteAgreement:
         tv = wb.terminal_vector(g, t, list(masks[0]))
         assert np.array_equal(tv.probs, v[0])
 
+    @pytest.mark.parametrize(
+        "m, t", [(3, 8), (2, 9), (2, 11)], ids=["2m+3t=30", "2m+3t=31", "2m+3t=37"]
+    )
+    def test_full_family_probability_is_exactly_one(self, m, t):
+        # 2**30 walks are counted in int32, 2**31 and more in int64; at t = 11
+        # each vertex alone ends 2**33 walks, so an int32 count would wrap
+        g = wb.HybridGraph(wb.mgg_rotation(m), np.random.default_rng(m).permutation(4 ** m))
+        full = np.ones((1, t + 1, g.n_vertices), dtype=bool)
+        assert wb.terminal_vector(g, t, list(full[0])).total == 1.0
+        assert wb.family_event_probs_matrix(g, t, full).tolist() == [1.0]
+
     def test_matrix_route_memory_is_linear_in_the_vertices(self):
         # N = 4096: the dense walk matrix alone would take 128 MiB
         g = wb.HybridGraph(wb.mgg_rotation(6), np.random.default_rng(16).permutation(4096))
@@ -378,6 +389,26 @@ class TestWalkIndependence:
         finally:
             tracemalloc.stop()
         assert peak < 2 * walks.WALK_SCRATCH_BYTES
+
+    def test_family_draws_do_not_depend_on_the_batching(self, monkeypatch):
+        from walkbound import walks
+
+        whole = np.random.default_rng([3, 17]).integers(0, 2, size=(9, 3, 16)).astype(bool)
+        assert np.array_equal(wb.random_families(np.random.default_rng([3, 17]), 9, 2, 16), whole)
+        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        assert np.array_equal(wb.random_families(np.random.default_rng([3, 17]), 9, 2, 16), whole)
+
+    def test_family_draws_fit_the_scratch_budget(self):
+        # N = 4096: 100 families drawn at once would take 9.4 MiB of int64 draws
+        from walkbound import walks
+
+        tracemalloc.start()
+        try:
+            masks = wb.random_families(np.random.default_rng(1), 100, 2, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < masks.nbytes + walks.WALK_SCRATCH_BYTES
 
     def test_report_serializes(self, g_random):
         rep = wb.verify_walk_independence(g_random, 2, 0.3, mode="sampled", trials=100, seed=4)
