@@ -380,6 +380,10 @@ def cmd_amplify(args) -> dict:
         if args.n is None:
             raise ParameterError("direct construction requires --n")
         n = args.n
+        # the reduction's exact profile: t tables of 2**(n*t) entries, n*t + ceil(log2 t) bits
+        bits = n * args.t + (args.t - 1).bit_length()
+        if bits > TABLE_MAX_BITS:
+            raise BudgetError(f"exact reduced profile needs {bits} bits, over {TABLE_MAX_BITS}")
     cfg = ExperimentConfig(
         n=n, t=args.t, k=args.k, delta=args.delta, eps=args.eps, seed=args.seed,
         mode=args.mode, trials=args.trials, m=args.m if args.construction == "walk" else None,

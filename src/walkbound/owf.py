@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
-from .walks import HybridGraph, Walk, _walk_space, enumerate_walk_vertices, validate_walk
+from .prob import _frozen_array
+from .walks import HybridGraph, Walk, validate_walk, walk_space
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
 VALIDATE_PERM_MAX = 20     # permutation flags are checked exhaustively up to this n
@@ -54,8 +55,9 @@ class ToyFunction:
     def __post_init__(self):
         _check_table_bits(self.n, "input")
         _check_table_bits(self.out_bits, "output")
-        t = np.array(self.table, dtype=np.int64)
-        t.setflags(write=False)
+        t = np.asarray(self.table)
+        if t.dtype != np.int64 or t.flags.writeable:   # read-only int64 tables are shared
+            t = _frozen_array(t, dtype=np.int64)
         object.__setattr__(self, "table", t)
         if t.shape != (1 << self.n,):
             raise StructuralError("table must have exactly 2**n entries")
@@ -100,7 +102,7 @@ def random_permutation(n: int, seed: int) -> ToyFunction:
 def vertex_function(g: HybridGraph) -> ToyFunction:
     """The hybrid graph's vertex permutation as a function on packed vertices."""
     n = _exact_log2(g.n_vertices)
-    return ToyFunction(n, n, g.perm.copy(), True)
+    return ToyFunction(n, n, g.perm, True)
 
 
 def image_distribution(func: ToyFunction) -> np.ndarray:
@@ -140,12 +142,20 @@ class Inverter:
         self.func = func
         self.cost = float(cost)
         self.query_count = 0
+        self._profile = None
 
     def invert(self, y: int) -> Optional[int]:
         raise NotImplementedError
 
     def success_profile(self) -> np.ndarray:
-        """Exact per-output-point success probability, indexed by output value."""
+        """Exact per-output-point success probability, indexed by output value;
+        computed on the first call, then the same read-only array every time."""
+        if self._profile is None:
+            self._profile = self._exact_profile()
+            self._profile.setflags(write=False)
+        return self._profile
+
+    def _exact_profile(self) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -155,7 +165,7 @@ class AdversaryOracle(Inverter):
 
     def __init__(self, func: ToyFunction, profile: np.ndarray, seed: int, cost: float = 1.0):
         super().__init__(func, cost)
-        profile = np.asarray(profile, dtype=float)
+        profile = _frozen_array(profile)   # a copy: the caller's array may change
         if profile.shape != (1 << func.out_bits,):
             raise StructuralError("profile must assign one probability per output point")
         if np.any(profile < 0.0) or np.any(profile > 1.0):
@@ -172,7 +182,7 @@ class AdversaryOracle(Inverter):
                 return x
         return None
 
-    def success_profile(self) -> np.ndarray:
+    def _exact_profile(self) -> np.ndarray:
         return np.where(self.func.canonical_preimages() >= 0, self.profile, 0.0)
 
 
@@ -194,7 +204,7 @@ class RepeatedInverter(Inverter):
                 return x
         return None
 
-    def success_profile(self) -> np.ndarray:
+    def _exact_profile(self) -> np.ndarray:
         w = self.inner.success_profile()
         return 1.0 - (1.0 - w) ** self.k
 
@@ -363,20 +373,14 @@ def conditioned_reverse_repr(
     return WalkRepr(cur, tuple(reversed(back)) + tuple(prefix_labels), vb, lb)
 
 
-def _walk_reverse_ints(g: HybridGraph, t: int) -> np.ndarray:
-    """Reverse representation of every walk, indexed by forward representation;
-    built once per (graph, t) with the walk space."""
-    return _walk_space(g, t)[1]
-
-
 def walk_permutation(g: HybridGraph, t: int) -> ToyFunction:
     """The (n + t*e)-bit permutation sending a walk's forward packing to its
-    reverse packing.  Identity at t = 0."""
+    reverse packing, sharing the walk space's table.  Identity at t = 0."""
     vb, lb = _graph_bits(g)
     bits = vb + t * lb
     if bits > TABLE_MAX_BITS:
         raise BudgetError(f"walk permutation needs {bits} bits, over {TABLE_MAX_BITS}")
-    return ToyFunction(bits, bits, _walk_reverse_ints(g, t), True)
+    return ToyFunction(bits, bits, walk_space(g, t).reverse, True)
 
 
 class BlockwiseInverter(Inverter):
@@ -407,7 +411,7 @@ class BlockwiseInverter(Inverter):
             out = (out << nb) | x
         return out
 
-    def success_profile(self) -> np.ndarray:
+    def _exact_profile(self) -> np.ndarray:
         if self.base.func.out_bits * self.t > TABLE_MAX_BITS:
             raise BudgetError("blockwise profile too large to materialize")
         prof = self.base.success_profile()
@@ -446,15 +450,14 @@ class WalkChainInverter(Inverter):
         fwd.reverse()
         return WalkRepr(cur, tuple(fwd), vb, lb).to_int()
 
-    def success_profile(self) -> np.ndarray:
-        verts = enumerate_walk_vertices(self.g, self.t)
-        rho = _walk_reverse_ints(self.g, self.t)
+    def _exact_profile(self) -> np.ndarray:
+        space = walk_space(self.g, self.t)
         base_prof = self.base.success_profile()
-        vals = np.ones(verts.shape[0])
-        for s in range(1, self.t + 1):
-            vals *= base_prof[verts[:, s]]
+        vals = np.ones(space.columns.shape[1])
+        for col in space.columns[1:]:
+            vals *= base_prof[col]
         out = np.zeros(1 << self.func.n)
-        out[rho] = vals
+        out[space.reverse] = vals
         return out
 
 
@@ -498,7 +501,7 @@ class ReducedDirectInverter(Inverter):
             return None
         return int(parts[i])
 
-    def success_profile(self) -> np.ndarray:
+    def _exact_profile(self) -> np.ndarray:
         """Exact per-point success: average over the planted position of the inner
         profile contracted against the image distribution in the other blocks."""
         t = self.t
@@ -560,19 +563,17 @@ class ReducedWalkInverter(Inverter):
             return None
         return int(g.rot.neighbors[walk.vertices[i - 1], walk.labels[i - 1]])
 
-    def success_profile(self) -> np.ndarray:
+    def _exact_profile(self) -> np.ndarray:
         """Exact per-vertex success: average over positions 1..t-1 of the inner
         profile conditioned on the walk visiting the vertex there."""
         g, t = self.g, self.t
-        verts = enumerate_walk_vertices(g, t)
-        rho = _walk_reverse_ints(g, t)
-        per_walk = self.inner.success_profile()[rho]
+        space = walk_space(g, t)
+        per_walk = self.inner.success_profile()[space.reverse]
         n = g.n_vertices
-        per_vertex = verts.shape[0] // n
         acc = np.zeros(n)
-        for i in range(1, t):
-            acc += np.bincount(verts[:, i], weights=per_walk, minlength=n)
-        return acc / ((t - 1) * per_vertex)
+        for col in space.columns[1:t]:
+            acc += np.bincount(col, weights=per_walk, minlength=n)
+        return acc / ((t - 1) * g.d ** t)   # d**t walks visit each vertex at each position
 
 
 def reduce_direct(inner: Inverter, func: ToyFunction, t: int, seed: int) -> ReducedDirectInverter:

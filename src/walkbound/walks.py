@@ -42,7 +42,7 @@ class HybridGraph:
         n = self.rot.n_vertices
         if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
             raise StructuralError("perm must be a bijection on the rotation's vertex set")
-        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_spaces", {})
 
     @property
     def n_vertices(self) -> int:
@@ -153,9 +153,19 @@ def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
     return Walk(tuple(vertices), tuple(labels))
 
 
-def _walk_space(g: HybridGraph, t: int) -> tuple:
-    """Vertex columns and reverse packing of every walk, built once per (graph, t)
-    and cached read-only on the graph (immutable, so never stale).
+@dataclass(frozen=True, eq=False)
+class WalkSpace:
+    """Every t-step walk in walk-index order, read-only: ``columns[s]`` holds the
+    vertex at position s in the narrowest unsigned dtype that holds N - 1, and
+    ``reverse`` the int64 reverse packing."""
+
+    columns: np.ndarray
+    reverse: np.ndarray
+
+
+def walk_space(g: HybridGraph, t: int) -> WalkSpace:
+    """The walk space of (graph, t), built once and cached on the graph
+    (immutable, so never stale).
 
     The walk space is the grid (start, label_1, ..., label_t) in walk-index
     order.  Step s follows every label out of the N * d**(s-1) distinct prefixes
@@ -163,32 +173,26 @@ def _walk_space(g: HybridGraph, t: int) -> tuple:
     packing sums each step's back label times d**(s-1); the terminal vertex
     times d**t completes it (base-d digits, last step most significant).
     """
-    if t not in g._tables:
+    if t not in g._spaces:
         total = walk_count(g, t)
         if total > WALK_ENUM_MAX:
             raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
         n, d = g.n_vertices, g.d
-        verts = np.empty((total, t + 1), dtype=np.int64)
+        columns = np.empty((t + 1, total), dtype=np.min_scalar_type(n - 1))
         cur = np.arange(n, dtype=np.int64)
         rho = np.zeros(n, dtype=np.int64)
-        verts.reshape(n, -1, t + 1)[:, :, 0] = cur[:, None]
+        columns[0].reshape(n, -1)[:] = cur[:, None]
         for s in range(1, t + 1):
             back = g.rot.back_labels[cur] * d ** (s - 1)
             back += rho[:, None]
             rho = back.reshape(-1)
             cur = g.perm[g.rot.neighbors[cur]].reshape(-1)
-            verts.reshape(cur.size, -1, t + 1)[:, :, s] = cur[:, None]
+            columns[s].reshape(cur.size, -1)[:] = cur[:, None]
         rho += cur * d ** t
-        verts.setflags(write=False)
+        columns.setflags(write=False)
         rho.setflags(write=False)
-        g._tables[t] = (verts, rho)
-    return g._tables[t]
-
-
-def enumerate_walk_vertices(g: HybridGraph, t: int) -> np.ndarray:
-    """Vertex sequences of every walk, shape ``(N * d**t, t+1)``, row i being the
-    walk with index i; built once per (graph, t)."""
-    return _walk_space(g, t)[0]
+        g._spaces[t] = WalkSpace(columns, rho)
+    return g._spaces[t]
 
 
 def _as_mask(n: int, subset) -> np.ndarray:
@@ -409,12 +413,12 @@ def single_set_event_probs(g: HybridGraph, t: int) -> np.ndarray:
     n = g.n_vertices
     if n > SUBSET_EXH_MAX_N:
         raise BudgetError(f"subset table needs 2**{n} entries, over the ceiling")
-    verts = enumerate_walk_vertices(g, t)
-    sig = np.zeros(verts.shape[0], dtype=np.int64)
-    for s in range(t + 1):
-        sig |= np.int64(1) << verts[:, s]
+    columns = walk_space(g, t).columns
+    sig = np.zeros(columns.shape[1], dtype=np.int64)
+    for col in columns:
+        sig |= np.int64(1) << col
     counts = np.bincount(sig, minlength=1 << n).astype(float)
-    return subset_sums(counts, n) / verts.shape[0]
+    return subset_sums(counts, n) / columns.shape[1]
 
 
 def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
@@ -429,8 +433,8 @@ def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 3 or masks.shape[1] != t + 1 or masks.shape[2] != g.n_vertices:
         raise StructuralError("masks must have shape (B, t+1, N)")
-    verts = enumerate_walk_vertices(g, t)
-    total = verts.shape[0]
+    columns = walk_space(g, t).columns
+    total = columns.shape[1]
     n_blocks = -(-masks.shape[0] // 64)
     packed = np.packbits(masks, axis=0, bitorder="little")
     padded = np.zeros((8 * n_blocks,) + packed.shape[1:], dtype=np.uint8)
@@ -440,9 +444,9 @@ def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
     words = words.view("<u8")[..., 0]
     counts = np.empty(64 * n_blocks, dtype=np.int64)
     for w in range(n_blocks):
-        member = words[w, 0][verts[:, 0]]
+        member = words[w, 0][columns[0]]
         for s in range(1, t + 1):
-            member &= words[w, s][verts[:, s]]
+            member &= words[w, s][columns[s]]
         lanes = member.view(np.uint8).reshape(total, 8)
         hist = np.stack([np.bincount(lanes[:, k], minlength=256) for k in range(8)])
         counts[64 * w: 64 * (w + 1)] = (hist @ _BYTE_BITS).reshape(-1)
@@ -460,8 +464,8 @@ def family_event_probs_matrix(g: HybridGraph, t: int, masks: np.ndarray) -> np.n
 
 def projection_objects(g: HybridGraph, t: int) -> tuple:
     """The uniform walk space plus its t+1 position projections as random objects."""
-    verts = enumerate_walk_vertices(g, t)
-    space = FiniteSpace.uniform(range(verts.shape[0]))
+    columns = walk_space(g, t).columns
+    space = FiniteSpace.uniform(range(columns.shape[1]))
     codomain = tuple(range(g.n_vertices))
-    objects = [RandomObject(space, codomain, verts[:, i]) for i in range(t + 1)]
+    objects = [RandomObject(space, codomain, col) for col in columns]
     return space, objects

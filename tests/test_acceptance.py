@@ -279,9 +279,9 @@ def test_08_end_to_end_amplification(announce):
     prof_w = wb.planted_profile(fv, delta)
     chain = wb.WalkChainInverter(wb.AdversaryOracle(fv, prof_w, seed=18), g, 3)
     tail_w = float(wb.image_distribution(fv) @ (prof_w > eps))
-    verts = wb.enumerate_walk_vertices(g, 3)
+    columns = wb.walk_space(g, 3).columns
     walk_success = float(
-        np.mean(prof_w[verts[:, 1]] * prof_w[verts[:, 2]] * prof_w[verts[:, 3]])
+        np.mean(prof_w[columns[1]] * prof_w[columns[2]] * prof_w[columns[3]])
     )
     assert walk_success == wb.measure_inversion(chain.func, chain, mode="exact").success
     walk_bound = (spectral.alpha + spectral.beta * tail_w) ** 3 + 3 * eps

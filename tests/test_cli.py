@@ -360,6 +360,55 @@ class TestAmplify:
         code, _, err = run_cli(capsys, ["amplify", "--construction", "direct", "--t", "2", "--seed", "1"])
         assert code == 2 and "--n" in err
 
+    @pytest.mark.parametrize(
+        "argv, computed",
+        [
+            (["--construction", "walk", "--m", "2", "--t", "3"],
+             ["AdversaryOracle", "ReducedWalkInverter", "RepeatedInverter", "WalkChainInverter"]),
+            (["--construction", "direct", "--n", "4", "--t", "2"],
+             ["AdversaryOracle", "BlockwiseInverter", "ReducedDirectInverter", "RepeatedInverter"]),
+        ],
+        ids=["walk", "direct"],
+    )
+    def test_each_exact_profile_is_computed_once(self, capsys, monkeypatch, argv, computed):
+        from walkbound import owf
+
+        calls = []
+        for name in computed:
+            cls = getattr(owf, name)
+
+            def counted(self, _exact=cls._exact_profile):
+                calls.append(type(self).__name__)
+                return _exact(self)
+
+            monkeypatch.setattr(cls, "_exact_profile", counted)
+        code, _, _ = run_cli(capsys, ["amplify", *argv, "--seed", "1"])
+        assert code == 0
+        assert sorted(calls) == computed
+
+    @pytest.mark.parametrize(
+        "argv", [["--n", "8", "--t", "3"], ["--n", "12", "--t", "2"]], ids=["n8-t3", "n12-t2"]
+    )
+    def test_reduced_profile_budget_is_checked_before_any_table(self, capsys, monkeypatch, argv):
+        import walkbound.cli as cli
+
+        def never(n, seed):
+            raise AssertionError("random_permutation ran before the budget was checked")
+
+        monkeypatch.setattr(cli, "random_permutation", never)
+        code, report, err = run_cli(
+            capsys, ["amplify", "--construction", "direct", *argv, "--seed", "1"]
+        )
+        assert code == 2 and report is None
+        assert err.startswith("error:") and "reduced profile" in err and err.count("\n") == 1
+
+    def test_reduced_profile_at_the_budget_runs(self, capsys):
+        # 2 x 2**22 entries: the largest direct run under the 2**24 budget at t = 2
+        code, report, _ = run_cli(
+            capsys, ["amplify", "--construction", "direct", "--n", "11", "--t", "2", "--seed", "1"]
+        )
+        assert code == 0 and report["all_hold"]
+
 
 class TestHarness:
     def test_missing_subcommand_is_usage_error(self):

@@ -67,6 +67,20 @@ class TestToyFunction:
         assert f.n == 4 and f.is_permutation
         assert np.array_equal(f.table, g_random.perm)
 
+    def test_read_only_int64_tables_are_shared(self, g_random):
+        assert np.shares_memory(
+            wb.walk_permutation(g_random, 2).table, wb.walk_space(g_random, 2).reverse
+        )
+        assert np.shares_memory(wb.vertex_function(g_random).table, g_random.perm)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_other_tables_are_copied(self, dtype):
+        table = np.array([2, 0, 3, 1], dtype=dtype)
+        f = wb.ToyFunction(2, 2, table, True)
+        table[0] = 0
+        assert f.apply(0) == 2
+        assert f.table.dtype == np.int64 and not f.table.flags.writeable
+
 
 class TestDistributionsAndProfiles:
     def test_image_distribution_permutation_uniform(self):
@@ -141,6 +155,35 @@ class TestAdversaryOracle:
         for eps in np.linspace(0.05, 0.95, 19):
             tail = float(img[prof > eps].sum())
             assert e <= eps + tail + 1e-12
+
+
+class TestProfileCache:
+    def test_profile_is_computed_once_read_only(self, g_random):
+        f = wb.vertex_function(g_random)
+        base = wb.AdversaryOracle(f, wb.planted_profile(f, 0.25), seed=8)
+        chain = wb.WalkChainInverter(base, g_random, 3)
+        reduced = wb.reduce_walk(chain, g_random, 3, seed=1)
+        power = wb.BlockwiseInverter(base, 2)
+        inverters = (base, chain, reduced, wb.repeat_amplify(reduced, 3), power,
+                     wb.reduce_direct(power, f, 2, seed=1))
+        for inv in inverters:
+            prof = inv.success_profile()
+            assert inv.success_profile() is prof
+            assert not prof.flags.writeable
+            with pytest.raises(ValueError):
+                prof[0] = 0.5
+
+    def test_oracle_keeps_its_own_copy_of_the_profile(self):
+        f = wb.random_permutation(3, 11)
+        given = wb.planted_profile(f, 0.25)
+        expect = given.copy()
+        before = wb.AdversaryOracle(f, given, seed=1)
+        after = wb.AdversaryOracle(f, given, seed=1)
+        assert np.array_equal(before.success_profile(), expect)
+        given[:] = 0.5
+        assert np.array_equal(before.success_profile(), expect)
+        assert np.array_equal(after.success_profile(), expect)
+        assert not after.profile.flags.writeable
 
 
 class TestRepeatedInverter:
@@ -372,8 +415,8 @@ class TestWalkChainInverter:
         inv = wb.WalkChainInverter(base, g_random, 3)
         got = wb.measure_inversion(inv.func, inv, mode="exact").success
         bp = base.success_profile()
-        verts = wb.enumerate_walk_vertices(g_random, 3)
-        expect = float(np.mean(bp[verts[:, 1]] * bp[verts[:, 2]] * bp[verts[:, 3]]))
+        columns = wb.walk_space(g_random, 3).columns
+        expect = float(np.mean(bp[columns[1]] * bp[columns[2]] * bp[columns[3]]))
         assert got == expect
 
     def test_mc_agrees_and_stays_sound(self, g_random):

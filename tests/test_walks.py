@@ -97,21 +97,38 @@ class TestSampling:
 
 class TestEnumeration:
     def test_rows_match_walk_from_index(self, g_random):
-        verts = wb.enumerate_walk_vertices(g_random, 2)
+        columns = wb.walk_space(g_random, 2).columns
         for idx in (0, 1, 97, 500, 1023):
-            assert tuple(verts[idx]) == wb.walk_from_index(g_random, 2, idx).vertices
+            assert tuple(columns[:, idx]) == wb.walk_from_index(g_random, 2, idx).vertices
 
     def test_rows_match_walk_from_index_at_degree_three(self):
         # d = 3 is not a power of two, so no walk index may be read as bit fields
         g = wb.HybridGraph(wb.k4_rotation(), [2, 0, 3, 1])
-        verts = wb.enumerate_walk_vertices(g, 3)
-        assert verts.shape == (4 * 3 ** 3, 4)
-        for idx in range(verts.shape[0]):
-            assert tuple(verts[idx]) == wb.walk_from_index(g, 3, idx).vertices
+        columns = wb.walk_space(g, 3).columns
+        assert columns.shape == (4, 4 * 3 ** 3)
+        for idx in range(columns.shape[1]):
+            assert tuple(columns[:, idx]) == wb.walk_from_index(g, 3, idx).vertices
 
     def test_budget(self, g_identity):
         with pytest.raises(BudgetError):
-            wb.enumerate_walk_vertices(g_identity, 8)   # 16 * 8^8 > 2^24
+            wb.walk_space(g_identity, 8)   # 16 * 8^8 > 2^24
+
+    @pytest.mark.parametrize(
+        "m, dtype", [(1, np.uint8), (4, np.uint8), (5, np.uint16), (9, np.uint32)]
+    )
+    def test_columns_use_the_narrowest_vertex_dtype(self, m, dtype):
+        n = 4 ** m
+        columns = wb.walk_space(wb.HybridGraph(wb.mgg_rotation(m), np.arange(n)), 0).columns
+        assert columns.dtype == dtype
+        assert columns.shape == (1, n) and columns.flags.c_contiguous
+        assert np.array_equal(columns[0], np.arange(n))
+
+    def test_uint16_columns_match_walk_from_index(self):
+        g = wb.HybridGraph(wb.mgg_rotation(5), np.random.default_rng(21).permutation(1024))
+        columns = wb.walk_space(g, 1).columns
+        assert columns.dtype == np.uint16
+        for idx in np.random.default_rng(22).integers(0, columns.shape[1], size=40):
+            assert tuple(columns[:, idx]) == wb.walk_from_index(g, 1, int(idx)).vertices
 
 
 class TestTerminalVector:
@@ -195,7 +212,7 @@ class TestRouteAgreement:
     def test_enumeration_route_memory_is_bounded(self):
         # W = 16 * 8**5 walks: 256 families in one pass would hold 2 x 128 MiB of flags
         g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(3).permutation(16))
-        wb.enumerate_walk_vertices(g, 5)
+        wb.walk_space(g, 5)
         masks = random_masks(np.random.default_rng(14), 256, 5, 16)
         tracemalloc.start()
         try:
@@ -438,30 +455,28 @@ class TestProjectionBridge:
 
 class TestWalkSpaceMemo:
     def test_one_table_per_graph_and_length(self, g_random):
-        verts = wb.enumerate_walk_vertices(g_random, 2)
-        assert wb.enumerate_walk_vertices(g_random, 2) is verts
-        assert wb.enumerate_walk_vertices(g_random, 1) is not verts
+        space = wb.walk_space(g_random, 2)
+        assert wb.walk_space(g_random, 2) is space
+        assert wb.walk_space(g_random, 1) is not space
 
     def test_table_is_read_only(self, g_random):
-        verts = wb.enumerate_walk_vertices(g_random, 2)
-        assert not verts.flags.writeable
+        columns = wb.walk_space(g_random, 2).columns
+        assert not columns.flags.writeable
         with pytest.raises(ValueError):
-            verts[0, 0] = 1
+            columns[0, 0] = 1
 
     def test_other_permutation_gets_its_own_table(self, rot2, g_random):
         other = wb.HybridGraph(rot2, np.roll(g_random.perm, 1))
-        mine = wb.enumerate_walk_vertices(g_random, 2)
-        theirs = wb.enumerate_walk_vertices(other, 2)
+        mine = wb.walk_space(g_random, 2).columns
+        theirs = wb.walk_space(other, 2).columns
         assert theirs is not mine
-        assert np.array_equal(theirs[:, 0], mine[:, 0])
-        assert not np.array_equal(theirs[:, 1:], mine[:, 1:])
+        assert np.array_equal(theirs[0], mine[0])
+        assert not np.array_equal(theirs[1:], mine[1:])
         for idx in (0, 97, 1023):
-            assert tuple(theirs[idx]) == wb.walk_from_index(other, 2, idx).vertices
+            assert tuple(theirs[:, idx]) == wb.walk_from_index(other, 2, idx).vertices
 
     def test_reverse_packing_is_shared_read_only(self, g_random):
-        from walkbound import owf
-
-        rho = owf._walk_reverse_ints(g_random, 2)
-        assert owf._walk_reverse_ints(g_random, 2) is rho
+        rho = wb.walk_space(g_random, 2).reverse
+        assert wb.walk_space(g_random, 2).reverse is rho
         assert not rho.flags.writeable
         assert np.array_equal(wb.walk_permutation(g_random, 2).table, rho)
