@@ -23,9 +23,10 @@ from .prob import (MAX_WITNESSES, RATIO_TOL, FiniteSpace, IndependenceReport, Ra
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
-WALK_SCRATCH_BYTES = 2 ** 21   # working memory of one batch of families of the count operator
+# working memory of one batch of families of the count operator, and of one
+# range of start vertices of the enumeration route
+WALK_SCRATCH_BYTES = 2 ** 21
 EXT_TOL = 1e-12
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1    # [v, i] = bit i of byte v
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,22 +294,46 @@ def _walk_counts(g: HybridGraph, t: int, counts: np.ndarray, masks) -> np.ndarra
 
 
 def _batch_size(n: int, t: int) -> int:
-    """Families per batch: the (B, t+1, N) int64 draws, their bool masks and the
-    masks' transposed copy, plus three (N, B) count arrays of at most int64,
-    fit in WALK_SCRATCH_BYTES (at least one family)."""
+    """Families per batch: the (B, t+1, N) flags at 10 bytes each (a raw draw
+    takes half a 64-bit word, the bool mask and its transposed copy one byte
+    each), plus three (N, B) count arrays of at most int64, fit in
+    WALK_SCRATCH_BYTES (at least one family)."""
     return max(1, WALK_SCRATCH_BYTES // (n * (10 * (t + 1) + 24)))
 
 
 def random_families(rng: np.random.Generator, count: int, t: int, n: int) -> np.ndarray:
     """``count`` uniformly random families of t+1 vertex sets, as a (count, t+1, N)
-    boolean array filled ``_batch_size`` families at a time, so the int64 draws
-    of a batch stay within WALK_SCRATCH_BYTES.  Each 0/1 draw takes one 32-bit
-    half and N = 4**m is even, so the stream does not depend on the batching."""
+    boolean array: exactly ``rng.integers(0, 2, size=(count, t+1, N)).astype(bool)``,
+    and ``rng`` is left in the state that call would leave.
+
+    On PCG64 that call returns bit 31 of successive 32-bit halves of the raw
+    outputs, low half first, with a pending high half buffered in the bit
+    generator's state (``has_uint32`` / ``uinteger``).  The flags are read from
+    ``random_raw`` words the same way, ``_batch_size`` families at a time so a
+    batch's words stay within WALK_SCRATCH_BYTES, and the buffered half is
+    consumed and left exactly as ``integers`` does, so the stream does not depend
+    on the batching.  Any other bit generator raises ParameterError.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ParameterError(f"family draws need a PCG64 generator, got {type(bitgen).__name__}")
     masks = np.empty((count, t + 1, n), dtype=bool)
-    per = _batch_size(n, t)
-    for lo in range(0, count, per):
-        batch = masks[lo: lo + per]
-        batch[...] = rng.integers(0, 2, size=batch.shape)
+    flags = masks.reshape(-1)
+    step = _batch_size(n, t) * (t + 1) * n
+    for lo in range(0, flags.size, step):
+        out = flags[lo: lo + step]
+        state = bitgen.state
+        head = state["has_uint32"]
+        if head:
+            out[0] = state["uinteger"] >> 31
+        rest = out.size - head
+        halves = bitgen.random_raw(-(-rest // 2)).astype("<u8", copy=False).view("<u4")
+        np.greater_equal(halves[:rest], 1 << 31, out=out[head:])
+        state = bitgen.state
+        state["has_uint32"] = rest % 2
+        if halves.size:    # integers keeps the last word's high half, used or not
+            state["uinteger"] = int(halves[-1])
+        bitgen.state = state
     return masks
 
 
@@ -421,36 +446,90 @@ def single_set_event_probs(g: HybridGraph, t: int) -> np.ndarray:
     return subset_sums(counts, n) / columns.shape[1]
 
 
+def _leaf_words(words: np.ndarray, columns: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
+    """Membership words of the walks that start at vertices lo <= v < hi, in
+    walk-index order: each is the AND of ``words[s][v_s]`` over its positions s.
+
+    Walk-index order puts the start vertex most significant, so ``columns[s]``
+    is constant on runs of d**(t-s) walks.  The AND is built down that prefix
+    tree: one word per distinct prefix at each depth, each ANDed into the next
+    position's words of its d children.
+    """
+    t = columns.shape[0] - 1
+    a, b = lo * d ** t, hi * d ** t
+    member = words[0][columns[0][a:b:d ** t]]
+    for s in range(1, t + 1):
+        parent, member = member, words[s][columns[s][a:b:d ** (t - s)]]
+        member.reshape(-1, d)[:] &= parent[:, None]
+    return member
+
+
+def _bit_counts(words: np.ndarray) -> np.ndarray:
+    """(64,) int64: ``out[i]`` is the number of words with bit i set, for a 1-D
+    uint64 array ``words``, which is overwritten (the adder tree's scratch).
+
+    A carry-save adder tree: three words of weight 2**k compress into their sum
+    (weight 2**k, written over the first) and their carry (weight 2**(k+1)), a
+    third of the plane at a time.  The carries form the next plane, in a buffer
+    that alternates with the input's.  A plane of at most 64 words, and the one
+    or two words each pass leaves over, are counted bit by bit.
+    """
+    counts = np.zeros(64, dtype=np.int64)
+    buffers = [words, np.empty(words.size // 2, dtype=words.dtype)]
+    plane, k = words, 0
+    while plane.size:
+        rest, spare, filled = [], buffers[(k + 1) % 2], 0
+        while plane.size > 64:    # 64 words unpack to 4 KiB: cheaper than more passes
+            third = plane.size // 3
+            a, b, c = plane[:third], plane[third: 2 * third], plane[2 * third: 3 * third]
+            rest.append(plane[3 * third:])
+            carry = spare[filled: filled + third]
+            np.bitwise_and(a, b, out=carry)
+            a ^= b
+            np.bitwise_and(a, c, out=b)
+            carry |= b
+            a ^= c
+            filled += third
+            plane = a
+        rest.append(plane)
+        lanes = np.concatenate(rest).astype("<u8", copy=False).view(np.uint8)
+        bits = np.unpackbits(lanes, bitorder="little").reshape(-1, 64)
+        counts += bits.sum(axis=0, dtype=np.int64) << k
+        plane, k = spare[:filled], k + 1
+    return counts
+
+
 def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
     """Exact probabilities for a batch of families by walk enumeration; ``masks``
     has shape (B, t+1, N) boolean.
 
     Bit-sliced: each block of 64 families becomes one word per (position, vertex),
     bit f meaning family f.  Every walk ANDs the words of its t+1 vertices, so one
-    word holds its membership in all 64 families; each byte lane's set bits are
-    then counted exactly through a 256-bin histogram.
+    word holds its membership in all 64 families (``_leaf_words``), and each bit's
+    count over the walks comes from a carry-save adder tree (``_bit_counts``).
+    Walks are taken in ranges of whole start vertices (d**t walks each), as many
+    per range as fit WALK_SCRATCH_BYTES at 12 bytes per walk (the leaf word and
+    half a word of adder-tree buffer), so the scratch does not grow with the
+    walk count.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 3 or masks.shape[1] != t + 1 or masks.shape[2] != g.n_vertices:
         raise StructuralError("masks must have shape (B, t+1, N)")
     columns = walk_space(g, t).columns
-    total = columns.shape[1]
+    n, d, total = g.n_vertices, g.d, columns.shape[1]
     n_blocks = -(-masks.shape[0] // 64)
     packed = np.packbits(masks, axis=0, bitorder="little")
     padded = np.zeros((8 * n_blocks,) + packed.shape[1:], dtype=np.uint8)
     padded[: packed.shape[0]] = packed
     # little-endian words: byte k of block w holds families 64w + 8k ... 64w + 8k + 7
-    words = padded.reshape(n_blocks, 8, t + 1, g.n_vertices).transpose(0, 2, 3, 1).copy()
+    words = padded.reshape(n_blocks, 8, t + 1, n).transpose(0, 2, 3, 1).copy()
     words = words.view("<u8")[..., 0]
-    counts = np.empty(64 * n_blocks, dtype=np.int64)
+    starts = max(1, WALK_SCRATCH_BYTES // (12 * d ** t))
+    counts = np.zeros((n_blocks, 64), dtype=np.int64)
     for w in range(n_blocks):
-        member = words[w, 0][columns[0]]
-        for s in range(1, t + 1):
-            member &= words[w, s][columns[s]]
-        lanes = member.view(np.uint8).reshape(total, 8)
-        hist = np.stack([np.bincount(lanes[:, k], minlength=256) for k in range(8)])
-        counts[64 * w: 64 * (w + 1)] = (hist @ _BYTE_BITS).reshape(-1)
-    return counts[: masks.shape[0]] / total
+        for lo in range(0, n, starts):
+            counts[w] += _bit_counts(_leaf_words(words[w], columns, d, lo, min(lo + starts, n)))
+    return counts.reshape(-1)[: masks.shape[0]] / total
 
 
 def family_event_probs_matrix(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:

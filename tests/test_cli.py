@@ -168,6 +168,19 @@ class TestVerifyBeta:
         assert code == 0
         assert "route-agreement" not in {c["name"] for c in report["checks"]}
 
+    def test_sampled_report_is_pinned(self, capsys):
+        # the family draws and both routes are exact, so any change to the draw
+        # stream or to a route's counts moves these values
+        code, report, _ = run_cli(
+            capsys,
+            ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled", "--trials", "3000",
+             "--agree", "130", "--seed", "5"],
+        )
+        assert code == 0
+        assert report["results"]["independence"]["worst_ratio"] == 0.4613527184451325
+        assert report["results"]["independence"]["witnesses"] == []
+        assert report["results"]["route_agreement_max_diff"] == 0.0
+
 
 class TestBound:
     def test_cube_default_is_tight(self, capsys):

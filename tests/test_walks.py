@@ -313,6 +313,101 @@ class TestRouteAgreement:
             wb.family_event_probs_matrix(g_random, 2, np.ones((1, 3, 4)))
 
 
+class TestEnumerationKernels:
+    """The word-parallel pieces of the enumeration route, each against a plain oracle."""
+
+    @pytest.mark.parametrize("size", [0, 1, 108, 1023, 1024, 1025])
+    @pytest.mark.parametrize("fill", ["random", "ones"])
+    def test_bit_counts_match_unpackbits(self, size, fill):
+        # 108 = 4 * 3**3 walks (k4, t = 3); all-ones words make every count equal
+        # the length, which reaches the top carry plane
+        from walkbound import walks
+
+        if fill == "ones":
+            words = np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
+        else:
+            words = np.random.default_rng(size).integers(
+                0, np.iinfo(np.uint64).max, size=size, dtype=np.uint64, endpoint=True)
+        oracle = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(-1, 64).sum(axis=0)
+        assert np.array_equal(walks._bit_counts(words.copy()), oracle)
+        if fill == "ones":
+            assert np.all(oracle == size)
+
+    @pytest.mark.parametrize(
+        "graph, t", [("k4", 3), ("m2", 3), ("m2", 0)], ids=["k4-t3", "m2-t3", "m2-t0"]
+    )
+    def test_leaf_words_are_the_per_walk_and(self, graph, t):
+        from walkbound import walks
+
+        if graph == "k4":
+            g = wb.HybridGraph(wb.k4_rotation(), [2, 0, 3, 1])
+        else:
+            g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(3).permutation(16))
+        n = g.n_vertices
+        columns = wb.walk_space(g, t).columns
+        words = np.random.default_rng(t).integers(
+            0, np.iinfo(np.uint64).max, size=(t + 1, n), dtype=np.uint64, endpoint=True)
+        full = np.bitwise_and.reduce([words[s][columns[s]] for s in range(t + 1)])
+        assert np.array_equal(walks._leaf_words(words, columns, g.d, 0, n), full)
+        per_start = g.d ** t
+        assert np.array_equal(walks._leaf_words(words, columns, g.d, 1, 3),
+                              full[per_start: 3 * per_start])
+
+    def test_one_start_vertex_per_range_gives_the_same_probabilities(self, monkeypatch):
+        from walkbound import walks
+
+        g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(9).permutation(64))
+        masks = random_masks(np.random.default_rng(23), 130, 2, 64)
+        whole = wb.family_event_probs(g, 2, masks)
+        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        assert np.array_equal(wb.family_event_probs(g, 2, masks), whole)
+        assert np.array_equal(whole, wb.family_event_probs_matrix(g, 2, masks))
+
+    def test_enumeration_scratch_does_not_grow_with_the_walks(self):
+        # W = 256 * 8**4 = 2**20 walks: one membership word per walk would be 8 MiB,
+        # a second full-length temporary 16 MiB
+        from walkbound import walks
+
+        g = wb.HybridGraph(wb.mgg_rotation(4), np.random.default_rng(24).permutation(256))
+        wb.walk_space(g, 4)
+        masks = random_masks(np.random.default_rng(25), 64, 4, 256)
+        tracemalloc.start()
+        try:
+            p_enum = wb.family_event_probs(g, 4, masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * walks.WALK_SCRATCH_BYTES
+        assert np.array_equal(p_enum, wb.family_event_probs_matrix(g, 4, masks))
+
+
+class TestFamilyDraws:
+    """random_families reads PCG64's raw words; ``rng.integers`` is its oracle."""
+
+    @pytest.mark.parametrize("scratch", [None, 1], ids=["one-batch", "one-family-batches"])
+    @pytest.mark.parametrize("prior", [0, 3], ids=["fresh", "after-odd-draw"])
+    def test_draws_equal_integers_and_leave_the_same_stream(self, monkeypatch, scratch, prior):
+        # 3 families of 3 sets over 5 vertices: 45 flags, an odd total, and with
+        # one-family batches 15 flags per batch, so a half is carried between
+        # batches; three earlier flags leave a half buffered before the first
+        from walkbound import walks
+
+        if scratch is not None:
+            monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", scratch)
+        ref, mine = np.random.default_rng([4, 17]), np.random.default_rng([4, 17])
+        ref.integers(0, 2, size=prior)
+        mine.integers(0, 2, size=prior)
+        expect = ref.integers(0, 2, size=(3, 3, 5)).astype(bool)
+        assert np.array_equal(wb.random_families(mine, 3, 2, 5), expect)
+        assert mine.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(mine.integers(0, 2, size=7), ref.integers(0, 2, size=7))
+        assert np.array_equal(mine.integers(0, 1 << 40, size=3), ref.integers(0, 1 << 40, size=3))
+
+    def test_other_bit_generators_are_rejected(self):
+        with pytest.raises(ParameterError):
+            wb.random_families(np.random.Generator(np.random.MT19937(1)), 2, 1, 4)
+
+
 class TestWalkIndependence:
     def test_identity_permutation_holds(self, g_identity):
         beta = 1.0 - wb.second_eigenvalue_magnitude(wb.transition_matrix(g_identity.rot)).alpha
@@ -332,6 +427,19 @@ class TestWalkIndependence:
         assert not rep.holds
         assert rep.worst_ratio > 1.0 + 1e-6
         assert len(rep.witnesses) > 0
+
+    def test_overstated_beta_report_is_pinned(self):
+        # the sampled families come from one exact 0/1 stream: a change to the
+        # stream moves the ratios and the witness sets recorded here
+        g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(8).permutation(16))
+        rep = wb.verify_walk_independence(g, 2, 0.9, mode="sampled", trials=300, seed=4)
+        assert rep.worst_ratio == 1.041922143382695
+        assert rep.witnesses == (
+            (("multi", (46755, 47994, 26235)), 1.041922143382695),
+            (("multi", (11014, 3833, 12443)), 1.0141496243545052),
+            (("multi", (60531, 40262, 59101)), 1.0030576478484599),
+            (("multi", (55418, 41078, 11119)), 1.0193554423485556),
+        )
 
     def test_sampled_mode_skips_sweep(self, g_random):
         rep = wb.verify_walk_independence(g_random, 2, 0.2, mode="sampled", trials=300, seed=3)
