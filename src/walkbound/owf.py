@@ -106,8 +106,15 @@ def vertex_function(g: HybridGraph) -> ToyFunction:
 
 
 def image_distribution(func: ToyFunction) -> np.ndarray:
-    """Distribution of func(x) for uniform x, indexed by output value."""
-    return np.bincount(func.table, minlength=1 << func.out_bits) / (1 << func.n)
+    """Distribution of func(x) for uniform x, indexed by output value.
+
+    Adds 2**-n once per input in place: every partial sum k * 2**-n is exact,
+    so this equals the counts divided by 2**n bit for bit, with one float64
+    array and no integer counts or index copy beside it.
+    """
+    dist = np.zeros(1 << func.out_bits)
+    np.add.at(dist, func.table, 2.0 ** -func.n)
+    return dist
 
 
 def planted_profile(func: ToyFunction, delta: float) -> np.ndarray:
@@ -451,14 +458,10 @@ class WalkChainInverter(Inverter):
         return WalkRepr(cur, tuple(fwd), vb, lb).to_int()
 
     def _exact_profile(self) -> np.ndarray:
-        space = walk_space(self.g, self.t)
-        base_prof = self.base.success_profile()
-        vals = np.ones(space.columns.shape[1])
-        for col in space.columns[1:]:
-            vals *= base_prof[col]
-        out = np.zeros(1 << self.func.n)
-        out[space.reverse] = vals
-        return out
+        """Per reverse packing, the product of the base profile at the vertices
+        the chain queries, v_t first: the walk space's path products, already
+        in output order."""
+        return walk_space(self.g, self.t).path_products(self.base.success_profile())
 
 
 class ReducedDirectInverter(Inverter):
@@ -567,13 +570,8 @@ class ReducedWalkInverter(Inverter):
         """Exact per-vertex success: average over positions 1..t-1 of the inner
         profile conditioned on the walk visiting the vertex there."""
         g, t = self.g, self.t
-        space = walk_space(g, t)
-        per_walk = self.inner.success_profile()[space.reverse]
-        n = g.n_vertices
-        acc = np.zeros(n)
-        for col in space.columns[1:t]:
-            acc += np.bincount(col, weights=per_walk, minlength=n)
-        return acc / ((t - 1) * g.d ** t)   # d**t walks visit each vertex at each position
+        visits = walk_space(g, t).interior_visits(self.inner.success_profile())
+        return visits / ((t - 1) * g.d ** t)   # d**t walks visit each vertex at each position
 
 
 def reduce_direct(inner: Inverter, func: ToyFunction, t: int, seed: int) -> ReducedDirectInverter:

@@ -6,6 +6,14 @@ derived data (parallel edges mean several label sequences can share one vertex
 sequence).  Events over walks are handled two independent ways that tests
 compare: integer walk counts pushed step by step through the predecessor table
 (terminal vectors, no N x N matrix) and direct enumeration of the walk space.
+
+The walk space has two orders.  Walk-index order (start vertex first, then the
+labels) is a prefix tree growing forward along the successor table.  The
+reverse packing (terminal vertex first, then the back labels, last step
+first) is a tree growing backward along the predecessor table: its level k
+holds the vertex k steps before the end once per subtree, N * d**k entries.
+Products along a walk and sums over the walks through a vertex run level by
+level down or up that tree, so the walks are never moved between the orders.
 """
 
 from __future__ import annotations
@@ -156,43 +164,131 @@ def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
 
 @dataclass(frozen=True, eq=False)
 class WalkSpace:
-    """Every t-step walk in walk-index order, read-only: ``columns[s]`` holds the
-    vertex at position s in the narrowest unsigned dtype that holds N - 1, and
-    ``reverse`` the int64 reverse packing."""
+    """Every t-step walk of a hybrid graph, read-only, in two orders.
+
+    Walk-index order (start vertex most significant, then the labels in walk
+    order): ``columns[s]`` holds the vertex at position s of every walk, in the
+    narrowest unsigned dtype that holds N - 1.
+
+    Reverse-packing order, ``y = v_t * d**t + sum_s b_s * d**(s-1)`` with b_s
+    the back label of step s: this enumerates the walks backward from their
+    terminal vertex, so the vertex k steps before the end is constant on runs
+    of d**(t-k) points.  ``levels[k]``, k < t, holds it once per run, N * d**k
+    entries in the columns' dtype; level k+1 is level k's row of the
+    predecessor table, ``pred.T[levels[k]]`` (back label b reached from w is
+    ``pred[b, w]``).  The start vertex's level would be a full column, and no
+    reader needs it.  ``reverse`` maps walk index to reverse packing (int64);
+    it is built on its first read, since only the walk permutation needs it.
+
+    ``successors[u, j]`` (columns' dtype) and ``back_labels[u, j]`` are the
+    step tables: edge slot j out of u ends at ``successors[u, j]`` and is
+    undone by back label ``back_labels[u, j]``.
+    """
 
     columns: np.ndarray
-    reverse: np.ndarray
+    levels: tuple
+    successors: np.ndarray
+    back_labels: np.ndarray
+
+    @cached_property
+    def reverse(self) -> np.ndarray:
+        """The reverse packing per walk index, read-only int64.
+
+        Down the walk-index prefix tree, each prefix ending at u gets
+        ``back_labels[u, j] * d**(s-1)`` added per child j at step s < t.  The
+        last step is one gather of the (N, d) table ``successors * d**t +
+        back_labels * d**(t-1)`` by the prefixes' last vertex, written straight
+        into the result, which then adds the prefix sums; no other temporary
+        has more than N * d**(t-1) entries.
+        """
+        t = self.columns.shape[0] - 1
+        d = self.successors.shape[1]
+        packed = np.zeros(self.successors.shape[0], dtype=np.int64)
+        for s in range(1, t):
+            ends = self.columns[s - 1][:: d ** (t - s + 1)]
+            grown = self.back_labels[ends] * d ** (s - 1)
+            grown += packed[:, None]
+            packed = grown.reshape(-1)
+        out = np.empty(self.columns.shape[1], dtype=np.int64)
+        rows = out.reshape(packed.size, -1)
+        if t:
+            last = self.successors * np.int64(d ** t) + self.back_labels * d ** (t - 1)
+            np.take(last, self.columns[t - 1][::d], axis=0, out=rows, mode="clip")
+            rows += packed[:, None]
+        else:
+            rows[:, 0] = self.columns[0]
+        out.setflags(write=False)
+        return out
+
+    def path_products(self, values: np.ndarray) -> np.ndarray:
+        """Per walk in reverse-packing order, ``values[v_t] * values[v_(t-1)] *
+        ... * values[v_1]``, multiplied in that order (the start vertex is no
+        factor); float64 of length N * d**t, 1.0 everywhere at t = 0.
+
+        Level k's partial products take one factor per entry and are repeated
+        over the d**(t-k) walks below it only in the final write.
+        """
+        values = np.asarray(values, dtype=float)
+        prod = np.ones(self.successors.shape[0])
+        for level in self.levels:
+            factor = values[level].reshape(prod.size, -1)
+            factor *= prod[:, None]
+            prod = factor.reshape(-1)
+        out = np.empty(self.columns.shape[1])
+        out.reshape(prod.size, -1)[:] = prod[:, None]
+        return out
+
+    def interior_visits(self, weights: np.ndarray) -> np.ndarray:
+        """``out[v]``: the sum of ``weights[y]`` over every walk y (in
+        reverse-packing order) and every interior position 0 < s < t with
+        v_s = v, as float64 of length N.
+
+        Summing weights over runs of d gives each level's subtree sums, from
+        level t-1 (position 1) up to level 1 (position t-1), and one bincount
+        per level adds them per vertex.
+        """
+        sums = np.asarray(weights, dtype=float)
+        n = self.successors.shape[0]
+        out = np.zeros(n)
+        for level in self.levels[:0:-1]:
+            sums = sums.reshape(level.size, -1).sum(axis=1)
+            out += np.bincount(level, weights=sums, minlength=n)
+        return out
 
 
 def walk_space(g: HybridGraph, t: int) -> WalkSpace:
     """The walk space of (graph, t), built once and cached on the graph
     (immutable, so never stale).
 
-    The walk space is the grid (start, label_1, ..., label_t) in walk-index
-    order.  Step s follows every label out of the N * d**(s-1) distinct prefixes
-    and broadcasts the N * d**s results into column s.  Alongside, the reverse
-    packing sums each step's back label times d**(s-1); the terminal vertex
-    times d**t completes it (base-d digits, last step most significant).
+    Column s takes the successors of the N * d**(s-1) distinct prefixes, read
+    from column s-1, into the first walk of each run of d**(t-s), and copies
+    them along the run.  The levels of the reverse tree follow the
+    predecessor table from the terminal vertex.  All of it stays in the
+    narrow vertex dtype; ``reverse`` waits for its first read.
     """
     if t not in g._spaces:
         total = walk_count(g, t)
         if total > WALK_ENUM_MAX:
             raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
         n, d = g.n_vertices, g.d
-        columns = np.empty((t + 1, total), dtype=np.min_scalar_type(n - 1))
-        cur = np.arange(n, dtype=np.int64)
-        rho = np.zeros(n, dtype=np.int64)
-        columns[0].reshape(n, -1)[:] = cur[:, None]
+        dtype = np.min_scalar_type(n - 1)
+        succ = g.perm[g.rot.neighbors].astype(dtype)
+        columns = np.empty((t + 1, total), dtype=dtype)
+        columns[0].reshape(n, -1)[:] = np.arange(n, dtype=dtype)[:, None]
+        # take(mode="clip") writes into ``out`` without a buffer; vertices never clip
         for s in range(1, t + 1):
-            back = g.rot.back_labels[cur] * d ** (s - 1)
-            back += rho[:, None]
-            rho = back.reshape(-1)
-            cur = g.perm[g.rot.neighbors[cur]].reshape(-1)
-            columns[s].reshape(cur.size, -1)[:] = cur[:, None]
-        rho += cur * d ** t
-        columns.setflags(write=False)
-        rho.setflags(write=False)
-        g._spaces[t] = WalkSpace(columns, rho)
+            runs = columns[s].reshape(-1, d ** (t - s))
+            heads = runs[:, 0].reshape(-1, d)
+            np.take(succ, columns[s - 1][:: d ** (t - s + 1)], axis=0, out=heads, mode="clip")
+            runs[:, 1:] = runs[:, :1]
+        pred = g.predecessors.T.astype(dtype)
+        levels = [np.arange(n, dtype=dtype)]
+        for _ in range(1, t):
+            levels.append(pred[levels[-1]].reshape(-1))
+        for table in (columns, succ, *levels):
+            table.setflags(write=False)
+        levels = tuple(levels[:t])      # none at t = 0
+        g._spaces[t] = WalkSpace(columns, levels, succ, g.rot.back_labels)
     return g._spaces[t]
 
 

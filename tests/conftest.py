@@ -41,6 +41,17 @@ def announce(capsys):
     return _p
 
 
+# small graphs for the walk-space kernels: k4 has degree 3, so no bit packing
+TREE_GRAPHS = [("k4", "identity"), ("k4", "random"), ("mgg2", "identity"), ("mgg2", "random")]
+
+
+def tree_graph(rotation, perm):
+    rot = wb.k4_rotation() if rotation == "k4" else wb.mgg_rotation(2)
+    n = rot.n_vertices
+    p = np.arange(n) if perm == "identity" else np.random.default_rng(41).permutation(n)
+    return wb.HybridGraph(rot, p)
+
+
 def reverse_inv(g, rep):
     """Decode a reverse representation by table-lookup inversion of the vertex
     permutation; the inverse the library deliberately does not ship."""

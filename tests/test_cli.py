@@ -181,6 +181,23 @@ class TestVerifyBeta:
         assert report["results"]["independence"]["witnesses"] == []
         assert report["results"]["route_agreement_max_diff"] == 0.0
 
+    def test_verify_beta_leaves_the_reverse_packing_unbuilt(self, capsys, monkeypatch):
+        import walkbound.cli as cli
+
+        graphs = []
+
+        class Recorded(wb.HybridGraph):
+            def __post_init__(self):
+                super().__post_init__()
+                graphs.append(self)
+
+        monkeypatch.setattr(cli, "HybridGraph", Recorded)
+        code, _, _ = run_cli(capsys, ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled",
+                                      "--trials", "200", "--agree", "20", "--seed", "1"])
+        assert code == 0
+        spaces = [space for g in graphs for space in g._spaces.values()]
+        assert spaces and all("reverse" not in vars(space) for space in spaces)
+
 
 class TestBound:
     def test_cube_default_is_tight(self, capsys):

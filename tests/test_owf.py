@@ -9,7 +9,7 @@ import pytest
 import walkbound as wb
 from walkbound.errors import BudgetError, ParameterError, StructuralError
 
-from conftest import reverse_inv
+from conftest import TREE_GRAPHS, reverse_inv, tree_graph
 
 
 def mc_band(p, trials):
@@ -90,6 +90,24 @@ class TestDistributionsAndProfiles:
     def test_image_distribution_counts_collisions(self):
         f = wb.ToyFunction(2, 2, np.array([0, 0, 0, 3]), False)
         assert np.array_equal(wb.image_distribution(f), [0.75, 0.0, 0.0, 0.25])
+
+    def test_image_distribution_is_counts_over_inputs_bit_for_bit(self):
+        table = np.random.default_rng(45).integers(0, 1 << 5, size=1 << 12)
+        f = wb.ToyFunction(12, 5, table, False)
+        expect = np.bincount(table, minlength=1 << 5) / (1 << 12)
+        assert np.array_equal(wb.image_distribution(f), expect)
+
+    def test_image_distribution_holds_one_array(self):
+        # 2**20 outputs: the float64 result takes 8 MiB, and integer counts or a
+        # copy of the read-only table would take 8 MiB more
+        f = wb.random_permutation(20, 3)
+        tracemalloc.start()
+        try:
+            dist = wb.image_distribution(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dist.nbytes + 2 ** 20
 
     def test_planted_profile_size(self):
         f = wb.random_permutation(4, 3)
@@ -500,6 +518,84 @@ class TestReducedWalk:
 
     def test_cost_accounting(self):
         assert self.red.cost == self.chain.cost + 2 * 3 - 1
+
+
+# Random float profiles: the tree kernels change only the order of the products
+# and sums, so they agree with the per-walk formulas to rounding.
+PROFILE_RTOL = 1e-12
+
+
+def vertex_profile(g, kind):
+    if kind == "planted":
+        return wb.planted_profile(wb.vertex_function(g), 0.5)
+    return np.random.default_rng(43).random(g.n_vertices)
+
+
+def per_walk_chain(space, bp):
+    """The product over positions 1..t in walk-index order, scattered through
+    the reverse packing."""
+    vals = np.ones(space.columns.shape[1])
+    for col in space.columns[1:]:
+        vals *= bp[col]
+    out = np.zeros(space.columns.shape[1])
+    out[space.reverse] = vals
+    return out
+
+
+def per_walk_interior(space, weights, n):
+    """Weights gathered into walk-index order, then one bincount per interior
+    position."""
+    per_walk = weights[space.reverse]
+    acc = np.zeros(n)
+    for col in space.columns[1:-1]:
+        acc += np.bincount(col, weights=per_walk, minlength=n)
+    return acc
+
+
+def assert_profiles_match(got, expect, kind):
+    if kind == "planted":
+        assert np.array_equal(got, expect)
+    else:
+        np.testing.assert_allclose(got, expect, rtol=PROFILE_RTOL, atol=0.0)
+
+
+class TestReverseTreeProfiles:
+    """Both walk profiles over the predecessor tree against the per-walk
+    formulas; on k4 (d = 3, no bit packing) through the walk space's kernels."""
+
+    @pytest.mark.parametrize("kind", ["planted", "random"])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("graph", TREE_GRAPHS, ids="-".join)
+    def test_chain_profile(self, graph, t, kind):
+        g = tree_graph(*graph)
+        bp = vertex_profile(g, kind)
+        space = wb.walk_space(g, t)
+        expect = per_walk_chain(space, bp)
+        assert_profiles_match(space.path_products(bp), expect, kind)
+        if graph[0] == "mgg2":
+            base = wb.AdversaryOracle(wb.vertex_function(g), bp, seed=9)
+            got = wb.WalkChainInverter(base, g, t).success_profile()
+            assert_profiles_match(got, expect, kind)
+
+    @pytest.mark.parametrize("kind", ["planted", "random"])
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("graph", TREE_GRAPHS, ids="-".join)
+    def test_reduced_profile(self, graph, t, kind):
+        g = tree_graph(*graph)
+        space = wb.walk_space(g, t)
+        bp = vertex_profile(g, kind)
+        weights = per_walk_chain(space, bp)
+        if kind == "random":
+            weights = np.random.default_rng(44).random(weights.size)
+        expect = per_walk_interior(space, weights, g.n_vertices)
+        assert_profiles_match(space.interior_visits(weights), expect, kind)
+        if graph[0] == "mgg2":
+            base = wb.AdversaryOracle(wb.vertex_function(g), bp, seed=9)
+            chain = wb.WalkChainInverter(base, g, t)
+            inner = chain.success_profile()
+            got = wb.reduce_walk(chain, g, t, seed=10).success_profile()
+            expect = per_walk_interior(space, inner, g.n_vertices) / ((t - 1) * g.d ** t)
+            assert_profiles_match(got, expect, kind)
 
 
 class TestMeasureInversion:

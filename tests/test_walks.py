@@ -10,7 +10,7 @@ from scipy import stats
 import walkbound as wb
 from walkbound.errors import BudgetError, ParameterError, StructuralError
 
-from conftest import exact_family_counts, exact_family_prob
+from conftest import TREE_GRAPHS, exact_family_counts, exact_family_prob, tree_graph
 
 
 def random_masks(rng, b, t, n):
@@ -588,3 +588,62 @@ class TestWalkSpaceMemo:
         assert wb.walk_space(g_random, 2).reverse is rho
         assert not rho.flags.writeable
         assert np.array_equal(wb.walk_permutation(g_random, 2).table, rho)
+
+
+class TestReverseTree:
+    """The reverse-packing order: levels of the predecessor tree and the packing
+    itself, against per-walk formulas over the walk-index columns."""
+
+    @pytest.mark.parametrize("t", range(5))
+    @pytest.mark.parametrize("graph", TREE_GRAPHS, ids="-".join)
+    def test_reverse_matches_per_walk_packing(self, graph, t):
+        g = tree_graph(*graph)
+        d = g.d
+        space = wb.walk_space(g, t)
+        columns = space.columns.astype(np.int64)
+        x = np.arange(columns.shape[1])
+        expect = columns[t] * d ** t
+        for s in range(1, t + 1):
+            label = x // d ** (t - s) % d
+            expect += g.rot.back_labels[columns[s - 1], label] * d ** (s - 1)
+        assert space.reverse.dtype == np.int64 and not space.reverse.flags.writeable
+        assert np.array_equal(space.reverse, expect)
+        assert np.array_equal(np.sort(expect), x)
+
+    @pytest.mark.parametrize("t", range(5))
+    @pytest.mark.parametrize("graph", TREE_GRAPHS, ids="-".join)
+    def test_levels_hold_the_vertices_backward_from_the_end(self, graph, t):
+        g = tree_graph(*graph)
+        space = wb.walk_space(g, t)
+        assert len(space.levels) == t
+        for k, level in enumerate(space.levels):
+            assert level.size == g.n_vertices * g.d ** k
+            assert level.dtype == space.columns.dtype and not level.flags.writeable
+            assert np.array_equal(level[space.reverse // g.d ** (t - k)], space.columns[t - k])
+
+    def test_build_holds_no_full_length_temporary(self):
+        # W = 256 * 8**4 = 2**20 walks: the uint8 columns take 5 MiB, and one int64
+        # temporary of a column's length would take 8 MiB
+        g = wb.HybridGraph(wb.mgg_rotation(4), np.random.default_rng(26).permutation(256))
+        tracemalloc.start()
+        try:
+            space = wb.walk_space(g, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "reverse" not in vars(space)
+        assert peak < space.columns.nbytes + 2 * 2 ** 20
+
+    def test_reverse_is_built_once_on_first_read(self):
+        # beside the 8 MiB int64 packing, only temporaries of N * d**3 = 2**17
+        # entries: the prefix sums and the gather's intp indices, 1 MiB each
+        g = wb.HybridGraph(wb.mgg_rotation(4), np.random.default_rng(27).permutation(256))
+        space = wb.walk_space(g, 4)
+        tracemalloc.start()
+        try:
+            rho = space.reverse
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.reverse is rho
+        assert peak < rho.nbytes + 4 * 2 ** 20
