@@ -127,6 +127,8 @@ def cmd_spectral(args) -> dict:
     t0 = time.perf_counter()
     if not 0.0 < args.tol < np.inf:
         raise ParameterError(f"--tol must be finite and > 0, got {args.tol}")
+    if args.m_min < 1:
+        raise ParameterError(f"--m-min must be >= 1, got {args.m_min}")
     if args.m < args.m_min:
         raise ParameterError(f"--m must be >= --m-min, got {args.m} < {args.m_min}")
     if args.m > SPECTRAL_M_MAX:

@@ -11,6 +11,12 @@ all mod 2**m.  Consecutive labels are mutually inverse, so the rotation map is
 ``rotate(u, j) = (map_j(u), j XOR 1)``.  The doubled linear parts matter: the
 variant with ``x+y`` in place of ``x+2y`` has second eigenvalue drifting past
 0.91 by m=5, while this family provably stays below ``5*sqrt(2)/8``.
+
+The doubling also makes translation by ``2**(m-1)`` in either coordinate commute
+with every neighbor map, so the torus transition matrix splits into four
+character blocks of size N/4 (``torus_character_blocks``).  No torus spectrum
+builds the dense N x N matrix: up to ``DENSE_EIGENSOLVE_MAX`` vertices the four
+blocks are solved densely, above it Lanczos runs over the nonzeros.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .prob import RATIO_TOL
 
 STOCHASTIC_TOL = 1e-12
 SYMMETRY_TOL = 1e-14
-DENSE_EIGENSOLVE_MAX = 1024   # above this, switch to Lanczos
+DENSE_EIGENSOLVE_MAX = 1024   # dense eigvalsh up to this N (torus: four N/4 blocks); Lanczos above
 EIGEN_TOL = 1e-8              # residual stop of the Lanczos routes
 LANCZOS_MAX_STEPS = 400
 LANCZOS_BLOCK = 32            # basis vectors allocated at a time
@@ -341,22 +347,73 @@ def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport,
                             {"torus-cover": steps})
 
 
+def torus_character_blocks(rot: ColoredRotation) -> np.ndarray:
+    """The torus transition matrix split by its half translations.
+
+    With ``h = 2**(m-1)``, translation by h in x or in y commutes with every
+    neighbor map of ``mgg_rotation(m)``, because ``2h = 0 mod 2**m``.  The two
+    translations generate a Klein four-group, so the transition matrix A is
+    block diagonal over its four characters (a, b) in {0,1}^2.  Returns a
+    (2, 2, N/4, N/4) array whose ``[a, b]`` block acts on the quarter
+    ``x, y < h``: for each neighbor v of a quarter vertex u,
+    ``B[u, rep(v)] += (-1)**(a*qx(v) + b*qy(v)) / d``, where rep(v) reduces
+    both coordinates mod h and qx, qy are the bits that reduction drops.
+    spec(A) is the union of the four block spectra, and block [0, 0] is the
+    level m-1 transition matrix.  Both translations are first checked to
+    commute with the neighbor table, label by label: otherwise the blocks are
+    not those of A and need not even be symmetric.
+    """
+    m, n, d = rot.m, rot.n_vertices, rot.d
+    if m < 1 or n != 4 ** m:
+        raise StructuralError(f"rotation on {n} vertices is not a 2**{m} x 2**{m} torus")
+    half = 1 << (m - 1)
+    nb = rot.neighbors
+    idx = np.arange(n, dtype=np.int64)
+    for shift in (half << m, half):
+        if not np.array_equal(nb[idx ^ shift], nb ^ shift):
+            raise StructuralError(f"rotation does not commute with the half translations "
+                                  f"of the level {m} torus")
+    q = n // 4
+    x, y = np.divmod(np.arange(q, dtype=np.int64), half)
+    v = nb[(x << m) | y]
+    cell = np.arange(q)[:, None] * q + ((v >> m) & (half - 1)) * half + (v & (half - 1))
+    qx, qy = (v >> (2 * m - 1)) & 1, (v >> (m - 1)) & 1
+    char = np.arange(4)[:, None, None]
+    sign = 1 - 2 * (((char >> 1) * qx + (char & 1) * qy) & 1)
+    blocks = np.bincount((char * q * q + cell).reshape(-1), weights=sign.reshape(-1) / d,
+                         minlength=4 * q * q)
+    return blocks.reshape(2, 2, q, q)
+
+
+def _one_route_spectrum(rot: ColoredRotation, tol: float) -> SpectralReport:
+    """One route's spectrum of a torus level: the dense eigensolve of the four
+    character blocks up to ``DENSE_EIGENSOLVE_MAX`` vertices, else Lanczos over
+    the transition nonzeros."""
+    if rot.n_vertices > DENSE_EIGENSOLVE_MAX:
+        return second_eigenvalue_magnitude(transition_matrix(rot), tol)
+    evals = np.sort(np.linalg.eigvalsh(torus_character_blocks(rot)), axis=None)
+    return _spectral_report(float(evals[-2]), float(evals[0]), tol, "full-eigensolve", 0, True, {})
+
+
 def torus_spectrum(rot: ColoredRotation, base: Optional[SpectralReport] = None,
                    tol: float = EIGEN_TOL) -> SpectralReport:
     """Spectrum of ``mgg_rotation(m)`` by every route that applies.
 
-    Up to ``DENSE_EIGENSOLVE_MAX`` vertices this is the dense eigensolve.  Above
-    it, route A (Lanczos over the transition nonzeros) and route B
-    (``torus_cover_spectrum`` over ``base``, the level m-1 spectrum, computed
-    here when not given) both run; the report is route A's, with both routes'
-    matvecs, route B's alpha, and ``converged`` only if both converged and
-    their alphas agree within ``tol``.
+    Up to ``DENSE_EIGENSOLVE_MAX`` vertices this is one route: a dense
+    eigensolve of each of the four ``torus_character_blocks``, whose
+    eigenvalues together are the spectrum; ``base`` is not used, so every
+    level is solved on its own.  Above it, route A (Lanczos over the
+    transition nonzeros) and route B (``torus_cover_spectrum`` over ``base``,
+    the level m-1 spectrum, computed here by that level's one route when not
+    given) both run; the report is route A's, with both routes' matvecs,
+    route B's alpha, and ``converged`` only if both converged and their
+    alphas agree within ``tol``.
     """
-    lanczos = second_eigenvalue_magnitude(transition_matrix(rot), tol)
+    lanczos = _one_route_spectrum(rot, tol)
     if lanczos.method == "full-eigensolve":
         return lanczos
     if base is None:
-        base = second_eigenvalue_magnitude(transition_matrix(mgg_rotation(rot.m - 1)), tol)
+        base = _one_route_spectrum(mgg_rotation(rot.m - 1), tol)
     cover = torus_cover_spectrum(rot, base, tol)
     agree = abs(lanczos.alpha - cover.alpha) <= tol
     return replace(lanczos, iterations=lanczos.iterations + cover.iterations,

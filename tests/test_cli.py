@@ -512,10 +512,11 @@ class TestHarness:
              "--trials", "0"],
             ["spectral", "--m", "2", "--tol", "-1"],
             ["spectral", "--m", "2", "--tol", "nan"],
+            ["spectral", "--m", "2", "--m-min", "0"],
         ],
         ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
              "verify-agree-over-enumeration-ceiling", "negative-trials", "negative-agree",
-             "sampled-zero-trials", "negative-tol", "nan-tol"],
+             "sampled-zero-trials", "negative-tol", "nan-tol", "spectral-m-min-zero"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
         import walkbound.cli as cli

@@ -302,6 +302,72 @@ class TestCoveringRoute:
             wb.torus_cover_spectrum(relabeled, base)
 
 
+class TestCharacterBlocks:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_block_spectra_are_the_spectrum(self, m):
+        rot = wb.mgg_rotation(m)
+        evals = np.linalg.eigvalsh(wb.transition_matrix(rot).entries)
+        merged = np.sort(np.linalg.eigvalsh(wb.torus_character_blocks(rot)), axis=None)
+        assert merged.shape == evals.shape
+        assert np.max(np.abs(merged - evals)) <= 1e-12
+        rep = wb.torus_spectrum(rot)
+        assert rep.method == "full-eigensolve" and rep.converged
+        assert abs(rep.lambda_second - evals[-2]) <= 1e-12
+        assert abs(rep.lambda_min - evals[0]) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_trivial_block_is_the_level_below(self, m):
+        blocks = wb.torus_character_blocks(wb.mgg_rotation(m))
+        assert blocks.shape == (2, 2, 4 ** (m - 1), 4 ** (m - 1))
+        assert np.array_equal(blocks[0, 0], wb.transition_matrix(wb.mgg_rotation(m - 1)).entries)
+        for a in (0, 1):
+            for b in (0, 1):
+                assert np.array_equal(blocks[a, b], blocks[a, b].T)
+
+    def test_dense_solve_never_builds_the_full_matrix(self):
+        # N = 1024: the dense N x N matrix alone would take 8 MiB
+        tracemalloc.start()
+        try:
+            rep = wb.torus_spectrum(wb.mgg_rotation(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "full-eigensolve" and rep.converged
+        assert peak < 4 * 2 ** 20
+
+    def test_cover_base_comes_from_the_blocks(self, monkeypatch):
+        # at m = 6 only route A reads the transition nonzeros; the level 5
+        # base of route B is the block solve
+        built = []
+        honest = expander.transition_matrix
+
+        def recorded(rot):
+            built.append(rot.n_vertices)
+            return honest(rot)
+
+        def dense(tm):
+            raise AssertionError(f"dense {tm.n_dim} x {tm.n_dim} matrix built")
+
+        monkeypatch.setattr(expander, "transition_matrix", recorded)
+        monkeypatch.setattr(expander.TransitionMatrix, "entries", property(dense))
+        rep = wb.torus_spectrum(wb.mgg_rotation(6))
+        assert rep.converged and built == [4096]
+
+    def test_asymmetric_rotation_rejected(self):
+        rot = wb.mgg_rotation(3)
+        sigma = np.random.default_rng(3).permutation(rot.n_vertices)
+        relabeled = wb.ColoredRotation(
+            m=3, n_vertices=rot.n_vertices, d=8,
+            neighbors=sigma[rot.neighbors[np.argsort(sigma)]], back_labels=rot.back_labels,
+        )
+        with pytest.raises(StructuralError, match="half translations"):
+            wb.torus_spectrum(relabeled)
+
+    def test_non_torus_rejected(self):
+        with pytest.raises(StructuralError, match="torus"):
+            wb.torus_spectrum(wb.k4_rotation())
+
+
 class TestProjection:
     def test_mu_exact(self):
         s = wb.Projection.from_indices(16, [0, 3, 7, 9, 12])
