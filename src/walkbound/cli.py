@@ -187,8 +187,12 @@ def cmd_spectral(args) -> dict:
 
 def cmd_verify_beta(args) -> dict:
     t0 = time.perf_counter()
+    if args.m < 1:
+        raise ParameterError(f"--m must be >= 1, got {args.m}")
     if args.m > SPECTRAL_M_MAX:
         raise BudgetError(f"m={args.m} exceeds the eigensolver budget (m <= {SPECTRAL_M_MAX})")
+    if args.t < 0:
+        raise ParameterError(f"--t must be >= 0, got {args.t}")
     if args.trials < 0 or args.agree < 0:
         raise ParameterError("--trials and --agree must be >= 0")
     if args.mode == "sampled" and args.trials == 0:
@@ -199,6 +203,8 @@ def cmd_verify_beta(args) -> dict:
             f"2**{SUBSET_EXH_MAX_N} ceiling (use --mode sampled)"
         )
     walks = 4 ** args.m * 8 ** args.t
+    if walks >= 1 << 63:
+        raise BudgetError(f"walk count {walks} at m={args.m}, t={args.t} exceeds the 64-bit range")
     if args.agree > 0 and walks > WALK_ENUM_MAX:
         raise BudgetError(
             f"--agree enumerates {walks} walks at m={args.m}, t={args.t}, over the "
@@ -369,6 +375,8 @@ def cmd_amplify(args) -> dict:
     if args.construction == "walk":
         if args.m is None:
             raise ParameterError("walk construction requires --m")
+        if args.m < 1:
+            raise ParameterError(f"--m must be >= 1, got {args.m}")
         n = 2 * args.m
         if args.n is not None and args.n != n:
             raise ParameterError(f"walk construction at m={args.m} fixes n={n}")

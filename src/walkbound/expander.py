@@ -528,19 +528,6 @@ def compose_permutation(tm: TransitionMatrix, perm: np.ndarray) -> TransitionMat
     return TransitionMatrix.from_triples(n, tm.rows[order], cols[order], tm.vals[order], directed=True)
 
 
-def edge_coloring(rot: ColoredRotation) -> Optional[np.ndarray]:
-    """Edge coloring by labels, when the rotation preserves labels.
-
-    Returns ``colors[u, j] = j`` (incident edges of a vertex get distinct colors)
-    if ``rotate(u, j) = (v, j)`` everywhere; otherwise None.  Callers must treat
-    None as a normal outcome: the affine-torus family has no such coloring.
-    """
-    labels = np.arange(rot.d, dtype=np.int64)
-    if not np.array_equal(rot.back_labels, np.broadcast_to(labels, rot.back_labels.shape)):
-        return None
-    return np.broadcast_to(labels, (rot.n_vertices, rot.d)).copy()
-
-
 def adjacency_text(rot: ColoredRotation) -> str:
     """One line per vertex: ``u: v0 v1 ... v_{d-1}`` with neighbors in label order."""
     lines = []

@@ -38,7 +38,6 @@ WEIGHT_TOL = 1e-12        # allowed drift of a weight vector's total mass from 1
 IDENTICAL_TOL = 1e-12     # marginal histograms closer than this count as identical
 HOLDS_SLACK = 1e-9        # bound - E[Z] >= -HOLDS_SLACK counts as the bound holding
 RATIO_TOL = 1e-9          # joint/product ratios up to 1 + RATIO_TOL count as bounded
-EVENT_BUDGET = 2 ** 24    # exhaustive independence checks may evaluate this many events
 GRID_MAX_BYTES = 2 ** 30  # product-space grids: coordinates, weights and outcome tuples
 SWEEP_SCRATCH_BYTES = 2 ** 21  # working memory of one block of a product-instance sweep
 MAX_WITNESSES = 16
@@ -142,9 +141,6 @@ class RandomObject:
     def distribution(self) -> np.ndarray:
         """Pushforward weights: P{U = psi} for each codomain point, in order."""
         return np.bincount(self.index_map, weights=self.domain.weights, minlength=len(self.codomain))
-
-    def induced_space(self) -> FiniteSpace:
-        return FiniteSpace(self.codomain, self.distribution())
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,108 +425,6 @@ class IndependenceReport:
             "beta": self.beta,
             "holds": self.holds,
         }
-
-
-def check_independence(
-    objects: Sequence[RandomObject],
-    beta: float,
-    mode: str = "exhaustive",
-    trials: int = 1000,
-    seed: int = 0,
-    budget: int = EVENT_BUDGET,
-) -> IndependenceReport:
-    """Measure how far a family is from beta-independence.
-
-    For families (S_0, ..., S_{t-1}) of codomain subsets the ratio
-    ``P{all U_i in S_i} / prod_i(alpha + beta * mu_i)`` is computed, with the
-    0/0 convention that an empty event against a zero product counts as 0.
-    ``exhaustive`` enumerates every single-set family (S_i = T for all i) and
-    additionally samples ``trials`` random multi-set families; ``sampled`` does
-    only the latter.  Exhaustive enumeration refuses to exceed ``budget`` event
-    evaluations.
-    """
-    objects = list(objects)
-    if len(objects) == 0:
-        raise StructuralError("need at least one random object")
-    if not (0.0 <= beta <= 1.0):
-        raise ParameterError(f"beta must lie in [0, 1], got {beta}")
-    if mode not in ("exhaustive", "sampled"):
-        raise ParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    domain = objects[0].domain
-    codomain = objects[0].codomain
-    for u in objects[1:]:
-        if not u.domain.same_space(domain):
-            raise StructuralError("all objects must share one sample space")
-        if u.codomain != codomain:
-            raise StructuralError("all objects must share one codomain")
-    t = len(objects)
-    k = len(codomain)
-    alpha = 1.0 - beta
-    dists = np.stack([u.distribution() for u in objects])
-    maps = np.stack([u.index_map for u in objects])
-    w = domain.weights
-
-    worst = 0.0
-    witnesses: list = []
-    n_single = 0
-
-    def _note(ratio: float, describe) -> None:
-        nonlocal worst
-        if ratio > worst:
-            worst = ratio
-        if ratio > 1.0 + RATIO_TOL and len(witnesses) < MAX_WITNESSES:
-            witnesses.append((describe(), float(ratio)))
-
-    if mode == "exhaustive":
-        n_single = 1 << k
-        if n_single * t > budget:
-            raise BudgetError(
-                f"exhaustive single-set enumeration needs {n_single * t} event "
-                f"evaluations, over the budget of {budget}"
-            )
-        sig = np.zeros(domain.size, dtype=np.int64)
-        for row in maps:
-            sig |= np.int64(1) << row
-        joint = subset_sums(np.bincount(sig, weights=w, minlength=n_single), k)
-        masks = ((np.arange(n_single, dtype=np.int64)[:, None] >> np.arange(k)) & 1).astype(float)
-        mus = masks @ dists.T                        # (2^k, t)
-        prod = np.prod(alpha + beta * mus, axis=1)
-        ratios = np.divide(joint, prod, out=np.zeros_like(joint), where=prod > 0)
-        bad_zero = (prod == 0) & (joint > 0)
-        if np.any(bad_zero):
-            ratios = ratios.copy()
-            ratios[bad_zero] = np.inf
-        order = np.argsort(ratios)[::-1]
-        for idx in order[: max(MAX_WITNESSES, 1)]:
-            _note(float(ratios[idx]), lambda: ("single", int(idx)))
-        worst = max(worst, float(np.max(ratios)))
-
-    n_sampled = 0
-    if trials > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            fam_masks = rng.integers(0, 2, size=(t, k)).astype(bool)
-            member = np.ones(domain.size, dtype=bool)
-            for i in range(t):
-                member &= fam_masks[i][maps[i]]
-            joint = float(np.sum(w[member]))
-            prod = 1.0
-            for i in range(t):
-                prod *= alpha + beta * float(np.sum(dists[i][fam_masks[i]]))
-            if prod > 0:
-                ratio = joint / prod
-            else:
-                ratio = 0.0 if joint == 0.0 else np.inf
-            _note(ratio, lambda: ("multi", tuple(map(mask_int, fam_masks))))
-            n_sampled += 1
-
-    return IndependenceReport(
-        worst_ratio=float(worst),
-        witnesses=tuple(witnesses),
-        n_single=n_single,
-        n_sampled=n_sampled,
-        beta=beta,
-    )
 
 
 def _grid(shape: tuple) -> np.ndarray:

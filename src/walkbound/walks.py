@@ -19,7 +19,7 @@ level down or up that tree, so the walks are never moved between the orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -445,6 +445,78 @@ def _family_counts(g: HybridGraph, masks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_families(marginals: np.ndarray, per: int, event_probs, beta: float, mode: str,
+                    trials: int, seed: int) -> IndependenceReport:
+    """Check the product bound ``P{U_i in S_i for all i} <= prod_i(alpha + beta *
+    mu_i(S_i))`` over families (S_0, ..., S_{t-1}) of sets of k points, where
+    ``marginals[i]`` (shape (t, k)) is the distribution of U_i.
+
+    ``event_probs(masks, subsets)`` returns the left side for a (B, t, k)
+    boolean batch of families; ``subsets`` is the (B,) int64 array of set ids
+    (bit v set iff v is in the set) when each family repeats one set at every
+    position, else None.  ``exhaustive`` sweeps every single-set family (all
+    2**k subsets) and then samples ``trials`` families with ``random_families``;
+    ``sampled`` only samples, ``per`` families a batch.  Single-set batches are
+    ``_batch_size(k, t - 1)`` families: their flags are the batch's only
+    allocation here, and ``event_probs`` sizes its own scratch.  A ratio against a
+    zero bound is 0 for an empty event and inf otherwise; the report keeps the
+    first MAX_WITNESSES ratios over 1 + RATIO_TOL, in sweep order.
+    """
+    if not (0.0 <= beta <= 1.0):
+        raise ParameterError(f"beta must lie in [0, 1], got {beta}")
+    if mode not in ("exhaustive", "sampled"):
+        raise ParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if trials < 0:
+        raise ParameterError(f"trials must be >= 0, got {trials}")
+    if mode == "sampled" and trials == 0:
+        raise ParameterError("sampled mode needs trials >= 1")
+    t, k = marginals.shape
+    if mode == "exhaustive" and k > SUBSET_EXH_MAX_N:
+        raise BudgetError(
+            f"exhaustive single-set sweep needs 2**{k} subsets, over the "
+            f"2**{SUBSET_EXH_MAX_N} ceiling"
+        )
+    alpha = 1.0 - beta
+    worst = 0.0
+    witnesses: list = []
+
+    def _note(masks: np.ndarray, probs: np.ndarray, describe) -> None:
+        nonlocal worst
+        bound = np.ones(probs.size)
+        for i in range(t):
+            bound *= alpha + beta * (masks[:, i] @ marginals[i])
+        ratios = np.divide(probs, bound, out=np.zeros_like(probs), where=bound > 0)
+        ratios[(bound == 0) & (probs > 0)] = np.inf
+        worst = max(worst, float(np.max(ratios)))
+        for idx in np.nonzero(ratios > 1.0 + RATIO_TOL)[0][: MAX_WITNESSES - len(witnesses)]:
+            witnesses.append((describe(int(idx)), float(ratios[idx])))
+
+    n_single = 1 << k if mode == "exhaustive" else 0
+    bit_cols = np.arange(k, dtype=np.int64)
+    step = _batch_size(k, t - 1)
+    for lo in range(0, n_single, step):
+        ids = np.arange(lo, min(lo + step, n_single), dtype=np.int64)
+        sets = ((ids[:, None] >> bit_cols) & 1).astype(bool)
+        same_set = np.broadcast_to(sets[:, None, :], (ids.size, t, k))
+        _note(same_set, event_probs(same_set, ids), lambda i, lo=lo: ("single", lo + i))
+
+    rng = np.random.default_rng(seed)
+    n_sampled = 0
+    while n_sampled < trials:
+        masks = random_families(rng, min(per, trials - n_sampled), t - 1, k)
+        _note(masks, event_probs(masks, None),
+              lambda i, masks=masks: ("multi", tuple(map(mask_int, masks[i]))))
+        n_sampled += masks.shape[0]
+
+    return IndependenceReport(
+        worst_ratio=float(worst),
+        witnesses=tuple(witnesses),
+        n_single=n_single,
+        n_sampled=n_sampled,
+        beta=beta,
+    )
+
+
 def verify_walk_independence(
     g: HybridGraph,
     t: int,
@@ -460,68 +532,65 @@ def verify_walk_independence(
     each of the t+1 positions) and additionally samples ``trials`` multi-set
     families; ``sampled`` does only the sampling.  ``beta`` is the caller's
     measured spectral gap; marginals are uniform so ``mu = |S|/N`` exactly.
+    Event probabilities come from the walk-count operator.
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
-    if not (0.0 <= beta <= 1.0):
-        raise ParameterError(f"beta must lie in [0, 1], got {beta}")
-    if mode not in ("exhaustive", "sampled"):
-        raise ParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    n = g.n_vertices
-    if mode == "exhaustive" and n > SUBSET_EXH_MAX_N:
-        raise BudgetError(
-            f"exhaustive single-set sweep needs 2**{n} subsets, over the "
-            f"2**{SUBSET_EXH_MAX_N} ceiling"
-        )
-    alpha = 1.0 - beta
     total = walk_count(g, t)
-    per = _batch_size(n, t)
-    worst = 0.0
-    witnesses: list = []
-    n_single = 0
-
-    def _note(probs: np.ndarray, bound: np.ndarray, describe) -> None:
-        nonlocal worst
-        ratios = np.divide(probs, bound, out=np.zeros_like(probs), where=bound > 0)
-        ratios[(bound == 0) & (probs > 0)] = np.inf
-        worst = max(worst, float(np.max(ratios)))
-        if len(witnesses) < MAX_WITNESSES:
-            for idx in np.nonzero(ratios > 1.0 + RATIO_TOL)[0]:
-                if len(witnesses) >= MAX_WITNESSES:
-                    break
-                witnesses.append((describe(int(idx)), float(ratios[idx])))
-
-    if mode == "exhaustive":
-        n_single = 1 << n
-        bit_cols = np.arange(n, dtype=np.int64)
-        for lo in range(0, n_single, per):
-            ids = np.arange(lo, min(lo + per, n_single), dtype=np.int64)
-            sets = ((ids[:, None] >> bit_cols) & 1).astype(bool)
-            mu = sets.sum(axis=1) / n
-            same_set = np.broadcast_to(sets[:, None, :], (ids.size, t + 1, n))
-            probs = _family_counts(g, same_set) / total
-            bound = (alpha + beta * mu) ** (t + 1)
-            _note(probs, bound, lambda i, lo=lo: ("single", lo + i))
-
-    n_sampled = 0
-    if trials > 0:
-        rng = np.random.default_rng(seed)
-        while n_sampled < trials:
-            b = min(per, trials - n_sampled)
-            masks = random_families(rng, b, t, n)
-            probs = _family_counts(g, masks) / total
-            mus = masks.sum(axis=2) / n
-            bound = np.prod(alpha + beta * mus, axis=1)
-            _note(probs, bound, lambda i, masks=masks: ("multi", tuple(map(mask_int, masks[i]))))
-            n_sampled += b
-
-    return IndependenceReport(
-        worst_ratio=float(worst),
-        witnesses=tuple(witnesses),
-        n_single=n_single,
-        n_sampled=n_sampled,
-        beta=beta,
+    n = g.n_vertices
+    return _check_families(
+        np.full((t + 1, n), 1.0 / n), _batch_size(n, t),
+        lambda masks, _: _family_counts(g, masks) / total, beta, mode, trials, seed,
     )
+
+
+def check_independence(
+    objects: Sequence[RandomObject],
+    beta: float,
+    mode: str = "exhaustive",
+    trials: int = 1000,
+    seed: int = 0,
+) -> IndependenceReport:
+    """Measure how far random objects on one finite space, with one codomain,
+    are from beta-independence: the same check as ``verify_walk_independence``,
+    with each object's own distribution as its marginal.
+
+    Single-set families read one subset-sum table over the outcomes' signatures
+    (bit v set iff some object maps the outcome to v), built once on the first
+    read; sampled families sum the weights of the outcomes every object maps
+    into its set.  A sampled batch holds the family flags and one float and two
+    boolean copies of the outcome axis, within WALK_SCRATCH_BYTES.
+    """
+    objects = list(objects)
+    if len(objects) == 0:
+        raise StructuralError("need at least one random object")
+    domain = objects[0].domain
+    codomain = objects[0].codomain
+    for u in objects[1:]:
+        if not u.domain.same_space(domain):
+            raise StructuralError("all objects must share one sample space")
+        if u.codomain != codomain:
+            raise StructuralError("all objects must share one codomain")
+    t, k = len(objects), len(codomain)
+    maps = np.stack([u.index_map for u in objects])
+    w = domain.weights
+
+    @cache
+    def single_table() -> np.ndarray:
+        sig = np.zeros(domain.size, dtype=np.int64)
+        for row in maps:
+            sig |= np.int64(1) << row
+        return subset_sums(np.bincount(sig, weights=w, minlength=1 << k), k)
+
+    def event_probs(masks: np.ndarray, subsets) -> np.ndarray:
+        if subsets is not None:
+            return single_table()[subsets]
+        member = np.take(masks[:, 0], maps[0], axis=1)
+        for i in range(1, t):
+            member &= np.take(masks[:, i], maps[i], axis=1)
+        return member @ w
+
+    per = max(1, WALK_SCRATCH_BYTES // (10 * (t * k + domain.size)))
+    marginals = np.stack([u.distribution() for u in objects])
+    return _check_families(marginals, per, event_probs, beta, mode, trials, seed)
 
 
 def single_set_event_probs(g: HybridGraph, t: int) -> np.ndarray:

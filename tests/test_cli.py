@@ -513,10 +513,17 @@ class TestHarness:
             ["spectral", "--m", "2", "--tol", "-1"],
             ["spectral", "--m", "2", "--tol", "nan"],
             ["spectral", "--m", "2", "--m-min", "0"],
+            ["verify-beta", "--m", "7", "--t", "-1", "--mode", "sampled", "--seed", "1"],
+            ["verify-beta", "--m", "7", "--t", "25", "--mode", "sampled", "--agree", "0",
+             "--seed", "1"],
+            ["verify-beta", "--m", "0", "--t", "2", "--seed", "1"],
+            ["amplify", "--construction", "walk", "--m", "0", "--t", "2", "--seed", "1"],
         ],
         ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
              "verify-agree-over-enumeration-ceiling", "negative-trials", "negative-agree",
-             "sampled-zero-trials", "negative-tol", "nan-tol", "spectral-m-min-zero"],
+             "sampled-zero-trials", "negative-tol", "nan-tol", "spectral-m-min-zero",
+             "verify-negative-t", "verify-walk-count-over-64-bits", "verify-m-zero",
+             "amplify-walk-m-zero"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
         import walkbound.cli as cli

@@ -476,17 +476,6 @@ class TestComposePermutation:
             wb.compose_permutation(tm, np.zeros(16, dtype=int))
 
 
-class TestEdgeColoring:
-    def test_torus_family_has_none(self, rot2):
-        assert wb.edge_coloring(rot2) is None
-
-    def test_label_preserving_rotation_has_one(self):
-        colors = wb.edge_coloring(wb.k4_rotation())
-        assert colors is not None
-        for u in range(4):
-            assert sorted(colors[u]) == [0, 1, 2]
-
-
 class TestAdjacencyText:
     def test_k4_golden(self):
         text = wb.adjacency_text(wb.k4_rotation())

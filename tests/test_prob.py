@@ -334,6 +334,13 @@ class TestIndependence:
         # equality is attained at the full family
         assert rep.worst_ratio >= 1.0 - 1e-9
 
+    def test_each_object_is_bounded_by_its_own_marginal(self):
+        # independent coordinates with distinct marginals: the product bound at
+        # beta = 1 is the exact probability of every family
+        z, objs = random_product_instance(3, 4, 22, identical=False)
+        rep = wb.check_independence(objs, beta=1.0, mode="exhaustive", trials=500, seed=0)
+        assert rep.holds and rep.worst_ratio >= 1.0 - 1e-9
+
     def test_correlated_objects_flagged(self):
         s = wb.FiniteSpace.uniform(range(2))
         u = wb.RandomObject(s, (0, 1), np.array([0, 1]))
@@ -380,6 +387,31 @@ class TestIndependence:
         z, objs = random_product_instance(2, 3, 0, identical=True)
         with pytest.raises(ParameterError):
             wb.check_independence(objs, beta=1.0, mode="everything")
+
+    @pytest.mark.parametrize("mode,trials", [("exhaustive", -1), ("sampled", -1), ("sampled", 0)])
+    def test_no_vacuous_pass_on_trial_counts(self, mode, trials):
+        # sampled mode with no families would check nothing and hold
+        z, objs = random_product_instance(2, 3, 0, identical=True)
+        with pytest.raises(ParameterError):
+            wb.check_independence(objs, beta=1.0, mode=mode, trials=trials)
+
+    @pytest.mark.parametrize("t,k", [(3, 3), (2, 5), (4, 7)])
+    def test_sampled_families_follow_one_draw_per_family(self, t, k):
+        # one fully dependent object taken t times, on eighth weights: the
+        # witnesses are the families of per-family rng.integers draws whose
+        # exact ratio exceeds 1, in draw order, for odd and even flag counts
+        pts = np.arange(8) % k
+        u = wb.RandomObject(wb.FiniteSpace.uniform(range(8)), tuple(range(k)), pts)
+        rep = wb.check_independence([u] * t, beta=1.0, mode="sampled", trials=200, seed=6)
+        rng = np.random.default_rng(6)
+        expect = []
+        for _ in range(200):
+            sets = rng.integers(0, 2, size=(t, k)).astype(bool)
+            joint = sum(0.125 for p in pts if all(s[p] for s in sets))
+            prod = math.prod(sum(0.125 for p in pts if s[p]) for s in sets)
+            if prod > 0 and joint / prod > 1.0 + 1e-9:
+                expect.append(joint / prod)
+        assert [ratio for _, ratio in rep.witnesses] == expect[:16]
 
 
 def reference_sweep(t, psi, seeds, eps, beta, pooled):

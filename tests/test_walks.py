@@ -451,6 +451,12 @@ class TestWalkIndependence:
         with pytest.raises(ParameterError):
             wb.verify_walk_independence(g_random, 2, 0.5, mode="quick")
 
+    @pytest.mark.parametrize("mode,trials", [("exhaustive", -1), ("sampled", -1), ("sampled", 0)])
+    def test_no_vacuous_pass_on_trial_counts(self, g_random, mode, trials):
+        # sampled mode with no families would check nothing and hold
+        with pytest.raises(ParameterError):
+            wb.verify_walk_independence(g_random, 2, 0.3, mode=mode, trials=trials)
+
     def test_exhaustive_budget(self):
         rot = wb.mgg_rotation(3)
         g = wb.HybridGraph(rot, np.arange(64))
@@ -550,6 +556,19 @@ class TestProjectionBridge:
         beta = 1.0 - wb.second_eigenvalue_magnitude(wb.transition_matrix(g_random.rot)).alpha
         rep = wb.check_independence(objects, beta, mode="sampled", trials=400, seed=5)
         assert rep.holds
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("beta", [0.9, 1.0, None], ids=["0.9", "1.0", "measured"])
+    def test_both_independence_checkers_give_one_report(self, mode, beta):
+        # every weight and mass here is dyadic, so the membership / subset-sum
+        # route and the walk-count route give the same floats, witnesses included
+        g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(8).permutation(16))
+        if beta is None:
+            beta = 1.0 - wb.second_eigenvalue_magnitude(wb.transition_matrix(g.rot)).alpha
+        _, objects = wb.projection_objects(g, 2)
+        by_objects = wb.check_independence(objects, beta, mode, trials=300, seed=4)
+        by_walks = wb.verify_walk_independence(g, 2, beta, mode, trials=300, seed=4)
+        assert by_objects.to_dict() == by_walks.to_dict()
 
     def test_marginals_are_uniform(self, g_random):
         _, objects = wb.projection_objects(g_random, 2)
