@@ -27,7 +27,6 @@ from .prob import _frozen_array
 from .walks import HybridGraph, Walk, validate_walk, walk_space
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
-VALIDATE_PERM_MAX = 20     # permutation flags are checked exhaustively up to this n
 
 
 def _exact_log2(x: int) -> int:
@@ -45,7 +44,12 @@ def _check_table_bits(bits: int, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ToyFunction:
-    """A function on n-bit strings stored as a full lookup table of integers."""
+    """A function on n-bit strings stored as a full lookup table of integers.
+
+    An ``is_permutation`` flag is checked at construction at every size: with
+    2**n entries, all in range, a table is a bijection exactly when it covers
+    every output, which one bool scatter over the table decides in O(2**n).
+    """
 
     n: int
     out_bits: int
@@ -66,9 +70,7 @@ class ToyFunction:
         if self.is_permutation:
             if self.out_bits != self.n:
                 raise StructuralError("a permutation must be length-preserving")
-            if self.n <= VALIDATE_PERM_MAX and not np.array_equal(
-                np.sort(t), np.arange(1 << self.n)
-            ):
+            if not _image_mask(self).all():
                 raise StructuralError("is_permutation is set but the table is not a bijection")
 
     def apply(self, x: int) -> int:
@@ -105,13 +107,25 @@ def vertex_function(g: HybridGraph) -> ToyFunction:
     return ToyFunction(n, n, g.perm, True)
 
 
+def _image_mask(func: ToyFunction) -> np.ndarray:
+    """Bool mask over the outputs of func, True on its image."""
+    seen = np.zeros(1 << func.out_bits, dtype=bool)
+    seen[func.table] = True
+    return seen
+
+
 def image_distribution(func: ToyFunction) -> np.ndarray:
     """Distribution of func(x) for uniform x, indexed by output value.
 
-    Adds 2**-n once per input in place: every partial sum k * 2**-n is exact,
-    so this equals the counts divided by 2**n bit for bit, with one float64
-    array and no integer counts or index copy beside it.
+    A permutation (its flag is checked at construction) is uniform: 2**-n on
+    every output, with no pass over the table.  Otherwise 2**-n is added once
+    per input in place; every partial sum k * 2**-n is exact, so this equals
+    the counts divided by 2**n bit for bit, with one float64 array and no
+    integer counts or index copy beside it.  On a permutation that sum is one
+    addition to 0.0 per output, so the two paths agree bit for bit.
     """
+    if func.is_permutation:
+        return np.full(1 << func.n, 2.0 ** -func.n)
     dist = np.zeros(1 << func.out_bits)
     np.add.at(dist, func.table, 2.0 ** -func.n)
     return dist
@@ -125,7 +139,7 @@ def planted_profile(func: ToyFunction, delta: float) -> np.ndarray:
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    img = np.unique(func.table)
+    img = np.flatnonzero(_image_mask(func))
     k = round((1.0 - delta) * img.size)
     prof = np.zeros(1 << func.out_bits)
     prof[img[:k]] = 1.0

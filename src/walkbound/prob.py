@@ -233,7 +233,7 @@ def _tail_masses(mass: np.ndarray, values: np.ndarray, eps: float) -> np.ndarray
     counts = over.sum(axis=1)
     packed = np.take_along_axis(mass, np.argsort(~over, axis=1, kind="stable"), axis=1)
     out = np.empty(mass.shape[0])
-    for n in np.unique(counts):
+    for n in np.flatnonzero(np.bincount(counts)):
         rows = counts == n
         out[rows] = np.sum(packed[rows, :n], axis=1)
     return out

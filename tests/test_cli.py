@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -550,6 +554,25 @@ class TestHarness:
         code, report, err = run_cli(capsys, argv + [str(tmp_path / "missing" / "x")])
         assert code == 2 and report is None
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_amplify_and_sweep_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, about 11 ms per process
+        script = (
+            "import contextlib, io, sys\n"
+            "from walkbound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['amplify', '--construction', 'walk', '--m', '3', '--t', '5',\n"
+            "                   '--seed', '1']),\n"
+            "             main(['bound', '--preset', 'sweep', '--seed', '1'])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(wb.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["[0,", "0]", "False"]
 
     def test_version_field(self, capsys):
         _, report, _ = run_cli(capsys, ["bound", "--preset", "cube"])

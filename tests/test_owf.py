@@ -33,6 +33,13 @@ class TestToyFunction:
         with pytest.raises(StructuralError):
             wb.ToyFunction(2, 2, np.array([0, 0, 1, 2]), True)
 
+    def test_false_permutation_flag_rejected_above_twenty_bits(self):
+        # one collision in a 21-bit table: the flag is checked at every size
+        table = np.arange(1 << 21)
+        table[5] = 6
+        with pytest.raises(StructuralError, match="bijection"):
+            wb.ToyFunction(21, 21, table, True)
+
     def test_permutation_must_preserve_length(self):
         with pytest.raises(StructuralError):
             wb.ToyFunction(2, 3, np.arange(4), True)
@@ -108,6 +115,44 @@ class TestDistributionsAndProfiles:
         finally:
             tracemalloc.stop()
         assert peak < dist.nbytes + 2 ** 20
+
+    def test_image_distribution_of_non_permutation_holds_one_array(self):
+        table = np.random.default_rng(46).integers(0, 1 << 20, size=1 << 20)
+        f = wb.ToyFunction(20, 20, table, False)
+        tracemalloc.start()
+        try:
+            dist = wb.image_distribution(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dist.nbytes + 2 ** 20
+        assert np.array_equal(dist, np.bincount(table, minlength=1 << 20) / (1 << 20))
+
+    def test_walk_permutation_distribution_is_counts_over_inputs_bit_for_bit(self):
+        # the uniform shortcut for permutations against counting, at 2**21 walks
+        g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(1).permutation(64))
+        f = wb.walk_permutation(g, 5)
+        assert f.n == 21 and f.is_permutation
+        expect = np.bincount(f.table, minlength=1 << f.n) / (1 << f.n)
+        assert wb.image_distribution(f).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: wb.ToyFunction(
+                10, 8, np.random.default_rng(47).integers(0, 1 << 8, size=1 << 10), False
+            ),
+            lambda: wb.random_permutation(10, 4),
+        ],
+        ids=["collisions", "permutation"],
+    )
+    def test_planted_profile_matches_unique_reference(self, build, delta):
+        f = build()
+        img = np.unique(f.table)
+        expect = np.zeros(1 << f.out_bits)
+        expect[img[: round((1.0 - delta) * img.size)]] = 1.0
+        assert np.array_equal(wb.planted_profile(f, delta), expect)
 
     def test_planted_profile_size(self):
         f = wb.random_permutation(4, 3)
