@@ -236,17 +236,19 @@ def repeat_amplify(inner: Inverter, k: int) -> RepeatedInverter:
 
 
 def direct_power(func: ToyFunction, t: int) -> ToyFunction:
-    """The t-fold parallel application, block 0 in the most significant bits."""
+    """The t-fold parallel application, block 0 in the most significant bits.
+
+    Each block appends one broadcast outer product: the table so far, shifted,
+    ORed with the base table; the read-only result is shared, not copied.
+    """
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     if func.n * t > TABLE_MAX_BITS:
         raise BudgetError(f"power table needs {func.n * t} input bits, over {TABLE_MAX_BITS}")
-    idx = np.arange(1 << (func.n * t), dtype=np.int64)
-    out = np.zeros_like(idx)
-    in_mask = (1 << func.n) - 1
-    for j in range(t):
-        block = (idx >> (func.n * (t - 1 - j))) & in_mask
-        out = (out << func.out_bits) | func.table[block]
+    out = func.table
+    for _ in range(t - 1):
+        out = ((out[:, None] << func.out_bits) | func.table[None, :]).reshape(-1)
+    out.setflags(write=False)
     return ToyFunction(func.n * t, func.out_bits * t, out, func.is_permutation)
 
 
@@ -644,8 +646,10 @@ def measure_inversion(
     """Success probability of inverting func(x) for uniform x.
 
     ``exact`` integrates the oracle's success profile against the image
-    distribution; ``mc`` runs seeded trials through the live oracle and verifies
-    every defined answer.
+    distribution: for a permutation (its flag is checked at construction) that
+    is uniform, so the profile's sum times 2**-n (an exact scaling), with no
+    2**n array beside the profile.  ``mc`` runs seeded trials through the live
+    oracle and verifies every defined answer.
     """
     if mode not in ("exact", "mc"):
         raise ParameterError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -654,7 +658,10 @@ def measure_inversion(
     if mode == "exact":
         prof = oracle.success_profile()
         per_point = prof
-        success = float(image_distribution(func) @ prof)
+        if func.is_permutation:
+            success = float(np.sum(prof)) * 2.0 ** -func.n
+        else:
+            success = float(image_distribution(func) @ prof)
         n_trials = 1 << func.n
     else:
         if trials < 1:

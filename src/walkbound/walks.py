@@ -167,28 +167,60 @@ class WalkSpace:
     """Every t-step walk of a hybrid graph, read-only, in two orders.
 
     Walk-index order (start vertex most significant, then the labels in walk
-    order): ``columns[s]`` holds the vertex at position s of every walk, in the
-    narrowest unsigned dtype that holds N - 1.
+    order) is a prefix tree growing forward: the vertex at position s is
+    constant on runs of d**(t-s) walks.  ``heads[s]``, s < t, holds it once per
+    run, N * d**s entries in the narrowest unsigned dtype that holds N - 1;
+    level s+1 is ``successors[heads[s]]``.  The tree is about 1/(d-1) of one
+    position's full length; ``n_walks`` is N * d**t.  ``columns[s]``, the
+    vertex at position s of every walk, is built from the heads on its first
+    read: only the enumeration route reads it.
 
     Reverse-packing order, ``y = v_t * d**t + sum_s b_s * d**(s-1)`` with b_s
     the back label of step s: this enumerates the walks backward from their
     terminal vertex, so the vertex k steps before the end is constant on runs
     of d**(t-k) points.  ``levels[k]``, k < t, holds it once per run, N * d**k
-    entries in the columns' dtype; level k+1 is level k's row of the
+    entries in the heads' dtype; level k+1 is level k's row of the
     predecessor table, ``pred.T[levels[k]]`` (back label b reached from w is
     ``pred[b, w]``).  The start vertex's level would be a full column, and no
     reader needs it.  ``reverse`` maps walk index to reverse packing (int64);
     it is built on its first read, since only the walk permutation needs it.
 
-    ``successors[u, j]`` (columns' dtype) and ``back_labels[u, j]`` are the
+    ``successors[u, j]`` (heads' dtype) and ``back_labels[u, j]`` are the
     step tables: edge slot j out of u ends at ``successors[u, j]`` and is
     undone by back label ``back_labels[u, j]``.
     """
 
-    columns: np.ndarray
+    heads: tuple
+    n_walks: int
     levels: tuple
     successors: np.ndarray
     back_labels: np.ndarray
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """``columns[s]``: the vertex at position s of every walk, in walk-index
+        order, read-only (t+1, N * d**t) in the heads' dtype.
+
+        Column s < t copies each head along its run of d**(t-s) walks.  Column
+        t is ``successors[heads[t-1]]``, taken straight into place in ranges of
+        heads, so the intp copy that ``np.take`` makes of its indices stays
+        within WALK_SCRATCH_BYTES / 8 and nothing else has a column's length.
+        """
+        n, d = self.successors.shape
+        t = len(self.heads)
+        columns = np.empty((t + 1, self.n_walks), dtype=self.successors.dtype)
+        columns[0].reshape(n, -1)[:] = np.arange(n, dtype=columns.dtype)[:, None]
+        for s in range(1, t):
+            columns[s].reshape(self.heads[s].size, -1)[:] = self.heads[s][:, None]
+        if t:
+            last, ends = columns[t].reshape(-1, d), self.heads[t - 1]
+            # take(mode="clip") writes into ``out`` without a buffer; vertices never clip
+            step = WALK_SCRATCH_BYTES // 64
+            for lo in range(0, ends.size, step):
+                np.take(self.successors, ends[lo: lo + step], axis=0, out=last[lo: lo + step],
+                        mode="clip")
+        columns.setflags(write=False)
+        return columns
 
     @cached_property
     def reverse(self) -> np.ndarray:
@@ -197,26 +229,25 @@ class WalkSpace:
         Down the walk-index prefix tree, each prefix ending at u gets
         ``back_labels[u, j] * d**(s-1)`` added per child j at step s < t.  The
         last step is one gather of the (N, d) table ``successors * d**t +
-        back_labels * d**(t-1)`` by the prefixes' last vertex, written straight
-        into the result, which then adds the prefix sums; no other temporary
-        has more than N * d**(t-1) entries.
+        back_labels * d**(t-1)`` by the last heads, written straight into the
+        result, which then adds the prefix sums; no other temporary has more
+        than N * d**(t-1) entries.
         """
-        t = self.columns.shape[0] - 1
+        t = len(self.heads)
         d = self.successors.shape[1]
         packed = np.zeros(self.successors.shape[0], dtype=np.int64)
         for s in range(1, t):
-            ends = self.columns[s - 1][:: d ** (t - s + 1)]
-            grown = self.back_labels[ends] * d ** (s - 1)
+            grown = self.back_labels[self.heads[s - 1]] * d ** (s - 1)
             grown += packed[:, None]
             packed = grown.reshape(-1)
-        out = np.empty(self.columns.shape[1], dtype=np.int64)
+        out = np.empty(self.n_walks, dtype=np.int64)
         rows = out.reshape(packed.size, -1)
         if t:
             last = self.successors * np.int64(d ** t) + self.back_labels * d ** (t - 1)
-            np.take(last, self.columns[t - 1][::d], axis=0, out=rows, mode="clip")
+            np.take(last, self.heads[t - 1], axis=0, out=rows, mode="clip")
             rows += packed[:, None]
         else:
-            rows[:, 0] = self.columns[0]
+            rows[:, 0] = np.arange(packed.size)
         out.setflags(write=False)
         return out
 
@@ -234,7 +265,7 @@ class WalkSpace:
             factor = values[level].reshape(prod.size, -1)
             factor *= prod[:, None]
             prod = factor.reshape(-1)
-        out = np.empty(self.columns.shape[1])
+        out = np.empty(self.n_walks)
         out.reshape(prod.size, -1)[:] = prod[:, None]
         return out
 
@@ -260,35 +291,30 @@ def walk_space(g: HybridGraph, t: int) -> WalkSpace:
     """The walk space of (graph, t), built once and cached on the graph
     (immutable, so never stale).
 
-    Column s takes the successors of the N * d**(s-1) distinct prefixes, read
-    from column s-1, into the first walk of each run of d**(t-s), and copies
-    them along the run.  The levels of the reverse tree follow the
-    predecessor table from the terminal vertex.  All of it stays in the
-    narrow vertex dtype; ``reverse`` waits for its first read.
+    The heads follow the narrow successor table from the start vertex, and
+    the levels of the reverse tree follow the predecessor table from the
+    terminal vertex: N * d**(t-1) entries each at the deepest level, all in
+    the narrow vertex dtype.  ``columns`` and ``reverse`` wait for their first
+    read.
     """
     if t not in g._spaces:
         total = walk_count(g, t)
         if total > WALK_ENUM_MAX:
             raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
-        n, d = g.n_vertices, g.d
+        n = g.n_vertices
         dtype = np.min_scalar_type(n - 1)
         succ = g.perm[g.rot.neighbors].astype(dtype)
-        columns = np.empty((t + 1, total), dtype=dtype)
-        columns[0].reshape(n, -1)[:] = np.arange(n, dtype=dtype)[:, None]
-        # take(mode="clip") writes into ``out`` without a buffer; vertices never clip
-        for s in range(1, t + 1):
-            runs = columns[s].reshape(-1, d ** (t - s))
-            heads = runs[:, 0].reshape(-1, d)
-            np.take(succ, columns[s - 1][:: d ** (t - s + 1)], axis=0, out=heads, mode="clip")
-            runs[:, 1:] = runs[:, :1]
         pred = g.predecessors.T.astype(dtype)
-        levels = [np.arange(n, dtype=dtype)]
+        root = np.arange(n, dtype=dtype)
+        heads, levels = [root], [root]
         for _ in range(1, t):
+            heads.append(succ[heads[-1]].reshape(-1))
             levels.append(pred[levels[-1]].reshape(-1))
-        for table in (columns, succ, *levels):
+        for table in (succ, *heads, *levels):
             table.setflags(write=False)
-        levels = tuple(levels[:t])      # none at t = 0
-        g._spaces[t] = WalkSpace(columns, levels, succ, g.rot.back_labels)
+        # no heads or levels at t = 0
+        g._spaces[t] = WalkSpace(tuple(heads[:t]), total, tuple(levels[:t]), succ,
+                                 g.rot.back_labels)
     return g._spaces[t]
 
 

@@ -202,6 +202,30 @@ class TestVerifyBeta:
         spaces = [space for g in graphs for space in g._spaces.values()]
         assert spaces and all("reverse" not in vars(space) for space in spaces)
 
+    def test_amplify_leaves_the_walk_columns_unbuilt(self, capsys, monkeypatch):
+        import walkbound.cli as cli
+
+        graphs = []
+
+        class Recorded(wb.HybridGraph):
+            def __post_init__(self):
+                super().__post_init__()
+                graphs.append(self)
+
+        monkeypatch.setattr(cli, "HybridGraph", Recorded)
+        code, _, _ = run_cli(capsys, ["amplify", "--construction", "walk", "--m", "3", "--t", "3",
+                                      "--seed", "1"])
+        assert code == 0
+        spaces = [space for g in graphs for space in g._spaces.values()]
+        assert spaces and all("columns" not in vars(space) for space in spaces)
+        # the enumeration route of the agreement check reads them
+        graphs.clear()
+        code, _, _ = run_cli(capsys, ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled",
+                                      "--trials", "200", "--agree", "20", "--seed", "1"])
+        assert code == 0
+        spaces = [space for g in graphs for space in g._spaces.values()]
+        assert spaces and all("columns" in vars(space) for space in spaces)
+
 
 class TestBound:
     def test_cube_default_is_tight(self, capsys):

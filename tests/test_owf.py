@@ -292,6 +292,35 @@ class TestDirectPower:
         with pytest.raises(ParameterError):
             wb.direct_power(wb.identity_function(2), 0)
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_matches_block_index_arithmetic(self, n, t):
+        # a non-permutation with wider outputs, so the shift is by out_bits, not n
+        rng = np.random.default_rng(100 * n + t)
+        for f in (wb.random_permutation(n, n + t),
+                  wb.ToyFunction(n, n + 1, rng.integers(0, 1 << (n + 1), size=1 << n), False)):
+            idx = np.arange(1 << (n * t), dtype=np.int64)
+            expect = np.zeros_like(idx)
+            for j in range(t):
+                block = (idx >> (n * (t - 1 - j))) & ((1 << n) - 1)
+                expect = (expect << f.out_bits) | f.table[block]
+            p = wb.direct_power(f, t)
+            assert p.table.dtype == np.int64 and not p.table.flags.writeable
+            assert p.table.tobytes() == expect.tobytes()
+            assert (p.n, p.out_bits, p.is_permutation) == (n * t, f.out_bits * t, f.is_permutation)
+
+    def test_power_table_is_shared_not_copied(self):
+        # 2**20 entries: the int64 table takes 8 MiB, and a copy of it 8 MiB more;
+        # the construction checks hold bool temporaries of 1 MiB
+        f = wb.random_permutation(10, 5)
+        tracemalloc.start()
+        try:
+            p = wb.direct_power(f, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.table.nbytes + 2 * 2 ** 20
+
 
 class TestPadExtend:
     def test_bijectivity_and_formula(self):
@@ -656,6 +685,22 @@ class TestMeasureInversion:
         oracle = wb.AdversaryOracle(f, wb.planted_profile(f, 0.5), seed=0, cost=3.0)
         rep = wb.measure_inversion(f, oracle, mode="exact")
         assert rep.security.security == 3.0 / rep.success
+
+    def test_permutation_success_is_the_profile_sum_with_no_image_array(self):
+        # 2**20 outputs: a uniform image distribution beside the cached profile
+        # would take 8 MiB
+        f = wb.random_permutation(20, 6)
+        oracle = wb.AdversaryOracle(f, wb.planted_profile(f, 0.3), seed=0)
+        profile = oracle.success_profile()
+        tracemalloc.start()
+        try:
+            rep = wb.measure_inversion(f, oracle, mode="exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert rep.success == float(np.sum(profile)) * 2.0 ** -20
+        assert rep.per_point is profile
 
     def test_report_omits_per_point(self):
         f = wb.random_permutation(4, 9)

@@ -666,3 +666,30 @@ class TestReverseTree:
             tracemalloc.stop()
         assert space.reverse is rho
         assert peak < rho.nbytes + 4 * 2 ** 20
+
+    @pytest.mark.parametrize("t", range(5))
+    @pytest.mark.parametrize("graph", TREE_GRAPHS, ids="-".join)
+    def test_heads_hold_each_run_of_the_columns_once(self, graph, t):
+        g = tree_graph(*graph)
+        space = wb.walk_space(g, t)
+        assert len(space.heads) == t and space.n_walks == wb.walk_count(g, t)
+        for s, head in enumerate(space.heads):
+            assert head.size == g.n_vertices * g.d ** s
+            assert head.dtype == space.columns.dtype and not head.flags.writeable
+            assert np.array_equal(head, space.columns[s][:: g.d ** (t - s)])
+
+    def test_columns_are_built_once_on_first_read(self):
+        # W = 256 * 8**4 = 2**20 walks: beside the 5 MiB uint8 columns, only the
+        # last gather's intp indices, one range of heads at a time (256 KiB); all
+        # of them at once would take 1 MiB
+        g = wb.HybridGraph(wb.mgg_rotation(4), np.random.default_rng(28).permutation(256))
+        space = wb.walk_space(g, 4)
+        assert "columns" not in vars(space)
+        tracemalloc.start()
+        try:
+            columns = space.columns
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.columns is columns
+        assert peak < columns.nbytes + 2 ** 20
