@@ -65,7 +65,7 @@ class ToyFunction:
         object.__setattr__(self, "table", t)
         if t.shape != (1 << self.n,):
             raise StructuralError("table must have exactly 2**n entries")
-        if np.any(t < 0) or np.any(t >= (1 << self.out_bits)):
+        if t.min() < 0 or t.max() >= (1 << self.out_bits):
             raise StructuralError("table values must be out_bits-bit integers")
         if self.is_permutation:
             if self.out_bits != self.n:
@@ -163,20 +163,38 @@ class Inverter:
         self.func = func
         self.cost = float(cost)
         self.query_count = 0
+        self._runs = None
         self._profile = None
 
     def invert(self, y: int) -> Optional[int]:
         raise NotImplementedError
 
+    def success_runs(self) -> tuple:
+        """``(values, run)``: the exact success profile with one value per run
+        of ``run`` consecutive output points, so ``values[y // run]`` is the
+        success probability at y.  ``run`` is read off the data: the output
+        count over ``values.size``.  Computed on the first call, then the same
+        read-only array every time."""
+        if self._runs is None:
+            values = self._exact_profile()
+            values.setflags(write=False)
+            self._runs = (values, (1 << self.func.out_bits) // values.size)
+        return self._runs
+
     def success_profile(self) -> np.ndarray:
-        """Exact per-output-point success probability, indexed by output value;
-        computed on the first call, then the same read-only array every time."""
+        """Exact per-output-point success probability, indexed by output value:
+        the runs repeated out to one value per point on the first call, then
+        the same read-only array every time."""
         if self._profile is None:
-            self._profile = self._exact_profile()
-            self._profile.setflags(write=False)
+            values, run = self.success_runs()
+            if run > 1:
+                values = np.repeat(values, run)
+                values.setflags(write=False)
+            self._profile = values
         return self._profile
 
     def _exact_profile(self) -> np.ndarray:
+        """The success values behind ``success_runs``, one per run."""
         raise NotImplementedError
 
 
@@ -474,9 +492,10 @@ class WalkChainInverter(Inverter):
         return WalkRepr(cur, tuple(fwd), vb, lb).to_int()
 
     def _exact_profile(self) -> np.ndarray:
-        """Per reverse packing, the product of the base profile at the vertices
-        the chain queries, v_t first: the walk space's path products, already
-        in output order."""
+        """Per run of d reverse packings, the product of the base profile at
+        the vertices the chain queries, v_t first: the walk space's path
+        products, already in output order.  The chain never queries the start
+        vertex, so the d packings that differ only in b_1 share one value."""
         return walk_space(self.g, self.t).path_products(self.base.success_profile())
 
 
@@ -584,9 +603,12 @@ class ReducedWalkInverter(Inverter):
 
     def _exact_profile(self) -> np.ndarray:
         """Exact per-vertex success: average over positions 1..t-1 of the inner
-        profile conditioned on the walk visiting the vertex there."""
+        profile conditioned on the walk visiting the vertex there.  The inner
+        profile enters as its runs, each value times its run length: the total
+        over the run's walks, none of which differ at an interior position."""
         g, t = self.g, self.t
-        visits = walk_space(g, t).interior_visits(self.inner.success_profile())
+        values, run = self.inner.success_runs()
+        visits = walk_space(g, t).interior_visits(values * run)
         return visits / ((t - 1) * g.d ** t)   # d**t walks visit each vertex at each position
 
 
@@ -623,7 +645,16 @@ class InversionReport:
     trials: int
     soundness_violations: int
     security: SecurityEstimate
-    per_point: Optional[np.ndarray] = None
+    oracle: Optional[Inverter] = None   # exact mode: the inverter whose profile was summed
+
+    @property
+    def per_point(self) -> Optional[np.ndarray]:
+        """Exact mode: the oracle's per-output success profile, None in mc mode.
+
+        Only a read expands the profile's runs (see ``Inverter.success_runs``);
+        the expansion is cached on the oracle, so every read returns the same
+        read-only array."""
+        return None if self.oracle is None else self.oracle.success_profile()
 
     def to_dict(self) -> dict:
         # per_point stays in-memory only (it can be 2**n entries wide)
@@ -646,22 +677,22 @@ def measure_inversion(
     """Success probability of inverting func(x) for uniform x.
 
     ``exact`` integrates the oracle's success profile against the image
-    distribution: for a permutation (its flag is checked at construction) that
-    is uniform, so the profile's sum times 2**-n (an exact scaling), with no
-    2**n array beside the profile.  ``mc`` runs seeded trials through the live
-    oracle and verifies every defined answer.
+    distribution.  For a permutation (its flag is checked at construction)
+    that is uniform, so the success is the sum of the profile's runs times the
+    run length times 2**-n (both exact scalings): the runs are never expanded
+    and no 2**n array sits beside them.  Otherwise the expanded profile is
+    dotted with the image distribution.  ``mc`` runs seeded trials through the
+    live oracle and verifies every defined answer.
     """
     if mode not in ("exact", "mc"):
         raise ParameterError(f"mode must be 'exact' or 'mc', got {mode!r}")
     violations = 0
-    per_point = None
     if mode == "exact":
-        prof = oracle.success_profile()
-        per_point = prof
         if func.is_permutation:
-            success = float(np.sum(prof)) * 2.0 ** -func.n
+            values, run = oracle.success_runs()
+            success = float(np.sum(values)) * run * 2.0 ** -func.n
         else:
-            success = float(image_distribution(func) @ prof)
+            success = float(image_distribution(func) @ oracle.success_profile())
         n_trials = 1 << func.n
     else:
         if trials < 1:
@@ -692,7 +723,7 @@ def measure_inversion(
         trials=n_trials,
         soundness_violations=violations,
         security=security,
-        per_point=per_point,
+        oracle=oracle if mode == "exact" else None,
     )
 
 

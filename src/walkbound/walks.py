@@ -252,12 +252,15 @@ class WalkSpace:
         return out
 
     def path_products(self, values: np.ndarray) -> np.ndarray:
-        """Per walk in reverse-packing order, ``values[v_t] * values[v_(t-1)] *
-        ... * values[v_1]``, multiplied in that order (the start vertex is no
-        factor); float64 of length N * d**t, 1.0 everywhere at t = 0.
+        """``values[v_t] * values[v_(t-1)] * ... * values[v_1]``, multiplied in
+        that order, once per run of d walks in reverse-packing order: float64
+        of length N * d**(t-1), entry r for the reverse packings r*d .. r*d+d-1.
 
-        Level k's partial products take one factor per entry and are repeated
-        over the d**(t-k) walks below it only in the final write.
+        The start vertex is no factor, so the d walks of a run, which differ
+        only in the lowest digit b_1 and hence in the start vertex, share one
+        product; ``np.repeat(out, d)`` is the per-walk array.  At t = 0 every
+        walk is its own run: 1.0 once per walk.  Level k's partial products
+        take one factor per entry of the level.
         """
         values = np.asarray(values, dtype=float)
         prod = np.ones(self.successors.shape[0])
@@ -265,25 +268,30 @@ class WalkSpace:
             factor = values[level].reshape(prod.size, -1)
             factor *= prod[:, None]
             prod = factor.reshape(-1)
-        out = np.empty(self.n_walks)
-        out.reshape(prod.size, -1)[:] = prod[:, None]
-        return out
+        return prod
 
     def interior_visits(self, weights: np.ndarray) -> np.ndarray:
-        """``out[v]``: the sum of ``weights[y]`` over every walk y (in
-        reverse-packing order) and every interior position 0 < s < t with
-        v_s = v, as float64 of length N.
+        """``out[v]``: the sum of ``weights[r]`` over every run r of
+        ``n_walks // weights.size`` consecutive walks in reverse-packing order
+        and every interior position 0 < s < t with v_s = v, as float64 of
+        length N.  ``weights`` holds one total per walk, or one per run of d
+        walks that differ only in the start vertex (the runs of
+        ``path_products``): no interior position tells those d walks apart.
 
-        Summing weights over runs of d gives each level's subtree sums, from
-        level t-1 (position 1) up to level 1 (position t-1), and one bincount
-        per level adds them per vertex.
+        Summing weights over runs gives each level's subtree sums, from level
+        t-1 (position 1) up to level 1 (position t-1), and bincounts over
+        ranges of each level add them per vertex, so the intp copy that
+        ``np.bincount`` makes of its indices stays within WALK_SCRATCH_BYTES / 8.
         """
         sums = np.asarray(weights, dtype=float)
         n = self.successors.shape[0]
         out = np.zeros(n)
+        step = WALK_SCRATCH_BYTES // 64
         for level in self.levels[:0:-1]:
-            sums = sums.reshape(level.size, -1).sum(axis=1)
-            out += np.bincount(level, weights=sums, minlength=n)
+            if sums.size != level.size:
+                sums = sums.reshape(level.size, -1).sum(axis=1)
+            for lo in range(0, level.size, step):
+                out += np.bincount(level[lo: lo + step], weights=sums[lo: lo + step], minlength=n)
         return out
 
 

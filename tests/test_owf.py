@@ -69,6 +69,19 @@ class TestToyFunction:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_range_check_holds_no_table_length_temporary(self):
+        # 2**20 entries: one bool mask of the table would take 1 MiB
+        table = np.random.default_rng(5).integers(0, 1 << 20, 1 << 20)
+        table.setflags(write=False)
+        tracemalloc.start()
+        try:
+            f = wb.ToyFunction(20, 20, table, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.table is table
+        assert peak < 2 ** 16
+
     def test_vertex_function(self, g_random):
         f = wb.vertex_function(g_random)
         assert f.n == 4 and f.is_permutation
@@ -645,7 +658,7 @@ class TestReverseTreeProfiles:
         bp = vertex_profile(g, kind)
         space = wb.walk_space(g, t)
         expect = per_walk_chain(space, bp)
-        assert_profiles_match(space.path_products(bp), expect, kind)
+        assert_profiles_match(np.repeat(space.path_products(bp), g.d), expect, kind)
         if graph[0] == "mgg2":
             base = wb.AdversaryOracle(wb.vertex_function(g), bp, seed=9)
             got = wb.WalkChainInverter(base, g, t).success_profile()
@@ -670,6 +683,62 @@ class TestReverseTreeProfiles:
             got = wb.reduce_walk(chain, g, t, seed=10).success_profile()
             expect = per_walk_interior(space, inner, g.n_vertices) / ((t - 1) * g.d ** t)
             assert_profiles_match(got, expect, kind)
+
+
+class TestProfileRuns:
+    """The chain profile is kept as one value per run of d outputs: every
+    reader of the runs agrees with the per-output profile they expand to."""
+
+    @pytest.mark.parametrize("kind", ["planted", "random"])
+    @pytest.mark.parametrize("graph", [g for g in TREE_GRAPHS if g[0] == "mgg2"], ids="-".join)
+    def test_every_inverter_expands_its_runs(self, graph, kind):
+        g = tree_graph(*graph)
+        f = wb.vertex_function(g)
+        base = wb.AdversaryOracle(f, vertex_profile(g, kind), seed=9)
+        chain = wb.WalkChainInverter(base, g, 3)
+        reduced = wb.reduce_walk(chain, g, 3, seed=10)
+        power = wb.BlockwiseInverter(base, 2)
+        inverters = (base, chain, reduced, wb.repeat_amplify(reduced, 3), power,
+                     wb.reduce_direct(power, f, 2, seed=1))
+        for inv in inverters:
+            runs = inv.success_runs()
+            values, run = runs
+            assert inv.success_runs() is runs
+            assert run == (g.d if inv is chain else 1)
+            assert values.size * run == 1 << inv.func.out_bits
+            assert not values.flags.writeable
+            prof = inv.success_profile()
+            assert np.array_equal(prof, np.repeat(values, run))
+            assert inv.success_profile() is prof and not prof.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["planted", "random"])
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("graph", TREE_GRAPHS, ids="-".join)
+    def test_reduced_profile_from_runs(self, graph, t, kind):
+        # d = 8 scales exactly; k4's d = 3 rounds 3v once either way
+        g = tree_graph(*graph)
+        space = wb.walk_space(g, t)
+        bp = vertex_profile(g, kind)
+        values = space.path_products(bp)
+        assert values.size == g.n_vertices * g.d ** (t - 1)
+        expanded = space.interior_visits(np.repeat(values, g.d))
+        assert np.array_equal(space.interior_visits(values * g.d), expanded)
+        if graph[0] == "mgg2":
+            base = wb.AdversaryOracle(wb.vertex_function(g), bp, seed=9)
+            chain = wb.WalkChainInverter(base, g, t)
+            got = wb.reduce_walk(chain, g, t, seed=10).success_profile()
+            assert np.array_equal(got, expanded / ((t - 1) * g.d ** t))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("graph", [g for g in TREE_GRAPHS if g[0] == "mgg2"], ids="-".join)
+    def test_exact_chain_success_is_the_expanded_sum(self, graph, t):
+        g = tree_graph(*graph)
+        base = wb.AdversaryOracle(wb.vertex_function(g), vertex_profile(g, "planted"), seed=9)
+        chain = wb.WalkChainInverter(base, g, t)
+        rep = wb.measure_inversion(chain.func, chain, mode="exact")
+        prof = chain.success_profile()
+        assert rep.success == float(np.sum(prof)) * 2.0 ** -chain.func.n
+        assert rep.per_point is prof
 
 
 class TestMeasureInversion:
@@ -701,6 +770,25 @@ class TestMeasureInversion:
         assert peak < 2 ** 20
         assert rep.success == float(np.sum(profile)) * 2.0 ** -20
         assert rep.per_point is profile
+
+    def test_exact_walk_measure_keeps_the_chain_profile_in_runs(self):
+        # 16 * 8**6 = 2**22 walks: the expanded chain profile alone would take
+        # 32 MiB; its runs take 4 MiB
+        g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(45).permutation(16))
+        f = wb.vertex_function(g)
+        base = wb.AdversaryOracle(f, wb.planted_profile(f, 0.25), seed=9)
+        chain = wb.WalkChainInverter(base, g, 6)
+        reduced = wb.reduce_walk(chain, g, 6, seed=10)
+        base.success_profile()
+        n_walks = wb.walk_count(g, 6)
+        tracemalloc.start()
+        try:
+            wb.measure_inversion(chain.func, chain, mode="exact")
+            wb.measure_inversion(f, reduced, mode="exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_walks * 8 // 2
 
     def test_report_omits_per_point(self):
         f = wb.random_permutation(4, 9)
