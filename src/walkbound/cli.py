@@ -288,7 +288,7 @@ def _instance_from_file(path: str) -> tuple:
     variant = data.get("variant", "pooled")
     if variant not in ("pooled", "percoord"):
         raise StructuralError("instance field 'variant' must be 'pooled' or 'percoord'")
-    return z, objects, float(beta), np.atleast_1d(eps).tolist(), variant
+    return z, objects, variant, np.atleast_1d(eps).tolist(), float(beta)
 
 
 def _bound_eps(variant, eps: list, t: int):
@@ -304,44 +304,41 @@ def _run_bound(z, objects, variant, eps: list, beta):
     return bound(z, objects, _bound_eps(variant, eps, len(objects)), beta)
 
 
+def _bound_instance(args) -> tuple:
+    """``(z, objects, variant, eps, beta, config)`` of a one-instance ``bound`` run."""
+    if args.instance_file:
+        config = {"preset": "file", "instance_file": args.instance_file}
+        return *_instance_from_file(args.instance_file), config
+    if args.preset == "cube":
+        z, objects = cube_instance(args.p, args.t)
+        config = {"preset": "cube", "p": args.p, "t": args.t}
+    else:
+        z, objects = random_product_instance(
+            args.t, args.psi, args.seed, identical=args.variant == "pooled"
+        )
+        config = {"preset": "random", "t": args.t, "psi": args.psi}
+    config.update(eps=args.eps, beta=args.beta, variant=args.variant)
+    return z, objects, args.variant, args.eps, args.beta, config
+
+
 def cmd_bound(args) -> dict:
     t0 = time.perf_counter()
     checks = []
     results = {}
     seed = args.seed
+    if not args.instance_file and args.preset != "cube" and seed is None:
+        raise ParameterError("--seed is required for randomized presets")
 
-    if args.instance_file:
-        z, objects, beta, eps, variant = _instance_from_file(args.instance_file)
+    if args.instance_file or args.preset != "sweep":
+        z, objects, variant, eps, beta, config = _bound_instance(args)
         rep = _run_bound(z, objects, variant, eps, beta)
         results["bound"] = rep.to_dict()
         checks.append(_check("bound-holds", rep.holds, slack=rep.slack))
-        config = {"preset": "file", "instance_file": args.instance_file}
-    elif args.preset == "cube":
-        z, objects = cube_instance(args.p, args.t)
-        rep = _run_bound(z, objects, args.variant, args.eps, args.beta)
-        results["bound"] = rep.to_dict()
-        checks.append(_check("bound-holds", rep.holds, slack=rep.slack))
-        # below the conditional's single nonzero level the bound is tight up to t*eps
-        eps0 = args.eps[0]
-        if eps0 < args.p ** (1.0 - 1.0 / args.t):
-            gap = abs(rep.bound_value - (rep.expectation + args.t * eps0))
+        # below the conditional's single nonzero level the cube's bound is tight up to t*eps
+        if config["preset"] == "cube" and eps[0] < args.p ** (1.0 - 1.0 / args.t):
+            gap = abs(rep.bound_value - (rep.expectation + args.t * eps[0]))
             checks.append(_check("cube-tightness", gap <= ROUTE_AGREE_TOL, gap=gap))
-        config = {"preset": "cube", "p": args.p, "t": args.t, "eps": args.eps,
-                  "beta": args.beta, "variant": args.variant}
-    elif args.preset == "random":
-        if seed is None:
-            raise ParameterError("--seed is required for randomized presets")
-        z, objects = random_product_instance(
-            args.t, args.psi, seed, identical=args.variant == "pooled"
-        )
-        rep = _run_bound(z, objects, args.variant, args.eps, args.beta)
-        results["bound"] = rep.to_dict()
-        checks.append(_check("bound-holds", rep.holds, slack=rep.slack))
-        config = {"preset": "random", "t": args.t, "psi": args.psi, "eps": args.eps,
-                  "beta": args.beta, "variant": args.variant}
     else:  # sweep
-        if seed is None:
-            raise ParameterError("--seed is required for randomized presets")
         if args.count < 0:
             raise ParameterError(f"--count must be >= 0, got {args.count}")
         seeds = np.random.default_rng(seed).integers(0, 1 << 62, size=args.count).tolist()

@@ -270,39 +270,6 @@ def direct_power(func: ToyFunction, t: int) -> ToyFunction:
     return ToyFunction(func.n * t, func.out_bits * t, out, func.is_permutation)
 
 
-def pad_extend(func: ToyFunction, tau: Sequence[int], n_target: int) -> ToyFunction:
-    """Extend a single-length function to length n_target along a schedule.
-
-    ``tau`` is the strictly increasing list of defined input lengths; the largest
-    entry <= n_target must be func's own length.  The extension splits x into
-    x'z with |x'| = func.n and maps it to func(x')z, preserving bijectivity.
-    """
-    tau = [int(v) for v in tau]
-    if any(b <= a for a, b in zip(tau, tau[1:])):
-        raise StructuralError("tau must be strictly increasing")
-    eligible = [v for v in tau if v <= n_target]
-    if not eligible:
-        raise ParameterError(f"no schedule length fits under n_target={n_target}")
-    base_len = eligible[-1]
-    if base_len != func.n:
-        raise StructuralError(
-            f"schedule selects length {base_len} but the function has length {func.n}"
-        )
-    pad = n_target - func.n
-    if n_target > TABLE_MAX_BITS:
-        raise BudgetError(f"target length {n_target} over {TABLE_MAX_BITS}")
-    idx = np.arange(1 << n_target, dtype=np.int64)
-    z = idx & ((1 << pad) - 1) if pad else np.zeros_like(idx)
-    xp = idx >> pad
-    table = (func.table[xp] << pad) | z
-    return ToyFunction(
-        n_target,
-        func.out_bits + pad,
-        table,
-        func.is_permutation and func.out_bits == func.n,
-    )
-
-
 @dataclass(frozen=True)
 class WalkRepr:
     """A walk packed into n + t*e bits: vertex first (most significant), then the
@@ -830,11 +797,3 @@ class ExperimentConfig:
             "trials": self.trials,
             "m": self.m,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f: data[f] for f in ("n", "t", "k", "delta", "eps", "seed", "mode", "trials") if f in data}
-        missing = {"n", "t", "k", "delta", "eps", "seed", "mode", "trials"} - set(known)
-        if missing:
-            raise StructuralError(f"config missing fields: {sorted(missing)}")
-        return cls(m=data.get("m"), **known)

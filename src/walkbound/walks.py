@@ -12,8 +12,11 @@ labels) is a prefix tree growing forward along the successor table.  The
 reverse packing (terminal vertex first, then the back labels, last step
 first) is a tree growing backward along the predecessor table: its level k
 holds the vertex k steps before the end once per subtree, N * d**k entries.
-Products along a walk and sums over the walks through a vertex run level by
-level down or up that tree, so the walks are never moved between the orders.
+Every per-walk quantity is one fold down a tree (``_descend``): the reverse
+packing (sums), a family block's membership words (ANDs) and the vertex
+bitmasks (ORs) down the forward tree, products along a walk down the reverse
+one.  Sums over the walks through a vertex run level by level up the reverse
+tree, so the walks are never moved between the orders.
 """
 
 from __future__ import annotations
@@ -162,6 +165,31 @@ def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
     return Walk(tuple(vertices), tuple(labels))
 
 
+def _descend(parents: Sequence, acc: np.ndarray, tables: Sequence, op,
+             out: np.ndarray = None) -> np.ndarray:
+    """Fold ``op`` down a prefix tree of vertices from ``acc``, one value per
+    node of its top level.
+
+    ``parents[s]`` holds the vertex of every node of level s.  The d children
+    of a node at vertex u take the row ``tables[s][u]`` of an (N, d) edge
+    table, combined in place with the node's value: ``op(row, acc)``.  Returns
+    the values of the last level, flat; with ``out``, they are also written
+    there (the top level itself when there is no level below it).
+    """
+    for s, (vertices, table) in enumerate(zip(parents, tables)):
+        if out is not None and s == len(parents) - 1:
+            child = out.reshape(vertices.size, -1)
+        else:
+            child = np.empty((vertices.size, table.shape[1]), dtype=table.dtype)
+        # take(mode="clip") writes into ``out`` without a buffer; vertices never clip
+        np.take(table, vertices, axis=0, out=child, mode="clip")
+        op(child, acc[:, None], out=child)
+        acc = child.reshape(-1)
+    if out is not None and not len(parents):
+        out[:] = acc
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class WalkSpace:
     """Every t-step walk of a hybrid graph, read-only, in two orders.
@@ -173,27 +201,30 @@ class WalkSpace:
     level s+1 is ``successors[heads[s]]``.  The tree is about 1/(d-1) of one
     position's full length; ``n_walks`` is N * d**t.  ``columns[s]``, the
     vertex at position s of every walk, is built from the heads on its first
-    read: only the enumeration route reads it.
+    read: only ``projection_objects`` reads it, since the enumeration routes
+    fold down the heads instead.
 
     Reverse-packing order, ``y = v_t * d**t + sum_s b_s * d**(s-1)`` with b_s
     the back label of step s: this enumerates the walks backward from their
     terminal vertex, so the vertex k steps before the end is constant on runs
     of d**(t-k) points.  ``levels[k]``, k < t, holds it once per run, N * d**k
-    entries in the heads' dtype; level k+1 is level k's row of the
-    predecessor table, ``pred.T[levels[k]]`` (back label b reached from w is
-    ``pred[b, w]``).  The start vertex's level would be a full column, and no
-    reader needs it.  ``reverse`` maps walk index to reverse packing (int64);
-    it is built on its first read, since only the walk permutation needs it.
+    entries in the heads' dtype; level k+1 is level k's rows of the
+    predecessor table, ``predecessors[levels[k]]``.  The start vertex's level
+    would be a full column, and no reader needs it.  ``reverse`` maps walk
+    index to reverse packing (int64); it is built on its first read, since
+    only the walk permutation needs it.
 
-    ``successors[u, j]`` (heads' dtype) and ``back_labels[u, j]`` are the
-    step tables: edge slot j out of u ends at ``successors[u, j]`` and is
-    undone by back label ``back_labels[u, j]``.
+    ``successors[u, j]``, ``predecessors[w, b]`` (both in the heads' dtype)
+    and ``back_labels[u, j]`` are the step tables: edge slot j out of u ends
+    at ``successors[u, j]`` and is undone by back label ``back_labels[u, j]``;
+    back label b reached from w is ``predecessors[w, b]``.
     """
 
     heads: tuple
     n_walks: int
     levels: tuple
     successors: np.ndarray
+    predecessors: np.ndarray
     back_labels: np.ndarray
 
     @cached_property
@@ -226,30 +257,36 @@ class WalkSpace:
     def reverse(self) -> np.ndarray:
         """The reverse packing per walk index, read-only int64.
 
-        Down the walk-index prefix tree, each prefix ending at u gets
-        ``back_labels[u, j] * d**(s-1)`` added per child j at step s < t.  The
-        last step is one gather of the (N, d) table ``successors * d**t +
-        back_labels * d**(t-1)`` by the last heads, written straight into the
-        result, which then adds the prefix sums; no other temporary has more
-        than N * d**(t-1) entries.
+        An add fold down the walk-index tree (``_descend``): step s < t adds
+        ``back_labels[u, j] * d**(s-1)`` per child j of a prefix ending at u,
+        and the last step adds ``successors * d**t + back_labels * d**(t-1)``
+        straight into the result.  Start vertices run in ranges whose share
+        of the result fits WALK_SCRATCH_BYTES, so the partial sums and the
+        intp copy ``np.take`` makes of each range's heads stay within it.
         """
-        t = len(self.heads)
         d = self.successors.shape[1]
-        packed = np.zeros(self.successors.shape[0], dtype=np.int64)
-        for s in range(1, t):
-            grown = self.back_labels[self.heads[s - 1]] * d ** (s - 1)
-            grown += packed[:, None]
-            packed = grown.reshape(-1)
-        out = np.empty(self.n_walks, dtype=np.int64)
-        rows = out.reshape(packed.size, -1)
+        t = len(self.heads)
+        tables = [self.back_labels * np.int64(d ** (s - 1)) for s in range(1, t)]
         if t:
-            last = self.successors * np.int64(d ** t) + self.back_labels * d ** (t - 1)
-            np.take(last, self.heads[t - 1], axis=0, out=rows, mode="clip")
-            rows += packed[:, None]
-        else:
-            rows[:, 0] = np.arange(packed.size)
+            tables.append(self.successors * np.int64(d ** t)
+                          + self.back_labels * np.int64(d ** (t - 1)))
+        out = np.empty(self.n_walks, dtype=np.int64)
+        for lo, hi, parents in self._start_ranges(8):
+            # at t = 0 the packing is the start vertex itself
+            root = np.zeros(hi - lo, dtype=np.int64) if t else np.arange(lo, hi, dtype=np.int64)
+            _descend(parents, root, tables, np.add, out[lo * d ** t: hi * d ** t])
         out.setflags(write=False)
         return out
+
+    def _start_ranges(self, walk_bytes: int):
+        """Ranges ``lo <= v < hi`` of start vertices whose walks take at most
+        WALK_SCRATCH_BYTES at ``walk_bytes`` each (at least one vertex), each
+        with its subtree's slices of the heads: ``(lo, hi, parents)``."""
+        n, d = self.successors.shape
+        step = max(1, WALK_SCRATCH_BYTES // (walk_bytes * d ** len(self.heads)))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            yield lo, hi, [h[lo * d ** s: hi * d ** s] for s, h in enumerate(self.heads)]
 
     def path_products(self, values: np.ndarray) -> np.ndarray:
         """``values[v_t] * values[v_(t-1)] * ... * values[v_1]``, multiplied in
@@ -259,16 +296,15 @@ class WalkSpace:
         The start vertex is no factor, so the d walks of a run, which differ
         only in the lowest digit b_1 and hence in the start vertex, share one
         product; ``np.repeat(out, d)`` is the per-walk array.  At t = 0 every
-        walk is its own run: 1.0 once per walk.  Level k's partial products
-        take one factor per entry of the level.
+        walk is its own run: 1.0 once per walk.  A multiply fold down the
+        reverse tree from ``values`` at the terminal vertex: level k's partial
+        products take the factor ``values[predecessors]`` per child.
         """
         values = np.asarray(values, dtype=float)
-        prod = np.ones(self.successors.shape[0])
-        for level in self.levels:
-            factor = values[level].reshape(prod.size, -1)
-            factor *= prod[:, None]
-            prod = factor.reshape(-1)
-        return prod
+        if not self.levels:
+            return np.ones(self.successors.shape[0])
+        tables = [values[self.predecessors]] * (len(self.levels) - 1)
+        return _descend(self.levels[:-1], values[self.levels[0]], tables, np.multiply)
 
     def interior_visits(self, weights: np.ndarray) -> np.ndarray:
         """``out[v]``: the sum of ``weights[r]`` over every run r of
@@ -318,10 +354,10 @@ def walk_space(g: HybridGraph, t: int) -> WalkSpace:
         for _ in range(1, t):
             heads.append(succ[heads[-1]].reshape(-1))
             levels.append(pred[levels[-1]].reshape(-1))
-        for table in (succ, *heads, *levels):
+        for table in (succ, pred, *heads, *levels):
             table.setflags(write=False)
         # no heads or levels at t = 0
-        g._spaces[t] = WalkSpace(tuple(heads[:t]), total, tuple(levels[:t]), succ,
+        g._spaces[t] = WalkSpace(tuple(heads[:t]), total, tuple(levels[:t]), succ, pred,
                                  g.rot.back_labels)
     return g._spaces[t]
 
@@ -631,36 +667,21 @@ def single_set_event_probs(g: HybridGraph, t: int) -> np.ndarray:
     """Exact single-set family probabilities for every subset, by enumerating the
     walk space: out[T] = P{every walk position lands in T}.
 
-    Independent of the matrix-product route: per-walk vertex bitmasks are counted
-    and accumulated with a subset-sum transform.
+    Independent of the matrix-product route: per-walk vertex bitmasks, an OR
+    fold of ``1 << successors`` down the walk-index tree (``_descend``), are
+    counted per range of start vertices and accumulated with a subset-sum
+    transform.
     """
     n = g.n_vertices
     if n > SUBSET_EXH_MAX_N:
         raise BudgetError(f"subset table needs 2**{n} entries, over the ceiling")
-    columns = walk_space(g, t).columns
-    sig = np.zeros(columns.shape[1], dtype=np.int64)
-    for col in columns:
-        sig |= np.int64(1) << col
-    counts = np.bincount(sig, minlength=1 << n).astype(float)
-    return subset_sums(counts, n) / columns.shape[1]
-
-
-def _leaf_words(words: np.ndarray, columns: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
-    """Membership words of the walks that start at vertices lo <= v < hi, in
-    walk-index order: each is the AND of ``words[s][v_s]`` over its positions s.
-
-    Walk-index order puts the start vertex most significant, so ``columns[s]``
-    is constant on runs of d**(t-s) walks.  The AND is built down that prefix
-    tree: one word per distinct prefix at each depth, each ANDed into the next
-    position's words of its d children.
-    """
-    t = columns.shape[0] - 1
-    a, b = lo * d ** t, hi * d ** t
-    member = words[0][columns[0][a:b:d ** t]]
-    for s in range(1, t + 1):
-        parent, member = member, words[s][columns[s][a:b:d ** (t - s)]]
-        member.reshape(-1, d)[:] &= parent[:, None]
-    return member
+    space = walk_space(g, t)
+    bits = [np.int64(1) << space.successors] * t
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for lo, hi, parents in space._start_ranges(8):
+        sig = _descend(parents, np.int64(1) << np.arange(lo, hi), bits, np.bitwise_or)
+        counts += np.bincount(sig, minlength=1 << n)
+    return subset_sums(counts.astype(float), n) / space.n_walks
 
 
 def _bit_counts(words: np.ndarray) -> np.ndarray:
@@ -704,31 +725,34 @@ def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
 
     Bit-sliced: each block of 64 families becomes one word per (position, vertex),
     bit f meaning family f.  Every walk ANDs the words of its t+1 vertices, so one
-    word holds its membership in all 64 families (``_leaf_words``), and each bit's
+    word holds its membership in all 64 families: an AND fold down the walk-index
+    tree (``_descend``) over the tables ``words[s][successors]``.  Each bit's
     count over the walks comes from a carry-save adder tree (``_bit_counts``).
     Walks are taken in ranges of whole start vertices (d**t walks each), as many
     per range as fit WALK_SCRATCH_BYTES at 12 bytes per walk (the leaf word and
     half a word of adder-tree buffer), so the scratch does not grow with the
-    walk count.
+    walk count; beside it a block holds its t tables of N * d words, and
+    ``columns`` is never built.
     """
     masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 3 or masks.shape[1] != t + 1 or masks.shape[2] != g.n_vertices:
         raise StructuralError("masks must have shape (B, t+1, N)")
-    columns = walk_space(g, t).columns
-    n, d, total = g.n_vertices, g.d, columns.shape[1]
+    space = walk_space(g, t)
     n_blocks = -(-masks.shape[0] // 64)
     packed = np.packbits(masks, axis=0, bitorder="little")
     padded = np.zeros((8 * n_blocks,) + packed.shape[1:], dtype=np.uint8)
     padded[: packed.shape[0]] = packed
     # little-endian words: byte k of block w holds families 64w + 8k ... 64w + 8k + 7
-    words = padded.reshape(n_blocks, 8, t + 1, n).transpose(0, 2, 3, 1).copy()
+    words = padded.reshape(n_blocks, 8, t + 1, g.n_vertices).transpose(0, 2, 3, 1).copy()
     words = words.view("<u8")[..., 0]
-    starts = max(1, WALK_SCRATCH_BYTES // (12 * d ** t))
     counts = np.zeros((n_blocks, 64), dtype=np.int64)
     for w in range(n_blocks):
-        for lo in range(0, n, starts):
-            counts[w] += _bit_counts(_leaf_words(words[w], columns, d, lo, min(lo + starts, n)))
-    return counts.reshape(-1)[: masks.shape[0]] / total
+        tables = [words[w, s][space.successors] for s in range(1, t + 1)]
+        for lo, hi, parents in space._start_ranges(12):
+            # a copy of the root: at t = 0 it is the leaves, which _bit_counts overwrites
+            leaves = _descend(parents, words[w, 0, lo:hi].copy(), tables, np.bitwise_and)
+            counts[w] += _bit_counts(leaves)
+    return counts.reshape(-1)[: masks.shape[0]] / space.n_walks
 
 
 def family_event_probs_matrix(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:

@@ -235,10 +235,6 @@ def test_07_packings_are_bijective(announce):
     pw = wb.direct_power(wb.random_permutation(4, 14), 4)
     results.append(("direct-power-16bit", np.array_equal(np.sort(pw.table), np.arange(1 << 16))))
 
-    # padded extension to 16 bits
-    ext = wb.pad_extend(wb.random_permutation(6, 15), [3, 6], 16)
-    results.append(("pad-extend-16bit", np.array_equal(np.sort(ext.table), np.arange(1 << 16))))
-
     ok = all(flag for _, flag in results)
     failed = [name for name, flag in results if not flag]
     announce(

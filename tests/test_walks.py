@@ -123,6 +123,24 @@ class TestEnumeration:
         assert columns.shape == (1, n) and columns.flags.c_contiguous
         assert np.array_equal(columns[0], np.arange(n))
 
+    def test_reverse_scratch_stays_within_the_budget(self):
+        # m = 3, t = 5: 2**21 walks, a 16 MiB result; one (N * d**4)-entry
+        # temporary beside it would take 2 MiB as int64
+        from walkbound import walks
+
+        g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(26).permutation(64))
+        space = wb.walk_space(g, 5)
+        tracemalloc.start()
+        try:
+            reverse = space.reverse
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < reverse.nbytes + walks.WALK_SCRATCH_BYTES
+        idx = np.random.default_rng(27).integers(0, reverse.size, size=40)
+        for i in idx:
+            assert reverse[i] == wb.reverse_repr(g, wb.walk_from_index(g, 5, int(i))).to_int()
+
     def test_uint16_columns_match_walk_from_index(self):
         g = wb.HybridGraph(wb.mgg_rotation(5), np.random.default_rng(21).permutation(1024))
         columns = wb.walk_space(g, 1).columns
@@ -336,7 +354,7 @@ class TestEnumerationKernels:
     @pytest.mark.parametrize(
         "graph, t", [("k4", 3), ("m2", 3), ("m2", 0)], ids=["k4-t3", "m2-t3", "m2-t0"]
     )
-    def test_leaf_words_are_the_per_walk_and(self, graph, t):
+    def test_and_fold_gives_the_per_walk_and(self, graph, t):
         from walkbound import walks
 
         if graph == "k4":
@@ -344,14 +362,45 @@ class TestEnumerationKernels:
         else:
             g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(3).permutation(16))
         n = g.n_vertices
-        columns = wb.walk_space(g, t).columns
+        space = wb.walk_space(g, t)
         words = np.random.default_rng(t).integers(
             0, np.iinfo(np.uint64).max, size=(t + 1, n), dtype=np.uint64, endpoint=True)
-        full = np.bitwise_and.reduce([words[s][columns[s]] for s in range(t + 1)])
-        assert np.array_equal(walks._leaf_words(words, columns, g.d, 0, n), full)
+        full = np.bitwise_and.reduce([words[s][space.columns[s]] for s in range(t + 1)])
+        tables = [words[s][space.successors] for s in range(1, t + 1)]
+
+        def fold(lo, hi, out=None):
+            parents = [h[lo * g.d ** s: hi * g.d ** s] for s, h in enumerate(space.heads)]
+            return walks._descend(parents, words[0][lo:hi], tables, np.bitwise_and, out)
+
+        assert np.array_equal(fold(0, n), full)
         per_start = g.d ** t
-        assert np.array_equal(walks._leaf_words(words, columns, g.d, 1, 3),
-                              full[per_start: 3 * per_start])
+        assert np.array_equal(fold(1, 3), full[per_start: 3 * per_start])
+        out = np.empty(2 * per_start, dtype=np.uint64)
+        fold(1, 3, out)
+        assert np.array_equal(out, full[per_start: 3 * per_start])
+
+    @pytest.mark.parametrize("graph, t", [("k4", 3), ("m2", 3), ("m2", 0)],
+                             ids=["k4-t3", "m2-t3", "m2-t0"])
+    def test_enumeration_routes_leave_the_columns_unbuilt(self, graph, t):
+        from walkbound.prob import subset_sums
+
+        if graph == "k4":
+            g = wb.HybridGraph(wb.k4_rotation(), [2, 0, 3, 1])
+        else:
+            g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(3).permutation(16))
+        n = g.n_vertices
+        masks = random_masks(np.random.default_rng(28), 70, t, n)
+        table = wb.single_set_event_probs(g, t)
+        probs = wb.family_event_probs(g, t, masks)
+        space = wb.walk_space(g, t)
+        assert "columns" not in vars(space)
+        # references from the full position columns, built only now
+        columns = space.columns.astype(np.int64)
+        sig = np.bitwise_or.reduce(np.int64(1) << columns, axis=0)
+        counts = np.bincount(sig, minlength=1 << n).astype(float)
+        assert np.array_equal(table, subset_sums(counts, n) / space.n_walks)
+        member = np.logical_and.reduce(masks[:, np.arange(t + 1)[:, None], columns], axis=1)
+        assert np.array_equal(probs, member.sum(axis=1) / space.n_walks)
 
     def test_one_start_vertex_per_range_gives_the_same_probabilities(self, monkeypatch):
         from walkbound import walks
@@ -362,6 +411,36 @@ class TestEnumerationKernels:
         monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
         assert np.array_equal(wb.family_event_probs(g, 2, masks), whole)
         assert np.array_equal(whole, wb.family_event_probs_matrix(g, 2, masks))
+
+    @pytest.mark.parametrize("scratch", [1, 3 * 8 * 8 ** 3, None],
+                             ids=["one-vertex", "three-vertices", "default"])
+    def test_start_ranges_split_the_start_vertices_within_the_budget(self, monkeypatch, scratch):
+        # m = 2, t = 3: 16 start vertices of 8**3 walks each, 4 KiB at 8 bytes a walk
+        from walkbound import walks
+
+        def graph():
+            return wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(3).permutation(16))
+
+        whole = wb.single_set_event_probs(graph(), 3)
+        g = graph()
+        space = wb.walk_space(g, 3)
+        per_start = g.d ** 3
+        # the oracle columns are built under the default budget
+        columns = space.columns
+        if scratch is not None:
+            monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", scratch)
+        ranges = list(space._start_ranges(8))
+        assert ranges[0][0] == 0 and ranges[-1][1] == g.n_vertices
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+        expect = {1: 1, 3 * 8 * 8 ** 3: 3, None: g.n_vertices}[scratch]
+        assert max(hi - lo for lo, hi, _ in ranges) == expect
+        for lo, hi, parents in ranges:
+            assert hi - lo == 1 or (hi - lo) * per_start * 8 <= walks.WALK_SCRATCH_BYTES
+            assert len(parents) == 3
+            for s, head in enumerate(parents):
+                column = columns[s][lo * per_start: hi * per_start]
+                assert np.array_equal(head, column[:: g.d ** (3 - s)])
+        assert np.array_equal(wb.single_set_event_probs(g, 3), whole)
 
     def test_enumeration_scratch_does_not_grow_with_the_walks(self):
         # W = 256 * 8**4 = 2**20 walks: one membership word per walk would be 8 MiB,
@@ -639,6 +718,20 @@ class TestReverseTree:
             assert level.size == g.n_vertices * g.d ** k
             assert level.dtype == space.columns.dtype and not level.flags.writeable
             assert np.array_equal(level[space.reverse // g.d ** (t - k)], space.columns[t - k])
+
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_one_start_vertex_per_range_gives_the_same_reverse(self, monkeypatch, t):
+        from walkbound import walks
+
+        def graph():
+            return wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(29).permutation(16))
+
+        whole = wb.walk_space(graph(), t).reverse
+        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        space = wb.walk_space(graph(), t)
+        assert len(list(space._start_ranges(8))) == 16
+        assert np.array_equal(space.reverse, whole)
+        assert np.array_equal(np.sort(whole), np.arange(space.n_walks))
 
     def test_build_holds_no_full_length_temporary(self):
         # W = 256 * 8**4 = 2**20 walks: the uint8 columns take 5 MiB, and one int64
