@@ -4,10 +4,12 @@ Functions are exhaustive tables over n-bit inputs, adversaries are partial
 inverters whose answers are always correct when defined, and every success
 probability here can be computed exactly by enumeration.  Two amplifications are
 covered: the t-fold direct power (n*t input bits) and the walk-based permutation
-over (n + t*e)-bit strings, where a walk is packed as start vertex plus forward
-edge labels and relabeled as terminal vertex plus backward edge labels.  Each
-comes with its reduction turning an inverter for the big function into one for
-the small function using exactly one inner query per call.
+on the N * d**t walks, sending a walk's forward packing (start vertex plus
+forward edge labels) to its reverse packing (terminal vertex plus backward edge
+labels).  Both packings are integers, mixed radix in d, and live in ``walks``
+(``walk_index``, ``reverse_index``); with d a power of two they are bit fields.
+Each construction comes with its reduction turning an inverter for the big
+function into one for the small function using exactly one inner query per call.
 
 Oracle randomness is counter-based: query q of an oracle seeded with s draws
 from a generator keyed by (s, q), so repeated trials are independent yet whole
@@ -24,7 +26,8 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
 from .prob import _frozen_array
-from .walks import HybridGraph, Walk, validate_walk, walk_space
+from .walks import (HybridGraph, Walk, _digits, _pack, _replay, reverse_index, walk_count,
+                    walk_from_index, walk_space)
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
 
@@ -270,99 +273,16 @@ def direct_power(func: ToyFunction, t: int) -> ToyFunction:
     return ToyFunction(func.n * t, func.out_bits * t, out, func.is_permutation)
 
 
-@dataclass(frozen=True)
-class WalkRepr:
-    """A walk packed into n + t*e bits: vertex first (most significant), then the
-    edge labels in walk order, e bits each."""
-
-    vertex: int
-    labels: tuple
-    vertex_bits: int
-    label_bits: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
-        if not (0 <= self.vertex < (1 << self.vertex_bits)):
-            raise StructuralError("vertex does not fit the vertex field")
-        for lab in self.labels:
-            if not (0 <= lab < (1 << self.label_bits)):
-                raise StructuralError("label does not fit the label field")
-
-    @property
-    def n_bits(self) -> int:
-        return self.vertex_bits + len(self.labels) * self.label_bits
-
-    def to_int(self) -> int:
-        value = int(self.vertex)
-        for lab in self.labels:
-            value = (value << self.label_bits) | lab
-        return value
-
-    def bit_string(self) -> str:
-        return format(self.to_int(), f"0{self.n_bits}b")
-
-    @classmethod
-    def from_int(cls, value: int, t: int, vertex_bits: int, label_bits: int) -> "WalkRepr":
-        if not (0 <= value < (1 << (vertex_bits + t * label_bits))):
-            raise StructuralError("packed value out of range")
-        labels = []
-        for _ in range(t):
-            labels.append(value & ((1 << label_bits) - 1))
-            value >>= label_bits
-        labels.reverse()
-        return cls(value, tuple(labels), vertex_bits, label_bits)
-
-
-def _graph_bits(g: HybridGraph) -> tuple:
-    return _exact_log2(g.n_vertices), _exact_log2(g.d)
-
-
-def forward_repr(g: HybridGraph, w: Walk) -> WalkRepr:
-    """Pack a walk as start vertex plus its forward labels."""
-    validate_walk(g, w)
-    vb, lb = _graph_bits(g)
-    return WalkRepr(w.vertices[0], w.labels, vb, lb)
-
-
-def forward_inv(g: HybridGraph, r: WalkRepr) -> Walk:
-    """Replay the labels from the packed start vertex; inverse of forward_repr."""
-    vb, lb = _graph_bits(g)
-    if r.vertex_bits != vb or r.label_bits != lb:
-        raise StructuralError("representation geometry does not match the graph")
-    cur = r.vertex
-    vertices = [cur]
-    for j in r.labels:
-        if j >= g.d:
-            raise StructuralError(f"label {j} is not an edge slot")
-        cur = g.step(cur, j)
-        vertices.append(cur)
-    return Walk(tuple(vertices), r.labels)
-
-
-def reverse_repr(g: HybridGraph, w: Walk) -> WalkRepr:
-    """Pack a walk as terminal vertex plus backward labels, last step first.
-
-    The backward label of a step u -> F(rot(u, j)) is the rotation's back label
-    at u, which recovers (u, j) from the step's far end once F is undone.
-    """
-    validate_walk(g, w)
-    vb, lb = _graph_bits(g)
-    back = [
-        int(g.rot.back_labels[w.vertices[s], w.labels[s]]) for s in range(w.t)
-    ]
-    return WalkRepr(w.vertices[-1], tuple(reversed(back)), vb, lb)
-
-
-def conditioned_reverse_repr(
+def conditioned_reverse_index(
     g: HybridGraph, t: int, i: int, y: int, fwd_labels: Sequence[int], prefix_labels: Sequence[int]
-) -> WalkRepr:
-    """Reverse representation of a walk conditioned to visit y at position i.
+) -> int:
+    """Reverse packing of a walk conditioned to visit y at position i.
 
     The suffix (steps i+1..t) is realized by walking forward from y along
     ``fwd_labels`` (t-i of them); the prefix contributes ``prefix_labels`` (i of
-    them) directly as backward labels.  Ranging over all label choices this hits
-    every walk with position i equal to y exactly once, and only forward
-    evaluations of the permutation are used.
+    them) directly as the low backward labels.  Ranging over all label choices
+    this hits every walk with position i equal to y exactly once, and only
+    forward evaluations of the permutation are used.
     """
     if not (1 <= i <= t):
         raise ParameterError(f"position must lie in 1..t, got {i}")
@@ -370,22 +290,15 @@ def conditioned_reverse_repr(
     prefix_labels = [int(j) for j in prefix_labels]
     if len(fwd_labels) != t - i or len(prefix_labels) != i:
         raise StructuralError("need t-i forward labels and i prefix labels")
-    vb, lb = _graph_bits(g)
-    cur = y
-    back = []
-    for j in fwd_labels:
-        if not (0 <= j < g.d):
-            raise StructuralError(f"label {j} is not an edge slot")
-        back.append(int(g.rot.back_labels[cur, j]))
-        cur = g.step(cur, j)
-    return WalkRepr(cur, tuple(reversed(back)) + tuple(prefix_labels), vb, lb)
+    suffix = Walk(_replay(g, y, fwd_labels), fwd_labels)
+    return reverse_index(g, suffix) * g.d ** i + _pack(g, 0, prefix_labels)
 
 
 def walk_permutation(g: HybridGraph, t: int) -> ToyFunction:
-    """The (n + t*e)-bit permutation sending a walk's forward packing to its
-    reverse packing, sharing the walk space's table.  Identity at t = 0."""
-    vb, lb = _graph_bits(g)
-    bits = vb + t * lb
+    """The permutation on the N * d**t walk packings sending a walk's forward
+    packing to its reverse packing, sharing the walk space's table.  Needs a
+    power-of-two walk count; identity at t = 0."""
+    bits = _exact_log2(walk_count(g, t))
     if bits > TABLE_MAX_BITS:
         raise BudgetError(f"walk permutation needs {bits} bits, over {TABLE_MAX_BITS}")
     return ToyFunction(bits, bits, walk_space(g, t).reverse, True)
@@ -445,18 +358,15 @@ class WalkChainInverter(Inverter):
 
     def invert(self, y: int) -> Optional[int]:
         self.query_count += 1
-        vb, lb = _graph_bits(self.g)
-        rep = WalkRepr.from_int(y, self.t, vb, lb)
-        cur = rep.vertex
+        cur, back = _digits(self.g, self.t, y)
         fwd = []
-        for k in rep.labels:
+        for k in back:
             v = self.base.invert(cur)
             if v is None:
                 return None
             cur, j = self.g.rot.rotate(v, k)
             fwd.append(j)
-        fwd.reverse()
-        return WalkRepr(cur, tuple(fwd), vb, lb).to_int()
+        return _pack(self.g, cur, fwd[::-1])
 
     def _exact_profile(self) -> np.ndarray:
         """Per run of d reverse packings, the product of the base profile at
@@ -538,8 +448,7 @@ class ReducedWalkInverter(Inverter):
     def __init__(self, inner: Inverter, g: HybridGraph, t: int, seed: int):
         if t < 2:
             raise ParameterError(f"t must be >= 2, got {t}")
-        vb, lb = _graph_bits(g)
-        if inner.func.n != vb + t * lb:
+        if inner.func.n != _exact_log2(walk_count(g, t)):
             raise StructuralError("inner inverter does not match the walk permutation")
         super().__init__(vertex_function(g), inner.cost + 2 * t - 1)
         self.inner = inner
@@ -555,16 +464,15 @@ class ReducedWalkInverter(Inverter):
         i = 1 + int(rng.integers(t - 1))
         fwd = [int(v) for v in rng.integers(0, g.d, size=t - i)]
         prefix = [int(v) for v in rng.integers(0, g.d, size=i)]
-        rep = conditioned_reverse_repr(g, t, i, y, fwd, prefix)
-        ans = self.inner.invert(rep.to_int())
+        packed = conditioned_reverse_index(g, t, i, y, fwd, prefix)
+        ans = self.inner.invert(packed)
         if ans is None:
             return None
-        vb, lb = _graph_bits(g)
         try:
-            walk = forward_inv(g, WalkRepr.from_int(ans, t, vb, lb))
+            walk = walk_from_index(g, t, ans)
         except StructuralError:
             return None
-        if reverse_repr(g, walk).to_int() != rep.to_int():
+        if reverse_index(g, walk) != packed:
             return None
         return int(g.rot.neighbors[walk.vertices[i - 1], walk.labels[i - 1]])
 

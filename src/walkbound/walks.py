@@ -12,6 +12,9 @@ labels) is a prefix tree growing forward along the successor table.  The
 reverse packing (terminal vertex first, then the back labels, last step
 first) is a tree growing backward along the predecessor table: its level k
 holds the vertex k steps before the end once per subtree, N * d**k entries.
+Both are the walks' integer packings, mixed radix in d, and this module is
+the one codec: ``walk_index`` / ``walk_from_index`` and ``reverse_index`` per
+walk, ``WalkSpace.reverse`` from one to the other for every walk at once.
 Every per-walk quantity is one fold down a tree (``_descend``): the reverse
 packing (sums), a family block's membership words (ANDs) and the vertex
 bitmasks (ORs) down the forward tree, products along a walk down the reverse
@@ -104,16 +107,21 @@ class Walk:
         return len(self.labels)
 
 
-def validate_walk(g: HybridGraph, w: Walk) -> None:
-    cur = w.vertices[0]
-    if not (0 <= cur < g.n_vertices):
+def _replay(g: HybridGraph, start: int, labels: Sequence[int]) -> tuple:
+    """The vertices of the walk from ``start`` along ``labels``, start first."""
+    if not (0 <= start < g.n_vertices):
         raise StructuralError("walk start is not a vertex")
-    for step, j in enumerate(w.labels):
+    vertices = [int(start)]
+    for step, j in enumerate(labels):
         if not (0 <= j < g.d):
             raise StructuralError(f"label {j} at step {step} is not an edge slot")
-        cur = g.step(cur, j)
-        if cur != w.vertices[step + 1]:
-            raise StructuralError("vertex sequence does not match the labels")
+        vertices.append(g.step(vertices[-1], j))
+    return tuple(vertices)
+
+
+def validate_walk(g: HybridGraph, w: Walk) -> None:
+    if _replay(g, w.vertices[0], w.labels) != w.vertices:
+        raise StructuralError("vertex sequence does not match the labels")
 
 
 def walk_count(g: HybridGraph, t: int) -> int:
@@ -126,43 +134,57 @@ def walk_count(g: HybridGraph, t: int) -> int:
     return total
 
 
+def _pack(g: HybridGraph, head: int, labels: Sequence[int]) -> int:
+    """``head * d**t`` plus the t labels as base-d digits, the first most
+    significant: both walk packings, read by ``_digits``."""
+    for j in labels:
+        if not (0 <= j < g.d):
+            raise StructuralError(f"label {j} is not an edge slot")
+        head = head * g.d + j
+    return int(head)
+
+
+def _digits(g: HybridGraph, t: int, value: int) -> tuple:
+    """``(head, labels)`` of a packing of a t-step walk; inverse of ``_pack``."""
+    if not (0 <= value < walk_count(g, t)):
+        raise StructuralError("packed walk out of range")
+    labels = []
+    for _ in range(t):
+        value, j = divmod(value, g.d)
+        labels.append(int(j))
+    return int(value), tuple(reversed(labels))
+
+
 def walk_index(g: HybridGraph, w: Walk) -> int:
-    """Mixed-radix index (start vertex most significant, labels in walk order)."""
-    idx = w.vertices[0]
-    for j in w.labels:
-        idx = idx * g.d + j
-    return idx
+    """The forward packing: start vertex most significant, then the labels in
+    walk order, mixed radix in d."""
+    return _pack(g, w.vertices[0], w.labels)
 
 
 def walk_from_index(g: HybridGraph, t: int, index: int) -> Walk:
-    total = walk_count(g, t)
-    if not (0 <= index < total):
-        raise StructuralError("walk index out of range")
-    labels = []
-    for _ in range(t):
-        labels.append(index % g.d)
-        index //= g.d
-    labels.reverse()
-    start = index
-    vertices = [start]
-    cur = start
-    for j in labels:
-        cur = g.step(cur, j)
-        vertices.append(cur)
-    return Walk(tuple(vertices), tuple(labels))
+    start, labels = _digits(g, t, index)
+    return Walk(_replay(g, start, labels), labels)
+
+
+def reverse_index(g: HybridGraph, w: Walk) -> int:
+    """The reverse packing ``v_t * d**t + sum_s b_s * d**(s-1)``: terminal vertex
+    most significant, then the back labels, last step first.
+
+    The back label of a step u -> F(rot(u, j)) is the rotation's back label
+    at u, which recovers (u, j) from the step's far end once F is undone.  The
+    per-walk twin of ``WalkSpace.reverse``.
+    """
+    validate_walk(g, w)
+    back = [int(g.rot.back_labels[u, j]) for u, j in zip(w.vertices, w.labels)]
+    return _pack(g, w.vertices[-1], back[::-1])
 
 
 def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
     """Uniform start vertex, then t uniform edge labels."""
     rng = np.random.default_rng(seed)
     start = int(rng.integers(g.n_vertices))
-    labels = [int(j) for j in rng.integers(0, g.d, size=t)]
-    vertices = [start]
-    cur = start
-    for j in labels:
-        cur = g.step(cur, j)
-        vertices.append(cur)
-    return Walk(tuple(vertices), tuple(labels))
+    labels = tuple(int(j) for j in rng.integers(0, g.d, size=t))
+    return Walk(_replay(g, start, labels), labels)
 
 
 def _descend(parents: Sequence, acc: np.ndarray, tables: Sequence, op,
@@ -246,7 +268,7 @@ class WalkSpace:
         if t:
             last, ends = columns[t].reshape(-1, d), self.heads[t - 1]
             # take(mode="clip") writes into ``out`` without a buffer; vertices never clip
-            step = WALK_SCRATCH_BYTES // 64
+            step = max(1, WALK_SCRATCH_BYTES // 64)
             for lo in range(0, ends.size, step):
                 np.take(self.successors, ends[lo: lo + step], axis=0, out=last[lo: lo + step],
                         mode="clip")
@@ -322,7 +344,7 @@ class WalkSpace:
         sums = np.asarray(weights, dtype=float)
         n = self.successors.shape[0]
         out = np.zeros(n)
-        step = WALK_SCRATCH_BYTES // 64
+        step = max(1, WALK_SCRATCH_BYTES // 64)
         for level in self.levels[:0:-1]:
             if sums.size != level.size:
                 sums = sums.reshape(level.size, -1).sum(axis=1)

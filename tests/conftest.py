@@ -1,7 +1,7 @@
 """Shared fixtures and harness-only oracles.
 
 The harness may do things the library must not: reverse_inv inverts the vertex
-permutation by table lookup to decode reverse representations, and the integer
+permutation by table lookup to decode reverse packings, and the integer
 walk-counting oracle recomputes event masses in exact arithmetic independent of
 any matrix product.
 """
@@ -52,16 +52,16 @@ def tree_graph(rotation, perm):
     return wb.HybridGraph(rot, p)
 
 
-def reverse_inv(g, rep):
-    """Decode a reverse representation by table-lookup inversion of the vertex
-    permutation; the inverse the library deliberately does not ship."""
+def reverse_inv(g, t, packed):
+    """Decode a t-step walk's reverse packing by table-lookup inversion of the
+    vertex permutation; the inverse the library deliberately does not ship."""
     inv = np.argsort(g.perm)
-    cur = rep.vertex
+    cur, back = divmod(packed, g.d ** t)
     vertices = [cur]
     fwd = []
-    for k in rep.labels:
+    for s in range(t - 1, -1, -1):    # the last step's back label is the top digit
         v = int(inv[cur])
-        u, j = g.rot.rotate(v, k)
+        u, j = g.rot.rotate(v, back // g.d ** s % g.d)
         vertices.append(u)
         fwd.append(j)
         cur = u

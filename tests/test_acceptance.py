@@ -221,7 +221,7 @@ def test_07_packings_are_bijective(announce):
     # forward packing covers the walk index space exactly once (m=2, t=3: 13 bits)
     g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(12).permutation(16))
     total = wb.walk_count(g, 3)
-    phis = {wb.forward_repr(g, wb.walk_from_index(g, 3, i)).to_int() for i in range(total)}
+    phis = {wb.walk_index(g, wb.walk_from_index(g, 3, i)) for i in range(total)}
     results.append(("forward-packing-13bit", phis == set(range(total))))
 
     # the walk permutation itself, 13 and 14 bits

@@ -22,8 +22,8 @@ def run_cli(capsys, argv):
     return code, report, captured.err
 
 
-def report_schema():
-    ref = resources.files("walkbound") / "schemas" / "run_report.schema.json"
+def report_schema(name="run_report"):
+    ref = resources.files("walkbound") / "schemas" / f"{name}.schema.json"
     return json.loads(ref.read_text())
 
 
@@ -405,6 +405,18 @@ class TestAmplify:
         expected = wb.measure_inversion(func, wb.repeat_amplify(red, 8), mode="exact").success
         assert res["repeated"]["success"] == expected
         assert res["repeated"]["security"]["time_cost"] == 8 * res["reduced"]["security"]["time_cost"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--construction", "direct", "--n", "4", "--t", "2", "--seed", "11"],
+        ["--construction", "walk", "--m", "2", "--t", "3", "--mode", "mc", "--trials", "500",
+         "--seed", "11"],
+        ["--construction", "direct", "--n", "3", "--t", "2", "--mode", "mc", "--trials", "500",
+         "--k", "2", "--seed", "2"],
+    ], ids=["direct-exact", "walk-mc", "direct-mc-k2"])
+    def test_config_validates_against_its_schema(self, capsys, argv):
+        code, report, _ = run_cli(capsys, ["amplify", *argv])
+        assert code == 0
+        jsonschema.validate(report["config"], report_schema("experiment_config"))
 
     def test_walk_requires_m_and_t2(self, capsys):
         code, _, err = run_cli(capsys, ["amplify", "--construction", "walk", "--t", "3", "--seed", "1"])

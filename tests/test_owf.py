@@ -335,48 +335,34 @@ class TestDirectPower:
         assert peak < p.table.nbytes + 2 * 2 ** 20
 
 
-class TestWalkRepr:
-    def test_round_trip_int(self):
-        r = wb.WalkRepr(9, (3, 0, 7), 4, 3)
-        assert wb.WalkRepr.from_int(r.to_int(), 3, 4, 3) == r
-        assert r.n_bits == 13
-        assert r.bit_string() == format(r.to_int(), "013b")
-
-    def test_field_validation(self):
-        with pytest.raises(StructuralError):
-            wb.WalkRepr(16, (0,), 4, 3)
-        with pytest.raises(StructuralError):
-            wb.WalkRepr(0, (8,), 4, 3)
-        with pytest.raises(StructuralError):
-            wb.WalkRepr.from_int(1 << 13, 3, 4, 3)
+class TestWalkPackings:
+    def test_round_trip_int(self, g_identity):
+        idx = ((9 * 8 + 3) * 8 + 0) * 8 + 7
+        w = wb.walk_from_index(g_identity, 3, idx)
+        assert (w.vertices[0], w.labels) == (9, (3, 0, 7))
+        assert wb.walk_index(g_identity, w) == idx
 
     def test_golden_forward_packing(self, g_identity):
         w = wb.Walk((4, 4, 4, 8), (0, 1, 2))
-        phi = wb.forward_repr(g_identity, w)
-        assert phi.to_int() == 2058
-        assert wb.forward_inv(g_identity, phi) == w
+        assert wb.walk_index(g_identity, w) == 2058
+        assert wb.walk_from_index(g_identity, 3, 2058) == w
 
     def test_golden_reverse_packing(self, g_identity):
         w = wb.Walk((4, 4, 4, 8), (0, 1, 2))
-        rho = wb.reverse_repr(g_identity, w)
-        assert rho.vertex == 8
-        assert rho.labels == (3, 0, 1)      # last step's backward label first
-        assert rho.to_int() == 4289
+        rho = wb.reverse_index(g_identity, w)
+        assert rho // 8 ** 3 == 8
+        assert [rho // 8 ** s % 8 for s in (2, 1, 0)] == [3, 0, 1]   # last step's backward label first
+        assert rho == 4289
 
     def test_forward_round_trip_random(self, g_random):
         for seed in range(40):
             w = wb.sample_walk(g_random, 4, seed)
-            assert wb.forward_inv(g_random, wb.forward_repr(g_random, w)) == w
+            assert wb.walk_from_index(g_random, 4, wb.walk_index(g_random, w)) == w
 
     def test_reverse_decodes_with_permutation_inverse(self, g_random):
         for seed in range(40):
             w = wb.sample_walk(g_random, 4, seed)
-            assert reverse_inv(g_random, wb.reverse_repr(g_random, w)) == w
-
-    def test_geometry_mismatch(self, g_identity):
-        r = wb.WalkRepr(0, (0,), 3, 3)
-        with pytest.raises(StructuralError):
-            wb.forward_inv(g_identity, r)
+            assert reverse_inv(g_random, 4, wb.reverse_index(g_random, w)) == w
 
 
 class TestWalkPermutation:
@@ -395,32 +381,44 @@ class TestWalkPermutation:
         f = wb.walk_permutation(g_random, 2)
         for idx in (0, 5, 333, 1023):
             w = wb.walk_from_index(g_random, 2, idx)
-            phi = wb.forward_repr(g_random, w)
-            assert phi.to_int() == idx
-            assert f.apply(idx) == wb.reverse_repr(g_random, w).to_int()
+            assert wb.walk_index(g_random, w) == idx
+            assert f.apply(idx) == wb.reverse_index(g_random, w)
 
     def test_budget(self, g_random):
         with pytest.raises(BudgetError):
             wb.walk_permutation(g_random, 7)
 
+    def test_degree_three_has_no_bit_width(self):
+        # k4: 4 * 3**t walks, never a power of two for t >= 1
+        g = tree_graph("k4", "random")
+        with pytest.raises(StructuralError):
+            wb.walk_permutation(g, 2)
+        inner = wb.AdversaryOracle(wb.identity_function(5), np.zeros(32), seed=0)
+        with pytest.raises(StructuralError):
+            wb.reduce_walk(inner, g, 2, seed=0)
+
 
 class TestConditionedReverse:
     @pytest.mark.parametrize("i", [1, 2, 3])
     @pytest.mark.parametrize("y", [0, 2])
-    def test_hits_each_conditioned_walk_once(self, i, y):
-        # m=1, t=3: ranging over all label choices must produce exactly the
-        # reverse packings of the d**t walks whose position-i vertex is y
-        g = wb.HybridGraph(wb.mgg_rotation(1), np.random.default_rng(5).permutation(4))
+    @pytest.mark.parametrize("graph", ["mgg1", "k4"])
+    def test_hits_each_conditioned_walk_once(self, graph, i, y):
+        # m=1 and k4 (degree 3), t=3: ranging over all label choices must produce
+        # exactly the reverse packings of the d**t walks whose position-i vertex is y
+        if graph == "mgg1":
+            g = wb.HybridGraph(wb.mgg_rotation(1), np.random.default_rng(5).permutation(4))
+        else:
+            g = tree_graph("k4", "random")
         t, d = 3, g.d
-        f = wb.walk_permutation(g, t)
+        reverse = wb.walk_space(g, t).reverse
         produced = set()
         for fwd_idx in range(d ** (t - i)):
             fwd = [(fwd_idx // d ** s) % d for s in range(t - i)]
             for pre_idx in range(d ** i):
                 prefix = [(pre_idx // d ** s) % d for s in range(i)]
-                produced.add(wb.conditioned_reverse_repr(g, t, i, y, fwd, prefix).to_int())
+                produced.add(wb.conditioned_reverse_index(g, t, i, y, fwd, prefix))
         expected = {
-            int(f.table[idx])
+            int(reverse[idx])
             for idx in range(wb.walk_count(g, t))
             if wb.walk_from_index(g, t, idx).vertices[i] == y
         }
@@ -429,9 +427,9 @@ class TestConditionedReverse:
 
     def test_label_count_validation(self, g_random):
         with pytest.raises(StructuralError):
-            wb.conditioned_reverse_repr(g_random, 3, 2, 0, [0], [0])
+            wb.conditioned_reverse_index(g_random, 3, 2, 0, [0], [0])
         with pytest.raises(ParameterError):
-            wb.conditioned_reverse_repr(g_random, 3, 0, 0, [0, 0, 0], [])
+            wb.conditioned_reverse_index(g_random, 3, 0, 0, [0, 0, 0], [])
 
 
 class TestBlockwiseInverter:

@@ -139,7 +139,7 @@ class TestEnumeration:
         assert peak < reverse.nbytes + walks.WALK_SCRATCH_BYTES
         idx = np.random.default_rng(27).integers(0, reverse.size, size=40)
         for i in idx:
-            assert reverse[i] == wb.reverse_repr(g, wb.walk_from_index(g, 5, int(i))).to_int()
+            assert reverse[i] == wb.reverse_index(g, wb.walk_from_index(g, 5, int(i)))
 
     def test_uint16_columns_match_walk_from_index(self):
         g = wb.HybridGraph(wb.mgg_rotation(5), np.random.default_rng(21).permutation(1024))
@@ -732,6 +732,27 @@ class TestReverseTree:
         assert len(list(space._start_ranges(8))) == 16
         assert np.array_equal(space.reverse, whole)
         assert np.array_equal(np.sort(whole), np.arange(space.n_walks))
+
+    def test_one_byte_budget_gives_the_same_columns_and_visits(self, monkeypatch):
+        from walkbound import walks
+
+        def graph():
+            return wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(30).permutation(16))
+
+        # integer weights: every partial sum is exact, whatever the ranges
+        weights = np.random.default_rng(31).integers(0, 100, size=16 * 8 ** 3).astype(float)
+        space = wb.walk_space(graph(), 3)
+        columns, visits = space.columns, space.interior_visits(weights)
+        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        space = wb.walk_space(graph(), 3)
+        assert np.array_equal(space.columns, columns)
+        assert np.array_equal(space.interior_visits(weights), visits)
+
+    def test_scalar_packing_matches_at_degree_three(self):
+        g = tree_graph("k4", "random")
+        reverse = wb.walk_space(g, 3).reverse
+        packed = [wb.reverse_index(g, wb.walk_from_index(g, 3, idx)) for idx in range(reverse.size)]
+        assert packed == reverse.tolist()
 
     def test_build_holds_no_full_length_temporary(self):
         # W = 256 * 8**4 = 2**20 walks: the uint8 columns take 5 MiB, and one int64
