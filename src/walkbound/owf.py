@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
 from .prob import _frozen_array
-from .walks import (HybridGraph, Walk, _digits, _pack, _replay, reverse_index, walk_count,
-                    walk_from_index, walk_space)
+from .walks import (WALK_SCRATCH_BYTES, HybridGraph, Walk, _assemble, _digits, _pack, _replay,
+                    reverse_index, walk_count, walk_from_index, walk_space)
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
 
@@ -46,35 +47,66 @@ def _check_table_bits(bits: int, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class ToyFunction:
-    """A function on n-bit strings stored as a full lookup table of integers.
+class RangedTable:
+    """A function table given one range at a time: ``ranges()`` yields
+    ``(offset, chunk)`` pairs whose chunks tile the inputs in order, and
+    ``build()`` returns the whole table as one read-only int64 array."""
 
-    An ``is_permutation`` flag is checked at construction at every size: with
-    2**n entries, all in range, a table is a bijection exactly when it covers
-    every output, which one bool scatter over the table decides in O(2**n).
+    ranges: Callable[[], Iterable]
+    build: Callable[[], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class ToyFunction:
+    """A function on n-bit strings given by its full lookup table of integers.
+
+    ``source`` is the table as an array, or a ``RangedTable`` that builds it on
+    the first read of ``table``; an array is a single range.  Construction
+    streams over the ranges: every chunk must hold out_bits-bit values, and
+    the chunks must tile the 2**n inputs.  The ``is_permutation`` flag is
+    checked at every size: with 2**n entries, all in range, a table is a
+    bijection exactly when it covers every output, which one bool scatter of
+    every chunk into a single mask of the outputs decides in O(2**n).
     """
 
     n: int
     out_bits: int
-    table: np.ndarray
+    source: np.ndarray | RangedTable
     is_permutation: bool
 
     def __post_init__(self):
         _check_table_bits(self.n, "input")
         _check_table_bits(self.out_bits, "output")
-        t = np.asarray(self.table)
-        if t.dtype != np.int64 or t.flags.writeable:   # read-only int64 tables are shared
-            t = _frozen_array(t, dtype=np.int64)
-        object.__setattr__(self, "table", t)
-        if t.shape != (1 << self.n,):
+        if self.is_permutation and self.out_bits != self.n:
+            raise StructuralError("a permutation must be length-preserving")
+        if isinstance(self.source, RangedTable):
+            ranges = self.source.ranges()
+        else:
+            t = np.asarray(self.source)
+            if t.dtype != np.int64 or t.flags.writeable:   # read-only int64 tables are shared
+                t = _frozen_array(t, dtype=np.int64)
+            object.__setattr__(self, "source", t)
+            ranges = [(0, t)]
+        seen = np.zeros(1 << self.out_bits, dtype=bool) if self.is_permutation else None
+        covered = 0
+        for lo, chunk in ranges:
+            if lo != covered or chunk.ndim != 1 or covered + chunk.size > 1 << self.n:
+                raise StructuralError("table must have exactly 2**n entries")
+            if chunk.size and (chunk.min() < 0 or chunk.max() >= 1 << self.out_bits):
+                raise StructuralError("table values must be out_bits-bit integers")
+            if seen is not None:
+                seen[chunk] = True
+            covered += chunk.size
+        if covered != 1 << self.n:
             raise StructuralError("table must have exactly 2**n entries")
-        if t.min() < 0 or t.max() >= (1 << self.out_bits):
-            raise StructuralError("table values must be out_bits-bit integers")
-        if self.is_permutation:
-            if self.out_bits != self.n:
-                raise StructuralError("a permutation must be length-preserving")
-            if not _image_mask(self).all():
-                raise StructuralError("is_permutation is set but the table is not a bijection")
+        if seen is not None and not seen.all():
+            raise StructuralError("is_permutation is set but the table is not a bijection")
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The table as one read-only int64 array; a ``RangedTable`` builds it
+        here, on the first read."""
+        return self.source if isinstance(self.source, np.ndarray) else self.source.build()
 
     def apply(self, x: int) -> int:
         if not (0 <= x < (1 << self.n)):
@@ -110,13 +142,6 @@ def vertex_function(g: HybridGraph) -> ToyFunction:
     return ToyFunction(n, n, g.perm, True)
 
 
-def _image_mask(func: ToyFunction) -> np.ndarray:
-    """Bool mask over the outputs of func, True on its image."""
-    seen = np.zeros(1 << func.out_bits, dtype=bool)
-    seen[func.table] = True
-    return seen
-
-
 def image_distribution(func: ToyFunction) -> np.ndarray:
     """Distribution of func(x) for uniform x, indexed by output value.
 
@@ -142,7 +167,9 @@ def planted_profile(func: ToyFunction, delta: float) -> np.ndarray:
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    img = np.flatnonzero(_image_mask(func))
+    seen = np.zeros(1 << func.out_bits, dtype=bool)
+    seen[func.table] = True
+    img = np.flatnonzero(seen)
     k = round((1.0 - delta) * img.size)
     prof = np.zeros(1 << func.out_bits)
     prof[img[:k]] = 1.0
@@ -259,18 +286,32 @@ def repeat_amplify(inner: Inverter, k: int) -> RepeatedInverter:
 def direct_power(func: ToyFunction, t: int) -> ToyFunction:
     """The t-fold parallel application, block 0 in the most significant bits.
 
-    Each block appends one broadcast outer product: the table so far, shifted,
-    ORed with the base table; the read-only result is shared, not copied.
+    The table comes in ranges of the leading block: a range of the base
+    table, shifted, ORed with every entry of the power of the other t - 1
+    blocks (one broadcast outer product per block), as many leading values
+    per range as fit WALK_SCRATCH_BYTES.  The checks stream over those ranges,
+    and the whole table is put together from them on its first read.
     """
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     if func.n * t > TABLE_MAX_BITS:
         raise BudgetError(f"power table needs {func.n * t} input bits, over {TABLE_MAX_BITS}")
-    out = func.table
+    base, bits = func.table, func.out_bits
+    rest = np.zeros(1, dtype=np.int64)   # the power of no blocks
     for _ in range(t - 1):
-        out = ((out[:, None] << func.out_bits) | func.table[None, :]).reshape(-1)
-    out.setflags(write=False)
-    return ToyFunction(func.n * t, func.out_bits * t, out, func.is_permutation)
+        rest = ((rest[:, None] << bits) | base).reshape(-1)
+    step = max(1, WALK_SCRATCH_BYTES // (8 * rest.size))
+
+    def ranges(out=None):
+        for lo in range(0, base.size, step):
+            head = base[lo: lo + step, None] << bits * (t - 1)
+            span = slice(lo * rest.size, (lo + head.size) * rest.size)
+            place = None if out is None else out[span].reshape(head.size, -1)
+            yield span.start, np.bitwise_or(head, rest, out=place).reshape(-1)
+
+    size = 1 << (func.n * t)
+    return ToyFunction(func.n * t, bits * t, RangedTable(ranges, lambda: _assemble(ranges, size)),
+                       func.is_permutation)
 
 
 def conditioned_reverse_index(
@@ -296,12 +337,18 @@ def conditioned_reverse_index(
 
 def walk_permutation(g: HybridGraph, t: int) -> ToyFunction:
     """The permutation on the N * d**t walk packings sending a walk's forward
-    packing to its reverse packing, sharing the walk space's table.  Needs a
-    power-of-two walk count; identity at t = 0."""
+    packing to its reverse packing.  Needs a power-of-two walk count; identity
+    at t = 0.
+
+    Its checks stream over the walk space's ``reverse_ranges``, so building it
+    holds no 2**n table; its ``table``, read on the first lookup, is the walk
+    space's shared ``reverse``.
+    """
     bits = _exact_log2(walk_count(g, t))
     if bits > TABLE_MAX_BITS:
         raise BudgetError(f"walk permutation needs {bits} bits, over {TABLE_MAX_BITS}")
-    return ToyFunction(bits, bits, walk_space(g, t).reverse, True)
+    space = walk_space(g, t)
+    return ToyFunction(bits, bits, RangedTable(space.reverse_ranges, lambda: space.reverse), True)
 
 
 class BlockwiseInverter(Inverter):
@@ -555,9 +602,10 @@ def measure_inversion(
     distribution.  For a permutation (its flag is checked at construction)
     that is uniform, so the success is the sum of the profile's runs times the
     run length times 2**-n (both exact scalings): the runs are never expanded
-    and no 2**n array sits beside them.  Otherwise the expanded profile is
-    dotted with the image distribution.  ``mc`` runs seeded trials through the
-    live oracle and verifies every defined answer.
+    and no 2**n array sits beside them, nor is ``func.table`` read, so a
+    ranged table stays unbuilt.  Otherwise the expanded profile is dotted with
+    the image distribution.  ``mc`` runs seeded trials through the live oracle
+    and verifies every defined answer; its first query reads ``func.table``.
     """
     if mode not in ("exact", "mc"):
         raise ParameterError(f"mode must be 'exact' or 'mc', got {mode!r}")

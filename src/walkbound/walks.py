@@ -14,7 +14,8 @@ first) is a tree growing backward along the predecessor table: its level k
 holds the vertex k steps before the end once per subtree, N * d**k entries.
 Both are the walks' integer packings, mixed radix in d, and this module is
 the one codec: ``walk_index`` / ``walk_from_index`` and ``reverse_index`` per
-walk, ``WalkSpace.reverse`` from one to the other for every walk at once.
+walk, ``WalkSpace.reverse_ranges`` from one to the other for every walk, a
+range of start vertices at a time.
 Every per-walk quantity is one fold down a tree (``_descend``): the reverse
 packing (sums), a family block's membership words (ANDs) and the vertex
 bitmasks (ORs) down the forward tree, products along a walk down the reverse
@@ -212,6 +213,16 @@ def _descend(parents: Sequence, acc: np.ndarray, tables: Sequence, op,
     return acc
 
 
+def _assemble(ranges, size: int) -> np.ndarray:
+    """The read-only int64 array of ``size`` entries that ``ranges(out)``
+    writes in place, range by range."""
+    out = np.empty(size, dtype=np.int64)
+    for _ in ranges(out):
+        pass
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class WalkSpace:
     """Every t-step walk of a hybrid graph, read-only, in two orders.
@@ -232,9 +243,11 @@ class WalkSpace:
     of d**(t-k) points.  ``levels[k]``, k < t, holds it once per run, N * d**k
     entries in the heads' dtype; level k+1 is level k's rows of the
     predecessor table, ``predecessors[levels[k]]``.  The start vertex's level
-    would be a full column, and no reader needs it.  ``reverse`` maps walk
-    index to reverse packing (int64); it is built on its first read, since
-    only the walk permutation needs it.
+    would be a full column, and no reader needs it.  ``reverse_ranges``
+    yields the reverse packing per walk index (int64) one range of start
+    vertices at a time, and ``reverse`` is those ranges put together, built on
+    its first read: the walk permutation's checks stream over the ranges, and
+    only a lookup in its table reads ``reverse``.
 
     ``successors[u, j]``, ``predecessors[w, b]`` (both in the heads' dtype)
     and ``back_labels[u, j]`` are the step tables: edge slot j out of u ends
@@ -277,14 +290,21 @@ class WalkSpace:
 
     @cached_property
     def reverse(self) -> np.ndarray:
-        """The reverse packing per walk index, read-only int64.
+        """The reverse packing per walk index, read-only int64: every chunk of
+        ``reverse_ranges`` folded into its place."""
+        return _assemble(self.reverse_ranges, self.n_walks)
+
+    def reverse_ranges(self, out: np.ndarray = None):
+        """``(offset, chunk)``: the reverse packings of walk indices offset ..
+        offset + chunk.size - 1 as int64, in order, one range of start vertices
+        at a time.  With ``out`` (int64, one entry per walk), each chunk is
+        folded straight into its place there.
 
         An add fold down the walk-index tree (``_descend``): step s < t adds
         ``back_labels[u, j] * d**(s-1)`` per child j of a prefix ending at u,
-        and the last step adds ``successors * d**t + back_labels * d**(t-1)``
-        straight into the result.  Start vertices run in ranges whose share
-        of the result fits WALK_SCRATCH_BYTES, so the partial sums and the
-        intp copy ``np.take`` makes of each range's heads stay within it.
+        and the last step adds ``successors * d**t + back_labels * d**(t-1)``.
+        A range's chunk fits WALK_SCRATCH_BYTES, and so do its partial sums and
+        the intp copy ``np.take`` makes of its heads.
         """
         d = self.successors.shape[1]
         t = len(self.heads)
@@ -292,13 +312,11 @@ class WalkSpace:
         if t:
             tables.append(self.successors * np.int64(d ** t)
                           + self.back_labels * np.int64(d ** (t - 1)))
-        out = np.empty(self.n_walks, dtype=np.int64)
         for lo, hi, parents in self._start_ranges(8):
             # at t = 0 the packing is the start vertex itself
             root = np.zeros(hi - lo, dtype=np.int64) if t else np.arange(lo, hi, dtype=np.int64)
-            _descend(parents, root, tables, np.add, out[lo * d ** t: hi * d ** t])
-        out.setflags(write=False)
-        return out
+            place = None if out is None else out[lo * d ** t: hi * d ** t]
+            yield lo * d ** t, _descend(parents, root, tables, np.add, place)
 
     def _start_ranges(self, walk_bytes: int):
         """Ranges ``lo <= v < hi`` of start vertices whose walks take at most
@@ -361,7 +379,7 @@ def walk_space(g: HybridGraph, t: int) -> WalkSpace:
     the levels of the reverse tree follow the predecessor table from the
     terminal vertex: N * d**(t-1) entries each at the deepest level, all in
     the narrow vertex dtype.  ``columns`` and ``reverse`` wait for their first
-    read.
+    read, and the reverse packing's ranges are folded on each request.
     """
     if t not in g._spaces:
         total = walk_count(g, t)

@@ -227,6 +227,54 @@ class TestVerifyBeta:
         assert spaces and all("columns" not in vars(space) for space in spaces)
 
 
+    def test_exact_amplify_leaves_the_reverse_packing_unbuilt(self, capsys, monkeypatch):
+        # the walk permutation's checks stream over the reverse packing's ranges
+        import walkbound.cli as cli
+
+        graphs = []
+
+        class Recorded(wb.HybridGraph):
+            def __post_init__(self):
+                super().__post_init__()
+                graphs.append(self)
+
+        monkeypatch.setattr(cli, "HybridGraph", Recorded)
+        code, _, _ = run_cli(capsys, ["amplify", "--construction", "walk", "--m", "3", "--t", "3",
+                                      "--seed", "1"])
+        assert code == 0
+        spaces = [space for g in graphs for space in g._spaces.values()]
+        assert spaces and all("reverse" not in vars(space) for space in spaces)
+
+    def test_mc_amplify_builds_the_reverse_packing_once(self, capsys, monkeypatch):
+        import walkbound.cli as cli
+        from walkbound.walks import WalkSpace
+
+        graphs, built = [], []
+
+        class Recorded(wb.HybridGraph):
+            def __post_init__(self):
+                super().__post_init__()
+                graphs.append(self)
+
+        reverse = vars(WalkSpace)["reverse"]
+        fold = reverse.func
+
+        def counted(space):
+            built.append(space)
+            return fold(space)
+
+        monkeypatch.setattr(cli, "HybridGraph", Recorded)
+        monkeypatch.setattr(reverse, "func", counted)
+        code, _, _ = run_cli(capsys, ["amplify", "--construction", "walk", "--m", "2", "--t", "3",
+                                      "--mode", "mc", "--trials", "200", "--seed", "11"])
+        assert code == 0
+        (g,) = graphs
+        space = g._spaces[3]
+        assert len(built) == 1 and built[0] is space
+        assert wb.walk_permutation(g, 3).table is wb.walk_space(g, 3).reverse
+        assert len(built) == 1
+
+
 class TestBound:
     def test_cube_default_is_tight(self, capsys):
         code, report, _ = run_cli(capsys, ["bound", "--preset", "cube", "--p", "0.25", "--t", "2"])

@@ -40,6 +40,34 @@ class TestToyFunction:
         with pytest.raises(StructuralError, match="bijection"):
             wb.ToyFunction(21, 21, table, True)
 
+    @staticmethod
+    def ranged(*chunks):
+        offsets = np.cumsum([0] + [len(c) for c in chunks[:-1]])
+
+        def ranges():
+            return ((int(lo), np.array(c, dtype=np.int64)) for lo, c in zip(offsets, chunks))
+
+        return wb.RangedTable(ranges, lambda: np.concatenate(chunks).astype(np.int64))
+
+    def test_ranged_table_is_built_on_first_read(self):
+        f = wb.ToyFunction(3, 3, self.ranged([3, 1, 0, 2], [7, 5, 4, 6]), True)
+        assert "table" not in vars(f)
+        assert f.apply(4) == 7 and np.array_equal(f.table, [3, 1, 0, 2, 7, 5, 4, 6])
+
+    def test_ranged_collision_across_ranges_rejected(self):
+        with pytest.raises(StructuralError, match="bijection"):
+            wb.ToyFunction(3, 3, self.ranged([3, 1, 0, 2], [7, 5, 3, 6]), True)
+
+    def test_ranged_value_out_of_range_in_last_range_rejected(self):
+        for is_permutation in (True, False):
+            with pytest.raises(StructuralError, match="out_bits"):
+                wb.ToyFunction(3, 3, self.ranged([3, 1, 0, 2], [7, 5, 4, 8]), is_permutation)
+
+    def test_ranges_that_do_not_tile_the_inputs_rejected(self):
+        for chunks in (([0, 1, 2],), ([0, 1, 2, 3], [4, 5, 6, 7], [0]), ([[0, 1], [2, 3]],)):
+            with pytest.raises(StructuralError, match="2\\*\\*n entries"):
+                wb.ToyFunction(2, 2, self.ranged(*chunks), False)
+
     def test_permutation_must_preserve_length(self):
         with pytest.raises(StructuralError):
             wb.ToyFunction(2, 3, np.arange(4), True)
@@ -322,6 +350,14 @@ class TestDirectPower:
             assert p.table.tobytes() == expect.tobytes()
             assert (p.n, p.out_bits, p.is_permutation) == (n * t, f.out_bits * t, f.is_permutation)
 
+    def test_power_table_waits_for_its_first_read(self):
+        # exact success of a permutation's power sums the runs, never the table
+        f = wb.random_permutation(6, 8)
+        p = wb.direct_power(f, 3)
+        base = wb.AdversaryOracle(f, wb.planted_profile(f, 0.25), seed=0)
+        rep = wb.measure_inversion(p, wb.BlockwiseInverter(base, 3, power=p), mode="exact")
+        assert rep.success == 0.75 ** 3 and "table" not in vars(p)
+
     def test_power_table_is_shared_not_copied(self):
         # 2**20 entries: the int64 table takes 8 MiB, and a copy of it 8 MiB more;
         # the construction checks hold bool temporaries of 1 MiB
@@ -383,6 +419,25 @@ class TestWalkPermutation:
             w = wb.walk_from_index(g_random, 2, idx)
             assert wb.walk_index(g_random, w) == idx
             assert f.apply(idx) == wb.reverse_index(g_random, w)
+
+    def test_table_is_the_walk_spaces_reverse_read_on_first_use(self, g_random):
+        g = wb.HybridGraph(g_random.rot, g_random.perm)
+        f = wb.walk_permutation(g, 2)
+        assert "table" not in vars(f) and "reverse" not in vars(wb.walk_space(g, 2))
+        assert f.table is wb.walk_space(g, 2).reverse
+
+    def test_checks_hold_no_table_length_array(self):
+        # m = 3, t = 5: 2**21 walks; the int64 table would take 16 MiB, and the
+        # bool mask of the bijection check takes 2 MiB
+        g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(26).permutation(64))
+        tracemalloc.start()
+        try:
+            f = wb.walk_permutation(g, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert f.n == 21 and "table" not in vars(f)
 
     def test_budget(self, g_random):
         with pytest.raises(BudgetError):
