@@ -147,14 +147,12 @@ def cmd_spectral(args) -> dict:
         )
     )
 
-    # each level is the base of the next one's covering route
-    last_rot, rep, alphas = None, None, []
+    # each level is the base of the next one's covering route; no level's
+    # rotation outlives its solve
+    rep, alphas = None, []
     for m in range(args.m_min, args.m + 1):
-        rot = mgg_rotation(m)
-        rep = torus_spectrum(rot, rep)
-        rows.append(
-            {"graph": f"torus-m{m}", "m": m, "n_vertices": rot.n_vertices, "degree": 8, **rep.to_dict()}
-        )
+        rep = torus_spectrum(mgg_rotation(m), rep)
+        rows.append({"graph": f"torus-m{m}", "m": m, "n_vertices": 4 ** m, "degree": 8, **rep.to_dict()})
         checks.append(
             _check(
                 f"alpha-bound-m{m}",
@@ -165,7 +163,6 @@ def cmd_spectral(args) -> dict:
             )
         )
         alphas.append(rep.alpha)
-        last_rot = rot
     # spec(m-1) is contained in spec(m), so alpha never drops along the sweep
     drops = [lo - hi for lo, hi in zip(alphas, alphas[1:])]
     checks.insert(1, _check("alpha-monotone", all(x <= rep.tol for x in drops),
@@ -173,7 +170,7 @@ def cmd_spectral(args) -> dict:
 
     if args.dump_graph:
         with _open_output(args.dump_graph) as fh:
-            fh.write(adjacency_text(last_rot))
+            fh.write(adjacency_text(mgg_rotation(args.m)))
     if args.csv:
         _write_csv(
             args.csv,

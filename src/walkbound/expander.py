@@ -17,16 +17,25 @@ with every neighbor map, so the torus transition matrix splits into four
 character blocks of size N/4 (``torus_character_blocks``).  No torus spectrum
 builds the dense N x N matrix: up to ``DENSE_EIGENSOLVE_MAX`` vertices the four
 blocks are solved densely, above it Lanczos runs over the nonzeros.
+
+Lanczos keeps no Krylov basis (``_lanczos_extremes``): pass 1 runs the
+three-term recurrence from a fixed hashed start and keeps the tridiagonal
+matrix, pass 2 replays it to sum the two extreme Ritz vectors, and each
+extreme counts only with its explicit residual.  A step applies the operator
+twice, once per pass, and each certificate twice more; reports count Lanczos
+steps as ``iterations`` and ``matvecs``.  A solve holds a few vectors of
+length N, plus the operator's own scratch.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError, StructuralError
+from .errors import ParameterError, StructuralError
 from .prob import RATIO_TOL
 
 STOCHASTIC_TOL = 1e-12
@@ -34,8 +43,6 @@ SYMMETRY_TOL = 1e-14
 DENSE_EIGENSOLVE_MAX = 1024   # dense eigvalsh up to this N (torus: four N/4 blocks); Lanczos above
 EIGEN_TOL = 1e-8              # residual stop of the Lanczos routes
 LANCZOS_MAX_STEPS = 400
-LANCZOS_BLOCK = 32            # basis vectors allocated at a time
-LANCZOS_BASIS_BYTES = 2 ** 30 # worst-case Krylov basis, (steps + 1) * N * 8
 EXACT_NORM_MAX = 256          # SVD-based exact operator norms up to this dimension
 ALPHA_FAMILY_BOUND = 5.0 * np.sqrt(2.0) / 8.0
 
@@ -137,7 +144,9 @@ class TransitionMatrix:
     Stored as its nonzero entries: parallel arrays ``rows``, ``cols``, ``vals``
     in row-major order.  ``entries`` builds the dense array on demand, for the
     dense algorithms only.  ``TransitionMatrix(dense)`` wraps a hand-written
-    matrix; ``from_triples`` takes the nonzeros directly.
+    matrix; ``from_triples`` takes the nonzeros directly, keeping arrays that
+    are already int64 (indices) or float64 (values) without a copy and making
+    them read-only once they pass the checks.
     """
 
     def __init__(self, entries, directed: bool = False):
@@ -155,12 +164,11 @@ class TransitionMatrix:
 
     def _store(self, n: int, rows, cols, vals, directed: bool) -> None:
         self.n_dim, self.directed = int(n), bool(directed)
-        self.rows, self.cols = (np.array(x, dtype=np.int64) for x in (rows, cols))
-        self.vals = np.array(vals, dtype=float)
-        for arr in (self.rows, self.cols, self.vals):
-            arr.setflags(write=False)
-        keys = self.rows * n + self.cols
-        if np.any(np.diff(keys) <= 0):
+        self.rows, self.cols = (np.asarray(x, dtype=np.int64) for x in (rows, cols))
+        self.vals = np.asarray(vals, dtype=float)
+        keys = self.rows * n
+        keys += self.cols
+        if np.any(keys[1:] <= keys[:-1]):
             raise StructuralError("nonzeros must be distinct and in row-major order")
         if np.any(self.vals < 0.0):
             raise StructuralError("entries must be nonnegative")
@@ -169,11 +177,16 @@ class TransitionMatrix:
         if max(np.max(np.abs(row_sums - 1.0)), np.max(np.abs(col_sums - 1.0))) > STOCHASTIC_TOL:
             raise StructuralError("rows and columns must each sum to 1")
         if not directed:
-            mirror_keys = self.cols * n + self.rows
-            pos = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
-            mirror = np.where(keys[pos] == mirror_keys, self.vals[pos], 0.0)
-            if float(np.max(np.abs(self.vals - mirror))) > SYMMETRY_TOL:
-                raise StructuralError("undirected transition matrices must be symmetric")
+            # n nonzeros at a time, so the lookups hold O(n) scratch
+            for lo in range(0, keys.size, n):
+                hi = lo + n
+                mirror_keys = self.cols[lo:hi] * n + self.rows[lo:hi]
+                pos = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
+                mirror = np.where(keys[pos] == mirror_keys, self.vals[pos], 0.0)
+                if float(np.max(np.abs(self.vals[lo:hi] - mirror))) > SYMMETRY_TOL:
+                    raise StructuralError("undirected transition matrices must be symmetric")
+        for arr in (self.rows, self.cols, self.vals):
+            arr.setflags(write=False)
 
     @property
     def entries(self) -> np.ndarray:
@@ -184,21 +197,26 @@ class TransitionMatrix:
 
 def transition_matrix(rot: ColoredRotation) -> TransitionMatrix:
     """Normalized adjacency of the rotation's graph; parallel edges and loops
-    accumulate multiples of 1/d."""
+    accumulate multiples of 1/d.  Each vertex's neighbors are sorted in
+    place of a global sort: a run of equal neighbors is one nonzero."""
     n, d = rot.n_vertices, rot.d
-    keys, counts = np.unique(
-        np.repeat(np.arange(n, dtype=np.int64) * n, d) + rot.neighbors.reshape(-1),
-        return_counts=True,
-    )
-    rows, cols = np.divmod(keys, n)
-    return TransitionMatrix.from_triples(n, rows, cols, counts / d)
+    nb = np.sort(rot.neighbors, axis=1).reshape(-1)
+    first = np.ones(n * d, dtype=bool)
+    np.not_equal(nb[1:], nb[:-1], out=first[1:])
+    first[::d] = True
+    rows = np.flatnonzero(first)
+    cols = nb[rows]
+    del nb, first
+    vals = np.diff(rows, append=n * d) / d
+    rows //= d  # flat positions of the runs' heads become their row indices
+    return TransitionMatrix.from_triples(n, rows, cols, vals)
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     """The two extreme nontrivial eigenvalues and the engine that found them.
 
-    ``matvecs`` counts operator applications per route (empty for the dense
+    ``matvecs`` counts Lanczos steps per route (empty for the dense
     eigensolve).  ``alpha_cover`` is the covering route's alpha when that
     route ran; ``converged`` then also requires the two routes to agree."""
 
@@ -245,45 +263,91 @@ def _spectral_report(lam2: float, lam_min: float, tol: float, method: str, itera
                           matvecs=matvecs)
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed Lanczos start: splitmix64 of each vertex index, scaled to
+    [-1, 1).  Integer arithmetic only, so it needs no random generator."""
+    z = (np.arange(n, dtype=np.uint64) + 1) * 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return (z >> 11) * 2.0 ** -52 - 1.0
+
+
+def _lanczos_vectors(matvec, project, n: int, diag: list, off: list):
+    """The Lanczos recurrence from the fixed start, three vectors at a time.
+
+    Yields each basis vector v_k once its step is done: ``w = P A v_k -
+    a_k v_k - b_{k-1} v_{k-1}``, then ``v_{k+1} = w / b_k``.  The coefficients
+    ``a_k = v_k . P A v_k`` and ``b_k = |w|`` are appended to ``diag`` and
+    ``off`` when first reached and reused on a replay, so a replay yields the
+    same vectors bit for bit and then carries on past them.
+    """
+    v = project(_start_vector(n))
+    v /= np.linalg.norm(v)
+    v_prev, b = v, 0.0
+    for k in itertools.count():
+        w = project(matvec(v))
+        if k == len(diag):
+            diag.append(float(v @ w))
+        w -= diag[k] * v
+        w -= b * v_prev
+        del v_prev
+        if k == len(off):
+            off.append(float(np.linalg.norm(w)))
+        yield v
+        b = off[k]
+        w /= b
+        v_prev, v = v, w
+
+
+def _residual(matvec, project, y: np.ndarray, theta: float) -> float:
+    """``|P(A y) - theta y|``, the certificate of a Ritz pair with ``|y| = 1``."""
+    r = project(matvec(y))
+    r -= theta * y
+    return float(np.linalg.norm(r))
+
+
 def _lanczos_extremes(matvec, project, n: int, tol: float) -> tuple:
     """Largest and smallest eigenvalue of a symmetric operator on the subspace
     kept by ``project``, an orthogonal projection that commutes with it.
 
-    Lanczos from a fixed random start, with the three-term recurrence followed
-    by a full reorthogonalisation pass against the basis (Paige 1980).  The
-    basis grows in blocks of ``LANCZOS_BLOCK`` vectors; its worst case,
-    ``(LANCZOS_MAX_STEPS + 1) * n * 8`` bytes, is checked against
-    ``LANCZOS_BASIS_BYTES`` first.  Stops when both extreme Ritz residuals
-    ``|b_k s_k|`` are at most ``tol``, which certifies an eigenvalue within
-    ``tol`` of each.  Returns ``(top, bottom, steps, converged)``.
+    Two-pass Lanczos with no stored basis (Paige 1980; Cullum & Willoughby
+    1985).  Pass 1 runs the three-term recurrence and keeps only the
+    tridiagonal matrix T; it stops once both extreme Ritz residual estimates
+    ``|b_k s_k|`` are at most ``tol``.  Without reorthogonalisation that
+    estimate is not a proof, so pass 2 replays the recurrence with the stored
+    coefficients, sums the two extreme Ritz vectors y, and each Ritz value
+    theta counts only if ``|P(A y) - theta y| <= tol`` with ``|y| = 1``, which
+    puts an eigenvalue within ``tol`` of it.  If that certificate misses, pass
+    1 goes on from where the replay ends, and pass 2 runs again once the
+    step count has doubled.  A step costs two operator applications, one
+    per pass, plus two per certificate; the returned step count counts
+    Lanczos steps.  Returns ``(top, bottom, steps, converged)``.
     """
-    need = (LANCZOS_MAX_STEPS + 1) * n * 8
-    if need > LANCZOS_BASIS_BYTES:
-        raise BudgetError(f"Lanczos basis needs {need} bytes at N={n}, "
-                          f"over the {LANCZOS_BASIS_BYTES}-byte budget")
-    v = project(np.random.default_rng(0x5EED).standard_normal(n))
-    v /= np.linalg.norm(v)
-    blocks, diag, off = [], [], []
-    v_prev, b = v, 0.0
-    for k in range(LANCZOS_MAX_STEPS):
-        row = k % LANCZOS_BLOCK
-        if row == 0:
-            blocks.append(np.empty((LANCZOS_BLOCK, n)))
-        blocks[-1][row] = v
-        w = project(matvec(v))
-        a = float(v @ w)
-        w -= a * v
-        w -= b * v_prev
-        for blk in blocks[:-1] + [blocks[-1][: row + 1]]:
-            w -= (blk @ w) @ blk
-        diag.append(a)
-        b = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        if b * max(abs(s[-1, 0]), abs(s[-1, -1])) <= tol:
-            return float(theta[-1]), float(theta[0]), k + 1, True
-        off.append(b)
-        v_prev, v = v, w / b
-    return float(theta[-1]), float(theta[0]), LANCZOS_MAX_STEPS, False
+    diag, off = [], []
+    run = _lanczos_vectors(matvec, project, n, diag, off)
+    recheck = 0
+    for steps in range(1, LANCZOS_MAX_STEPS + 1):
+        next(run)
+        theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+        ends = s[:, [-1, 0]]
+        stuck = off[-1] == 0.0  # an invariant subspace: the recurrence cannot go on
+        if not stuck and (steps < recheck or off[-1] * np.max(np.abs(ends[-1])) > tol):
+            continue
+        run = _lanczos_vectors(matvec, project, n, diag, off)
+        y = np.zeros((2, n))
+        for c, v in zip(ends, run):
+            y += c[:, None] * v
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        top, bottom = float(theta[-1]), float(theta[0])
+        if all(_residual(matvec, project, u, lam) <= tol for u, lam in zip(y, (top, bottom))):
+            return top, bottom, steps, True
+        if stuck:
+            break
+        recheck = 2 * steps
+    return float(theta[-1]), float(theta[0]), steps, False
 
 
 def second_eigenvalue_magnitude(tm: TransitionMatrix, tol: float = EIGEN_TOL) -> SpectralReport:
@@ -302,8 +366,14 @@ def second_eigenvalue_magnitude(tm: TransitionMatrix, tol: float = EIGEN_TOL) ->
         lam2 = float(evals[-2]) if n > 1 else 0.0
         return _spectral_report(lam2, float(evals[0]), tol, "full-eigensolve", 0, True, {})
 
+    # every row of a stochastic matrix is nonempty, so its nonzeros are one
+    # segment each; np.bincount would copy the read-only row indices per step
+    starts = np.searchsorted(tm.rows, np.arange(n))
+
     def step(v):
-        return np.bincount(tm.rows, weights=tm.vals * v[tm.cols], minlength=n)
+        terms = v[tm.cols]
+        terms *= tm.vals
+        return np.add.reduceat(terms, starts)
 
     lam2, lam_min, steps, converged = _lanczos_extremes(step, lambda v: v - v.mean(), n, tol)
     return _spectral_report(lam2, lam_min, tol, "lanczos", steps, converged, {"lanczos": steps})

@@ -22,6 +22,14 @@ def run_cli(capsys, argv):
     return code, report, captured.err
 
 
+def run_python(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout's walkbound."""
+    src = str(Path(wb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
 def report_schema(name="run_report"):
     ref = resources.files("walkbound") / "schemas" / f"{name}.schema.json"
     return json.loads(ref.read_text())
@@ -102,6 +110,19 @@ class TestSpectral:
             assert row["iterations"] == sum(row["matvecs"].values())
             assert abs(row["alpha"] - frozen) <= 1e-9
             assert abs(row["alpha_cover"] - row["alpha"]) <= row["tol"]
+
+    def test_spectral_does_not_import_numpy_random(self):
+        # the Lanczos start is a hash of the vertex index, not a Generator draw
+        script = (
+            "import contextlib, io, sys\n"
+            "from walkbound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['spectral', '--m', '6'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        run = run_python(script)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "False"]
 
     def test_alpha_drop_fails_the_monotone_check(self, capsys, monkeypatch):
         from dataclasses import replace
@@ -650,11 +671,7 @@ class TestHarness:
             "             main(['bound', '--preset', 'sweep', '--seed', '1'])]\n"
             "print(codes, 'numpy.ma' in sys.modules)\n"
         )
-        src = str(Path(wb.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env=env)
+        run = run_python(script)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["[0,", "0]", "False"]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import walkbound as wb
-from walkbound.errors import BudgetError, ParameterError, StructuralError
+from walkbound.errors import ParameterError, StructuralError
 from walkbound import expander
 
 
@@ -115,6 +115,28 @@ class TestTransitionMatrix:
         rows, cols = np.nonzero(oracle)
         assert np.array_equal(tm.rows, rows) and np.array_equal(tm.cols, cols)
         assert np.array_equal(tm.vals, oracle[rows, cols])
+
+    def test_asymmetry_found_past_the_first_range(self):
+        # the mirror lookups run n nonzeros at a time; a 3-cycle on the last
+        # rows, paid for from the diagonal, keeps the sums but breaks symmetry
+        a = 0.5 * np.eye(64) + 0.5 * wb.transition_matrix(wb.mgg_rotation(3)).entries
+        for i, j in [(61, 62), (62, 63), (63, 61)]:
+            a[i, j] += 1e-9
+            a[i, i] -= 1e-9
+        with pytest.raises(StructuralError, match="symmetric"):
+            wb.TransitionMatrix(a)
+        assert wb.TransitionMatrix(a, directed=True).n_dim == 64
+
+    def test_build_holds_a_small_multiple_of_the_triples(self):
+        rot = wb.mgg_rotation(7)
+        tracemalloc.start()
+        try:
+            tm = wb.transition_matrix(rot)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= tm.rows.nbytes + tm.cols.nbytes + tm.vals.nbytes
+        assert peak < 2 * kept
 
     def test_unordered_nonzeros_rejected(self):
         with pytest.raises(StructuralError):
@@ -224,17 +246,56 @@ class TestLanczos:
         assert converged and steps <= lam.size
         assert abs(top - 1.0) <= 1e-10 and abs(bottom + 0.50001) <= 1e-10
 
-    def test_basis_budget_checked_before_allocating(self, monkeypatch):
-        tm = wb.transition_matrix(wb.mgg_rotation(6))
-        monkeypatch.setattr(expander, "LANCZOS_BASIS_BYTES", 2 ** 20)
+    def test_route_memory_is_a_few_vectors(self):
+        # N = 16,384: no Krylov basis is kept, so route A's solve holds the
+        # Lanczos and Ritz vectors and one gather over the nonzeros
+        tm = wb.transition_matrix(wb.mgg_rotation(7))
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match="Lanczos basis"):
-                wb.second_eigenvalue_magnitude(tm)
+            rep = wb.second_eigenvalue_magnitude(tm)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert rep.method == "lanczos" and rep.converged
+        assert peak < 16 * tm.n_dim * 8
+
+    def test_certificate_overrules_the_estimate(self, monkeypatch):
+        # a small non-symmetric part: pass 1's estimate |b_k s_k| falls under
+        # tol at step 88, but the replayed Ritz vectors are no eigenvectors
+        n = 200
+        lam = np.concatenate([[1.0], np.linspace(-0.5, 0.5, n - 2), [-0.9]])
+        upper = 1e-5 * np.triu(np.random.default_rng(0).standard_normal((n, n)), 1) / np.sqrt(n)
+        certify, residuals = expander._residual, []
+
+        def recorded(*args):
+            residuals.append(certify(*args))
+            return residuals[-1]
+
+        monkeypatch.setattr(expander, "_residual", recorded)
+        monkeypatch.setattr(expander, "LANCZOS_MAX_STEPS", 100)
+        *_, converged = expander._lanczos_extremes(lambda v: lam * v + upper @ v, lambda v: v,
+                                                   n, 1e-8)
+        assert residuals and max(residuals) > 1e-8 and not converged
+        # the symmetric part alone is certified
+        assert expander._lanczos_extremes(lambda v: lam * v, lambda v: v, n, 1e-8)[3]
+
+    def test_invariant_subspace_stops_without_dividing(self):
+        # the zero operator leaves w = 0 after the first step: b_0 = 0
+        with np.errstate(all="raise"):
+            assert expander._lanczos_extremes(np.zeros_like, lambda v: v, 10, 1e-12) == (
+                0.0, 0.0, 1, True)
+
+    def test_start_vector_is_splitmix64_of_the_index(self):
+        mask = (1 << 64) - 1
+
+        def splitmix64(i):
+            z = (i + 1) * 0x9E3779B97F4A7C15 & mask
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+            return z ^ z >> 31
+
+        reference = [(splitmix64(i) >> 11) * 2.0 ** -52 - 1.0 for i in range(1000)]
+        assert expander._start_vector(1000).tolist() == reference
 
 
 class TestCoveringRoute:
