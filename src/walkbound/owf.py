@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BudgetError, ParameterError, StructuralError
 from .prob import _frozen_array
 from .walks import (WALK_SCRATCH_BYTES, HybridGraph, Walk, _assemble, _digits, _pack, _replay,
-                    reverse_index, walk_count, walk_from_index, walk_space)
+                    reverse_index, reverse_indices, walk_count, walk_from_index, walk_space)
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
 
@@ -50,10 +50,13 @@ def _check_table_bits(bits: int, what: str) -> None:
 class RangedTable:
     """A function table given one range at a time: ``ranges()`` yields
     ``(offset, chunk)`` pairs whose chunks tile the inputs in order, and
-    ``build()`` returns the whole table as one read-only int64 array."""
+    ``build()`` returns the whole table as one read-only int64 array.
+    ``evaluate(xs)`` is the point evaluator: the table's entries at an int64
+    array of inputs, computed without the table."""
 
     ranges: Callable[[], Iterable]
     build: Callable[[], np.ndarray]
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +65,15 @@ class ToyFunction:
 
     ``source`` is the table as an array, or a ``RangedTable`` that builds it on
     the first read of ``table``; an array is a single range.  Construction
-    streams over the ranges: every chunk must hold out_bits-bit values, and
-    the chunks must tile the 2**n inputs.  The ``is_permutation`` flag is
-    checked at every size: with 2**n entries, all in range, a table is a
-    bijection exactly when it covers every output, which one bool scatter of
-    every chunk into a single mask of the outputs decides in O(2**n).
+    streams over the ranges, dropping each chunk before the next is made:
+    every chunk must hold out_bits-bit values, and the chunks must tile the
+    2**n inputs.  The ``is_permutation`` flag is checked at every size: with
+    2**n entries, all in range, a table is a bijection exactly when it covers
+    every output, which one bool scatter of every chunk into a single mask of
+    the outputs decides in O(2**n).
+
+    ``evaluate`` and ``apply`` read points through a ranged table's point
+    evaluator, so they never build ``table``.
     """
 
     n: int
@@ -97,6 +104,7 @@ class ToyFunction:
             if seen is not None:
                 seen[chunk] = True
             covered += chunk.size
+            del chunk   # the next range is built without this one
         if covered != 1 << self.n:
             raise StructuralError("table must have exactly 2**n entries")
         if seen is not None and not seen.all():
@@ -108,10 +116,20 @@ class ToyFunction:
         here, on the first read."""
         return self.source if isinstance(self.source, np.ndarray) else self.source.build()
 
+    def evaluate(self, xs) -> np.ndarray:
+        """The function at every input of ``xs``, as int64: a table lookup, or
+        a ranged table's point evaluator."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if xs.size and (xs.min() < 0 or xs.max() >= 1 << self.n):
+            raise StructuralError(f"inputs must be {self.n}-bit strings")
+        if isinstance(self.source, RangedTable):
+            return self.source.evaluate(xs)
+        return self.table[xs]
+
     def apply(self, x: int) -> int:
         if not (0 <= x < (1 << self.n)):
             raise StructuralError(f"input {x} is not an {self.n}-bit string")
-        return int(self.table[x])
+        return int(self.evaluate([x])[0])
 
     def canonical_preimages(self) -> np.ndarray:
         """Per output point, the smallest preimage, or -1 where there is none."""
@@ -269,7 +287,7 @@ class RepeatedInverter(Inverter):
         self.query_count += 1
         answers = [self.inner.invert(y) for _ in range(self.k)]
         for x in answers:
-            if x is not None and int(self.func.table[x]) == y:
+            if x is not None and self.func.apply(x) == y:
                 return x
         return None
 
@@ -286,31 +304,48 @@ def repeat_amplify(inner: Inverter, k: int) -> RepeatedInverter:
 def direct_power(func: ToyFunction, t: int) -> ToyFunction:
     """The t-fold parallel application, block 0 in the most significant bits.
 
-    The table comes in ranges of the leading block: a range of the base
-    table, shifted, ORed with every entry of the power of the other t - 1
-    blocks (one broadcast outer product per block), as many leading values
-    per range as fit WALK_SCRATCH_BYTES.  The checks stream over those ranges,
-    and the whole table is put together from them on its first read.
+    One point evaluator serves every read: an input splits into its t blocks
+    of n bits, each is looked up in the base table, and the outputs are
+    recombined.  The ranges are that evaluator on consecutive inputs, as many
+    per range as fit WALK_SCRATCH_BYTES at 32 bytes per input (the inputs,
+    the outputs, one block and its lookup, all int64).  The checks stream over
+    those ranges, and the whole table is put together from them on its first
+    read; no power of fewer blocks is ever tabulated.
     """
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
-    if func.n * t > TABLE_MAX_BITS:
-        raise BudgetError(f"power table needs {func.n * t} input bits, over {TABLE_MAX_BITS}")
-    base, bits = func.table, func.out_bits
-    rest = np.zeros(1, dtype=np.int64)   # the power of no blocks
-    for _ in range(t - 1):
-        rest = ((rest[:, None] << bits) | base).reshape(-1)
-    step = max(1, WALK_SCRATCH_BYTES // (8 * rest.size))
+    n, bits = func.n, func.out_bits
+    if n * t > TABLE_MAX_BITS:
+        raise BudgetError(f"power table needs {n * t} input bits, over {TABLE_MAX_BITS}")
+    base, size = func.table, 1 << (n * t)
+
+    def fill(xs, out, block, looked):
+        for j in range(t):
+            np.right_shift(xs, n * (t - 1 - j), out=block)
+            block &= (1 << n) - 1
+            # take(mode="clip") writes into ``out`` without a buffer; blocks never clip
+            np.take(base, block, out=looked if j else out, mode="clip")
+            if j:
+                out <<= bits
+                out |= looked
+        return out
+
+    def evaluate(xs):
+        return fill(xs, *(np.empty_like(xs) for _ in range(3)))
+
+    step = min(size, WALK_SCRATCH_BYTES // 32)
 
     def ranges(out=None):
-        for lo in range(0, base.size, step):
-            head = base[lo: lo + step, None] << bits * (t - 1)
-            span = slice(lo * rest.size, (lo + head.size) * rest.size)
-            place = None if out is None else out[span].reshape(head.size, -1)
-            yield span.start, np.bitwise_or(head, rest, out=place).reshape(-1)
+        # one set of scratch arrays for every range, the inputs advanced in place
+        xs = np.arange(step, dtype=np.int64)
+        block, looked = np.empty_like(xs), np.empty_like(xs)
+        for lo in range(0, size, step):
+            place = np.empty_like(xs) if out is None else out[lo: lo + step]
+            yield lo, fill(xs, place, block, looked)
+            del place   # the next range is built without this one
+            xs += step
 
-    size = 1 << (func.n * t)
-    return ToyFunction(func.n * t, bits * t, RangedTable(ranges, lambda: _assemble(ranges, size)),
+    return ToyFunction(n * t, bits * t, RangedTable(ranges, lambda: _assemble(ranges, size), evaluate),
                        func.is_permutation)
 
 
@@ -341,14 +376,16 @@ def walk_permutation(g: HybridGraph, t: int) -> ToyFunction:
     at t = 0.
 
     Its checks stream over the walk space's ``reverse_ranges``, so building it
-    holds no 2**n table; its ``table``, read on the first lookup, is the walk
-    space's shared ``reverse``.
+    holds no 2**n table.  Points are evaluated through the walk codec
+    (``reverse_indices``); its ``table``, built only when read whole, is the
+    walk space's shared ``reverse``.
     """
     bits = _exact_log2(walk_count(g, t))
     if bits > TABLE_MAX_BITS:
         raise BudgetError(f"walk permutation needs {bits} bits, over {TABLE_MAX_BITS}")
     space = walk_space(g, t)
-    return ToyFunction(bits, bits, RangedTable(space.reverse_ranges, lambda: space.reverse), True)
+    return ToyFunction(bits, bits, RangedTable(space.reverse_ranges, lambda: space.reverse,
+                                               lambda xs: reverse_indices(g, t, xs)), True)
 
 
 class BlockwiseInverter(Inverter):
@@ -447,8 +484,7 @@ class ReducedDirectInverter(Inverter):
         rng = _query_rng(self.seed, q)
         t, func = self.t, self.func
         i = int(rng.integers(t))
-        fills = rng.integers(0, 1 << func.n, size=t)
-        ys = [int(func.table[f]) for f in fills]
+        ys = func.evaluate(rng.integers(0, 1 << func.n, size=t)).tolist()
         ys[i] = y
         yvec = 0
         for v in ys:
@@ -456,10 +492,8 @@ class ReducedDirectInverter(Inverter):
         ans = self.inner.invert(yvec)
         if ans is None:
             return None
-        parts = []
-        for j in range(t):
-            parts.append((ans >> (func.n * (t - 1 - j))) & ((1 << func.n) - 1))
-        if any(int(func.table[x]) != ys[j] for j, x in enumerate(parts)):
+        parts = [(ans >> (func.n * (t - 1 - j))) & ((1 << func.n) - 1) for j in range(t)]
+        if func.evaluate(parts).tolist() != ys:
             return None
         return int(parts[i])
 
@@ -526,11 +560,12 @@ class ReducedWalkInverter(Inverter):
     def _exact_profile(self) -> np.ndarray:
         """Exact per-vertex success: average over positions 1..t-1 of the inner
         profile conditioned on the walk visiting the vertex there.  The inner
-        profile enters as its runs, each value times its run length: the total
-        over the run's walks, none of which differ at an interior position."""
+        profile enters as its runs, none of whose walks differ at an interior
+        position; the N sums are then scaled by the run length, a power of
+        two, which is exact, so no run-scaled copy of the profile is made."""
         g, t = self.g, self.t
         values, run = self.inner.success_runs()
-        visits = walk_space(g, t).interior_visits(values * run)
+        visits = walk_space(g, t).interior_visits(values) * run
         return visits / ((t - 1) * g.d ** t)   # d**t walks visit each vertex at each position
 
 
@@ -604,8 +639,15 @@ def measure_inversion(
     run length times 2**-n (both exact scalings): the runs are never expanded
     and no 2**n array sits beside them, nor is ``func.table`` read, so a
     ranged table stays unbuilt.  Otherwise the expanded profile is dotted with
-    the image distribution.  ``mc`` runs seeded trials through the live oracle
-    and verifies every defined answer; its first query reads ``func.table``.
+    the image distribution.
+
+    ``mc`` draws all ``trials`` inputs at once and maps them with one
+    ``func.evaluate`` call, then queries the live oracle once per trial, in
+    draw order.  Its answers go into a preallocated int64 array, and every
+    defined one is checked after the loop, with one ``evaluate`` call per
+    4096 answers so that no full-length copy is made: a wrong preimage, or one
+    outside the domain, is a soundness violation.  A ranged table's point
+    evaluator does both maps, so ``func.table`` is never read.
     """
     if mode not in ("exact", "mc"):
         raise ParameterError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -621,16 +663,23 @@ def measure_inversion(
         if trials < 1:
             raise ParameterError(f"trials must be >= 1, got {trials}")
         rng = np.random.default_rng(seed)
-        xs = rng.integers(0, 1 << func.n, size=trials)
-        hits = 0
-        for x in xs:
-            y = int(func.table[x])
-            v = oracle.invert(y)
-            if v is not None:
-                if int(func.table[v]) == y:
-                    hits += 1
-                else:
-                    violations += 1
+        ys = func.evaluate(rng.integers(0, 1 << func.n, size=trials))
+        answers = np.full(trials, -1, dtype=np.int64)   # -1: no answer
+        for q in range(trials):
+            v = oracle.invert(int(ys[q]))
+            if v is None:
+                continue
+            if 0 <= v < 1 << func.n:
+                answers[q] = v
+            else:
+                violations += 1   # an answer off the domain is no preimage
+        hits = defined = 0
+        for lo in range(0, trials, 4096):   # 4096 answers at a time: no full-length copies
+            part = answers[lo: lo + 4096]
+            mask = part >= 0
+            hits += int(np.count_nonzero(func.evaluate(part[mask]) == ys[lo: lo + 4096][mask]))
+            defined += int(np.count_nonzero(mask))
+        violations += defined - hits
         success = hits / trials
         n_trials = trials
     unbounded = success <= 0.0

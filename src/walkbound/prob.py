@@ -84,6 +84,29 @@ def _map_fault(index_map: np.ndarray, k: int) -> tuple:
             lambda r: StructuralError("index_map values must index the codomain"))
 
 
+def _binned_sums(index_map: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k): row r's sums of ``weights[r]`` over the k bins that
+    ``index_map`` assigns its entries to; ``weights`` is (rows, size).
+
+    One ``np.bincount`` adds each bin's weights one at a time, so its rounding
+    grows with the row length.  A row is therefore cut into blocks of 4096
+    entries (of k when there are more bins, so the block sums never outnumber
+    the entries), all blocks go through one ``np.bincount``, and each bin's
+    block sums are added by a pairwise ``np.sum``: the rounding then grows with
+    the log of the row length.  A row of at most 4096 entries is one block,
+    whose single sum per bin comes back unchanged.  Blocks stay within a row,
+    so each row of a batch matches the one-row call bit for bit.
+    """
+    rows, size = weights.shape
+    length = max(4096, k)
+    blocks = -(-size // length)
+    idx = index_map + k * (np.arange(size) // length)
+    idx = (idx + k * blocks * np.arange(rows)[:, None]).ravel()
+    sums = np.bincount(idx, weights.ravel(), minlength=rows * blocks * k)
+    # blocks last and contiguous: np.sum adds them pairwise
+    return np.ascontiguousarray(sums.reshape(rows, blocks, k).transpose(0, 2, 1)).sum(axis=2)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
     """A finite sample space: a tuple of opaque outcomes plus float64 weights."""
@@ -140,7 +163,7 @@ class RandomObject:
 
     def distribution(self) -> np.ndarray:
         """Pushforward weights: P{U = psi} for each codomain point, in order."""
-        return np.bincount(self.index_map, weights=self.domain.weights, minlength=len(self.codomain))
+        return _binned_sums(self.index_map, self.domain.weights[None], len(self.codomain))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +193,8 @@ def conditional_expectation(z: RandomVariable, u: RandomObject) -> RandomVariabl
         raise StructuralError("Z and U must live on the same sample space")
     k = len(u.codomain)
     w = u.domain.weights
-    mass = np.bincount(u.index_map, weights=w, minlength=k)
-    num = np.bincount(u.index_map, weights=w * z.values, minlength=k)
+    mass = _binned_sums(u.index_map, w[None], k)[0]
+    num = _binned_sums(u.index_map, (w * z.values)[None], k)[0]
     vals = np.divide(num, mass, out=np.zeros_like(num), where=mass > 0)
     return RandomVariable(FiniteSpace(u.codomain, mass), vals)
 
@@ -260,8 +283,9 @@ def _evaluate(
     that building the instances runs; the bound's own checks follow them.
 
     Per row and object, the codomain masses and numerators of E[Z | U_i] are
-    one ``np.bincount`` over ``maps[i] + sizes[i] * row``: every bin adds its
-    outcomes in order, so each row matches the one-row call bit for bit.
+    binned sums (``_binned_sums``): one ``np.bincount`` over 4096-outcome
+    blocks of each row, the block sums added pairwise; a row of at most 4096
+    outcomes is one block.  Each row matches the one-row call bit for bit.
     """
     rows, t = weights.shape[0], len(maps)
     faults = [
@@ -288,12 +312,10 @@ def _evaluate(
         _raise_first(faults, rows)
 
     weighted = weights * values
-    offsets = np.arange(rows)[:, None]
     masses, conds = [], []
     for index_map, k in zip(maps, sizes):
-        idx = (index_map + k * offsets).ravel()
-        mass = np.bincount(idx, weights.ravel(), minlength=rows * k).reshape(rows, k)
-        num = np.bincount(idx, weighted.ravel(), minlength=rows * k).reshape(rows, k)
+        mass = _binned_sums(index_map, weights, k)
+        num = _binned_sums(index_map, weighted, k)
         masses.append(mass)
         conds.append(np.divide(num, mass, out=np.zeros_like(num), where=mass > 0))
     if pooled:

@@ -14,8 +14,9 @@ first) is a tree growing backward along the predecessor table: its level k
 holds the vertex k steps before the end once per subtree, N * d**k entries.
 Both are the walks' integer packings, mixed radix in d, and this module is
 the one codec: ``walk_index`` / ``walk_from_index`` and ``reverse_index`` per
-walk, ``WalkSpace.reverse_ranges`` from one to the other for every walk, a
-range of start vertices at a time.
+walk, ``reverse_indices`` from one to the other for an array of points, and
+``WalkSpace.reverse_ranges`` for every walk, a range of start vertices at a
+time.
 Every per-walk quantity is one fold down a tree (``_descend``): the reverse
 packing (sums), a family block's membership words (ANDs) and the vertex
 bitmasks (ORs) down the forward tree, products along a walk down the reverse
@@ -180,6 +181,44 @@ def reverse_index(g: HybridGraph, w: Walk) -> int:
     return _pack(g, w.vertices[-1], back[::-1])
 
 
+def reverse_indices(g: HybridGraph, t: int, xs) -> np.ndarray:
+    """The reverse packing of every forward packing in ``xs``, as int64: the
+    array twin of ``reverse_index(g, walk_from_index(g, t, x))``.
+
+    The walks are replayed together, one step at a time: step s reads label
+    j_s off x's base-d digits, most significant first, adds the back label
+    ``back_labels[u, j_s] * d**(s-1)`` and moves every walk on from u.  No
+    walk space is built: the points go 4096 at a time through two int64
+    scratch arrays written in place, so beside ``xs`` and the result this
+    holds 64 KiB at any length and any t.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (xs.min() < 0 or xs.max() >= walk_count(g, t)):
+        raise StructuralError("packed walk out of range")
+    d = g.d
+    out = np.empty(xs.shape, dtype=np.int64)   # C order, so ``flat_out`` is a view
+    flat_in, flat_out = xs.reshape(-1), out.reshape(-1)
+    for lo in range(0, xs.size, 4096):
+        x, acc = flat_in[lo: lo + 4096], flat_out[lo: lo + 4096]
+        cur = x // d ** t          # each walk's vertex u, then its edge u * d + j_s
+        digit = np.empty_like(cur)
+        acc[:] = 0
+        for s in range(1, t + 1):
+            np.floor_divide(x, d ** (t - s), out=digit)
+            np.remainder(digit, d, out=digit)
+            cur *= d
+            cur += digit
+            # take(mode="clip") writes into ``out`` without a buffer; indices never clip
+            np.take(g.rot.back_labels, cur, out=digit, mode="clip")
+            digit *= d ** (s - 1)
+            acc += digit
+            np.take(g.rot.neighbors, cur, out=digit, mode="clip")
+            np.take(g.perm, digit, out=cur, mode="clip")
+        cur *= d ** t
+        acc += cur
+    return out
+
+
 def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
     """Uniform start vertex, then t uniform edge labels."""
     rng = np.random.default_rng(seed)
@@ -247,7 +286,8 @@ class WalkSpace:
     yields the reverse packing per walk index (int64) one range of start
     vertices at a time, and ``reverse`` is those ranges put together, built on
     its first read: the walk permutation's checks stream over the ranges, and
-    only a lookup in its table reads ``reverse``.
+    only a read of its whole table builds ``reverse``; a point lookup goes
+    through ``reverse_indices``.
 
     ``successors[u, j]``, ``predecessors[w, b]`` (both in the heads' dtype)
     and ``back_labels[u, j]`` are the step tables: edge slot j out of u ends
@@ -303,8 +343,10 @@ class WalkSpace:
         An add fold down the walk-index tree (``_descend``): step s < t adds
         ``back_labels[u, j] * d**(s-1)`` per child j of a prefix ending at u,
         and the last step adds ``successors * d**t + back_labels * d**(t-1)``.
-        A range's chunk fits WALK_SCRATCH_BYTES, and so do its partial sums and
-        the intp copy ``np.take`` makes of its heads.
+        A range's whole working set fits WALK_SCRATCH_BYTES at 8 + 16/(d-1)
+        bytes per walk, rounded up (11 at d = 8): the int64 chunk, and the
+        fold's partial sums and the intp copies ``np.take`` makes of the heads,
+        at most 8/(d-1) each (8 at d = 1).
         """
         d = self.successors.shape[1]
         t = len(self.heads)
@@ -312,7 +354,7 @@ class WalkSpace:
         if t:
             tables.append(self.successors * np.int64(d ** t)
                           + self.back_labels * np.int64(d ** (t - 1)))
-        for lo, hi, parents in self._start_ranges(8):
+        for lo, hi, parents in self._start_ranges(8 - (-16 // max(d - 1, 1))):
             # at t = 0 the packing is the start vertex itself
             root = np.zeros(hi - lo, dtype=np.int64) if t else np.arange(lo, hi, dtype=np.int64)
             place = None if out is None else out[lo * d ** t: hi * d ** t]

@@ -266,7 +266,7 @@ class TestVerifyBeta:
         spaces = [space for g in graphs for space in g._spaces.values()]
         assert spaces and all("reverse" not in vars(space) for space in spaces)
 
-    def test_mc_amplify_builds_the_reverse_packing_once(self, capsys, monkeypatch):
+    def test_mc_amplify_builds_no_reverse_packing(self, capsys, monkeypatch):
         import walkbound.cli as cli
         from walkbound.walks import WalkSpace
 
@@ -290,10 +290,9 @@ class TestVerifyBeta:
                                       "--mode", "mc", "--trials", "200", "--seed", "11"])
         assert code == 0
         (g,) = graphs
-        space = g._spaces[3]
-        assert len(built) == 1 and built[0] is space
+        assert 3 in g._spaces and built == []
         assert wb.walk_permutation(g, 3).table is wb.walk_space(g, 3).reverse
-        assert len(built) == 1
+        assert len(built) == 1 and built[0] is g._spaces[3]
 
 
 class TestBound:
@@ -303,6 +302,15 @@ class TestBound:
         jsonschema.validate(report, report_schema())
         names = [c["name"] for c in report["checks"]]
         assert names == ["bound-holds", "cube-tightness"]
+
+    @pytest.mark.parametrize("t", [16, 18])
+    def test_cube_sums_stay_within_tolerance_at_large_t(self, capsys, t):
+        # 2**t grid points: a marginal summed one weight at a time drifted past
+        # the 1e-12 tolerances (cube-tightness at t = 16, the weight check at 18)
+        code, report, err = run_cli(capsys, ["bound", "--preset", "cube", "--t", str(t)])
+        assert code == 0, err
+        checks = [(c["name"], c["holds"]) for c in report["checks"]]
+        assert checks == [("bound-holds", True), ("cube-tightness", True)]
 
     def test_cube_large_eps_drops_tightness(self, capsys):
         code, report, _ = run_cli(

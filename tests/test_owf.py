@@ -47,7 +47,8 @@ class TestToyFunction:
         def ranges():
             return ((int(lo), np.array(c, dtype=np.int64)) for lo, c in zip(offsets, chunks))
 
-        return wb.RangedTable(ranges, lambda: np.concatenate(chunks).astype(np.int64))
+        return wb.RangedTable(ranges, lambda: np.concatenate(chunks).astype(np.int64),
+                              lambda xs: np.concatenate(chunks).astype(np.int64)[xs])
 
     def test_ranged_table_is_built_on_first_read(self):
         f = wb.ToyFunction(3, 3, self.ranged([3, 1, 0, 2], [7, 5, 4, 6]), True)
@@ -57,6 +58,28 @@ class TestToyFunction:
     def test_ranged_collision_across_ranges_rejected(self):
         with pytest.raises(StructuralError, match="bijection"):
             wb.ToyFunction(3, 3, self.ranged([3, 1, 0, 2], [7, 5, 3, 6]), True)
+
+    def test_duplicate_output_rejected_though_each_range_is_dropped(self):
+        # four ranges, each made fresh and dropped before the next; the output
+        # 7 comes twice, in the first range and in the last
+        table = np.arange(1 << 12)
+        table[4000] = 7
+
+        def ranges():
+            return ((lo, table[lo: lo + 1024].copy()) for lo in range(0, 1 << 12, 1024))
+
+        source = wb.RangedTable(ranges, lambda: table, lambda xs: table[xs])
+        with pytest.raises(StructuralError, match="bijection"):
+            wb.ToyFunction(12, 12, source, True)
+
+    def test_point_evaluator_serves_evaluate_and_apply_without_the_table(self):
+        source = wb.RangedTable(lambda: iter([(0, np.array([3, 2, 1, 0]))]),
+                                lambda: pytest.fail("the table was built"),
+                                lambda xs: 3 - xs)
+        f = wb.ToyFunction(2, 2, source, False)
+        assert f.evaluate(np.array([0, 3])).tolist() == [3, 0] and f.apply(1) == 2
+        with pytest.raises(StructuralError):
+            f.evaluate([4])
 
     def test_ranged_value_out_of_range_in_last_range_rejected(self):
         for is_permutation in (True, False):
@@ -370,6 +393,41 @@ class TestDirectPower:
             tracemalloc.stop()
         assert peak < p.table.nbytes + 2 * 2 ** 20
 
+    @pytest.mark.parametrize("n, t", [(1, 1), (3, 3), (5, 2), (3, 6)])
+    def test_evaluator_equals_the_assembled_table(self, n, t):
+        # (3, 6): 2**18 inputs, several ranges
+        rng = np.random.default_rng(10 * n + t)
+        f = wb.ToyFunction(n, n + 1, rng.integers(0, 1 << (n + 1), size=1 << n), False)
+        p = wb.direct_power(f, t)
+        values = p.evaluate(np.arange(1 << (n * t)))
+        assert "table" not in vars(p)
+        assert values.dtype == np.int64 and values.tobytes() == p.table.tobytes()
+
+    def test_ranges_fit_the_scratch_budget_at_any_block_count(self):
+        # ten 2-bit blocks, 2**20 inputs: the bijection mask takes 1 MiB and one
+        # range WALK_SCRATCH_BYTES; a table of the other nine blocks' power,
+        # beside two ranges of it, took 7 MiB
+        from walkbound.walks import WALK_SCRATCH_BYTES
+
+        f = wb.identity_function(2)
+        tracemalloc.start()
+        try:
+            p = wb.direct_power(f, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.is_permutation and "table" not in vars(p)
+        assert peak < 2 ** 20 + WALK_SCRATCH_BYTES + 2 ** 18
+
+    def test_mc_reads_no_power_table(self):
+        f = wb.random_permutation(4, 3)
+        p = wb.direct_power(f, 3)
+        base = wb.AdversaryOracle(f, wb.planted_profile(f, 0.25), seed=1)
+        rep = wb.measure_inversion(p, wb.BlockwiseInverter(base, 3, power=p), mode="mc",
+                                   trials=500, seed=2)
+        assert rep.soundness_violations == 0 and rep.success > 0
+        assert "table" not in vars(p)
+
 
 class TestWalkPackings:
     def test_round_trip_int(self, g_identity):
@@ -425,6 +483,30 @@ class TestWalkPermutation:
         f = wb.walk_permutation(g, 2)
         assert "table" not in vars(f) and "reverse" not in vars(wb.walk_space(g, 2))
         assert f.table is wb.walk_space(g, 2).reverse
+
+    @pytest.mark.parametrize("m, t", [(1, 1), (2, 3), (3, 4)])
+    def test_evaluate_gives_the_reverse_packing_without_building_it(self, m, t):
+        rot = wb.mgg_rotation(m)
+        g = wb.HybridGraph(rot, np.random.default_rng(10 * m + t).permutation(rot.n_vertices))
+        f = wb.walk_permutation(g, t)
+        space = wb.walk_space(g, t)
+        values = f.evaluate(np.arange(space.n_walks))
+        assert "table" not in vars(f) and "reverse" not in vars(space)
+        assert values.dtype == np.int64 and np.array_equal(values, space.reverse)
+
+    def test_checks_hold_one_reverse_range_at_a_time(self):
+        # m = 3, t = 5, walk space built beforehand: the 2 MiB bijection mask
+        # plus one range's working set at 11 bytes per walk; holding a range
+        # while the next was built traced 6.5 MiB
+        g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(26).permutation(64))
+        wb.walk_space(g, 5)
+        tracemalloc.start()
+        try:
+            wb.walk_permutation(g, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
     def test_checks_hold_no_table_length_array(self):
         # m = 3, t = 5: 2**21 walks; the int64 table would take 16 MiB, and the
@@ -818,6 +900,28 @@ class TestMeasureInversion:
             wb.measure_inversion(f, oracle, mode="sampled")
         with pytest.raises(ParameterError):
             wb.measure_inversion(f, oracle, mode="mc", trials=0)
+
+    @pytest.mark.parametrize("kind", ["table", "walk"])
+    def test_mc_batched_check_counts_every_wrong_answer(self, g_random, kind):
+        # by query: the true preimage, a wrong one, two off the domain, none
+        if kind == "table":
+            f = wb.random_permutation(6, 3)
+            preimage = lambda y: int(f.canonical_preimages()[y])
+        else:
+            f = wb.walk_permutation(g_random, 2)
+            preimage = lambda y: wb.walk_index(g_random, reverse_inv(g_random, 2, y))
+
+        class Liar(wb.Inverter):
+            def invert(self, y):
+                q = self.query_count
+                self.query_count += 1
+                x = preimage(y)
+                return (x, (x + 1) % (1 << f.n), -1, 1 << f.n, None)[q % 5]
+
+        # 9000 trials: the answers are checked over more than one block
+        rep = wb.measure_inversion(f, Liar(f, 1.0), mode="mc", trials=9000, seed=4)
+        assert rep.success == 0.2 and rep.soundness_violations == 5400
+        assert kind == "table" or "table" not in vars(f)
 
 
 class TestEnvelope:

@@ -482,6 +482,28 @@ class TestBoundSweep:
             z, objs = random_product_instance(t, psi, seed, identical=pooled)
             assert bound(z, objs, eps, 0.3) == rep
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["percoord", "pooled"])
+    def test_rows_over_4096_outcomes_sum_in_blocks_and_match_one_row_calls(self, pooled):
+        # 6**5 = 7776 outcomes: two blocks per row, several rows per batch
+        t, psi = 5, 6
+        seeds = np.random.default_rng(7).integers(0, 1 << 62, 8).tolist()
+        eps = 0.5 if pooled else [0.45 + 0.1 * i / t for i in range(t)]
+        reports = wb.product_bound_sweep(t, psi, seeds, eps, 0.3, pooled=pooled)
+        assert sweep_terms(reports) == reference_sweep(t, psi, seeds, eps, 0.3, pooled)
+        bound = wb.pooled_bound if pooled else wb.percoord_bound
+        for seed, rep in zip(seeds, reports):
+            z, objs = random_product_instance(t, psi, seed, identical=pooled)
+            assert bound(z, objs, eps, 0.3) == rep
+
+    def test_blocked_marginals_track_the_exact_sum(self):
+        # 2**18 outcomes in two bins: one bincount drifts 1.4e-12 from the
+        # correctly rounded sum here, the blocked sum under 1e-13
+        z, objs = cube_instance(0.25, 18)
+        for u in objs[:3]:
+            dist = u.distribution()
+            for v in (0, 1):
+                assert abs(dist[v] - math.fsum(z.domain.weights[u.index_map == v])) < 1e-13
+
     def test_memory_is_bounded_by_the_block(self):
         seeds = np.random.default_rng(1).integers(0, 1 << 62, 2000).tolist()
         tracemalloc.start()

@@ -74,6 +74,25 @@ class TestWalkIndexing:
         with pytest.raises(StructuralError):
             wb.walk_from_index(g_identity, 1, 16 * 8)
 
+    @pytest.mark.parametrize("graph", TREE_GRAPHS, ids=["-".join(g) for g in TREE_GRAPHS])
+    @pytest.mark.parametrize("t", [0, 1, 4])
+    def test_reverse_indices_match_the_per_walk_codec(self, graph, t):
+        # degree 3 as well as 8, with the points in a 2-d array
+        g = tree_graph(*graph)
+        xs = np.random.default_rng(t).integers(0, wb.walk_count(g, t), size=(5, 7))
+        out = wb.reverse_indices(g, t, xs)
+        assert out.dtype == np.int64 and out.shape == xs.shape
+        for x, y in zip(xs.ravel(), out.ravel()):
+            assert y == wb.reverse_index(g, wb.walk_from_index(g, t, int(x)))
+        # a transposed (Fortran-ordered) input gives the transposed result
+        assert np.array_equal(wb.reverse_indices(g, t, xs.T), out.T)
+
+    def test_reverse_indices_reject_points_off_the_walk_space(self, g_identity):
+        for xs in ([0, 16 * 8], [-1]):
+            with pytest.raises(StructuralError):
+                wb.reverse_indices(g_identity, 1, xs)
+        assert wb.reverse_indices(g_identity, 1, []).size == 0
+
 
 class TestSampling:
     def test_deterministic_per_seed(self, g_random):
