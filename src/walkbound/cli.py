@@ -53,14 +53,22 @@ from .owf import (
     walk_permutation,
 )
 from .prob import (
+    STREAM_AGREE,
+    STREAM_PERMUTATION,
+    STREAM_SUBSEEDS,
+    STREAM_SWEEP,
     FiniteSpace,
     RandomObject,
     RandomVariable,
     cube_instance,
+    integers,
     percoord_bound,
+    permutation,
     pooled_bound,
     product_bound_sweep,
     random_product_instance,
+    stream_key,
+    words,
 )
 from .walks import (
     SUBSET_EXH_MAX_N,
@@ -209,7 +217,8 @@ def cmd_verify_beta(args) -> dict:
         )
     rot = mgg_rotation(args.m)
     spectral = torus_spectrum(rot)
-    perm = np.random.default_rng(args.seed).permutation(rot.n_vertices)
+    # the same stream as amplify's random_permutation: one seed, one graph
+    perm = permutation(stream_key(args.seed, STREAM_PERMUTATION), rot.n_vertices)
     g = HybridGraph(rot, perm)
     rep = verify_walk_independence(
         g, args.t, spectral.beta, mode=args.mode, trials=args.trials, seed=args.seed
@@ -221,8 +230,8 @@ def cmd_verify_beta(args) -> dict:
     # Dual-route agreement on a fresh batch of sampled families.
     agreement = 0.0
     if args.agree > 0:
-        rng = np.random.default_rng([args.seed, 17])
-        masks = random_families(rng, args.agree, args.t, g.n_vertices)
+        masks = random_families(stream_key(args.seed, STREAM_AGREE), args.agree, args.t,
+                                g.n_vertices)
         by_matrix = family_event_probs_matrix(g, args.t, masks)
         by_enum = family_event_probs(g, args.t, masks)
         agreement = float(np.max(np.abs(by_matrix - by_enum)))
@@ -338,7 +347,7 @@ def cmd_bound(args) -> dict:
     else:  # sweep
         if args.count < 0:
             raise ParameterError(f"--count must be >= 0, got {args.count}")
-        seeds = np.random.default_rng(seed).integers(0, 1 << 62, size=args.count).tolist()
+        seeds = integers(stream_key(seed, STREAM_SWEEP), np.arange(args.count), 1 << 62).tolist()
         reports = product_bound_sweep(
             args.t, args.psi, seeds, _bound_eps(args.variant, args.eps, args.t), args.beta,
             pooled=args.variant == "pooled",
@@ -392,9 +401,8 @@ def cmd_amplify(args) -> dict:
         n=n, t=args.t, k=args.k, delta=args.delta, eps=args.eps, seed=args.seed,
         mode=args.mode, trials=args.trials, m=args.m if args.construction == "walk" else None,
     )
-    base_seed, mc_seed, red_seed, mc_seed2 = (
-        int(v) for v in np.random.SeedSequence(cfg.seed).generate_state(4, np.uint64)
-    )
+    base_seed, mc_seed, red_seed, mc_seed2 = words(
+        stream_key(cfg.seed, STREAM_SUBSEEDS), np.arange(4)).tolist()
 
     func = random_permutation(cfg.n, cfg.seed)
     profile = planted_profile(func, cfg.delta)

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .prob import RATIO_TOL
+from .prob import RATIO_TOL, STREAM_VECTORS, stream_key, uniforms
 
 STOCHASTIC_TOL = 1e-12
 SYMMETRY_TOL = 1e-14
@@ -264,15 +264,10 @@ def _spectral_report(lam2: float, lam_min: float, tol: float, method: str, itera
 
 
 def _start_vector(n: int) -> np.ndarray:
-    """The fixed Lanczos start: splitmix64 of each vertex index, scaled to
-    [-1, 1).  Integer arithmetic only, so it needs no random generator."""
-    z = (np.arange(n, dtype=np.uint64) + 1) * 0x9E3779B97F4A7C15
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z ^= z >> 31
-    return (z >> 11) * 2.0 ** -52 - 1.0
+    """The fixed Lanczos start: the keyed words of key 0 (``prob.words``, plain
+    splitmix64 of each vertex index, since mix(0) = 0) as uniforms, scaled to
+    [-1, 1)."""
+    return 2.0 * uniforms(0, np.arange(n)) - 1.0
 
 
 def _lanczos_vectors(matvec, project, n: int, diag: list, off: list):
@@ -557,8 +552,9 @@ def check_projection_contraction(
     seed: int = 0,
     alpha: Optional[float] = None,
 ) -> ContractionReport:
-    """Verify ``|P A P' v| <= sqrt((a+b*mu)(a+b*mu')) |v|`` on random vectors, and
-    exactly via the operator norm when the dimension allows an SVD."""
+    """Verify ``|P A P' v| <= sqrt((a+b*mu)(a+b*mu')) |v|`` on ``trials`` random
+    vectors, uniform on the cube [-1, 1)**n under the seed's STREAM_VECTORS key,
+    and exactly via the operator norm when the dimension allows an SVD."""
     n = tm.n_dim
     if s1.n_dim != n or s2.n_dim != n:
         raise StructuralError("projections must match the matrix dimension")
@@ -574,9 +570,9 @@ def check_projection_contraction(
         return 0.0 if norm_val == 0.0 else np.inf
 
     max_ratio = 0.0
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        v = rng.standard_normal(n)
+    key = stream_key(seed, STREAM_VECTORS)
+    for trial in range(trials):
+        v = 2.0 * uniforms(key, np.arange(trial * n, (trial + 1) * n)) - 1.0
         v /= np.linalg.norm(v)
         max_ratio = max(max_ratio, ratio_of(float(np.linalg.norm(masked @ v))))
     exact = None

@@ -11,9 +11,9 @@ labels).  Both packings are integers, mixed radix in d, and live in ``walks``
 Each construction comes with its reduction turning an inverter for the big
 function into one for the small function using exactly one inner query per call.
 
-Oracle randomness is counter-based: query q of an oracle seeded with s draws
-from a generator keyed by (s, q), so repeated trials are independent yet whole
-experiments replay bit-for-bit.
+Oracle randomness is counter-based: query q of an oracle seeded with s reads
+its own counters of s's key for that oracle's stream (``prob.words``), so
+repeated trials are independent yet whole experiments replay bit-for-bit.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
-from .prob import _frozen_array
+from .prob import (STREAM_INPUTS, STREAM_ORACLE, STREAM_PERMUTATION, STREAM_REDUCTION,
+                   _frozen_array, integers, permutation, stream_key, uniforms)
 from .walks import (WALK_SCRATCH_BYTES, HybridGraph, Walk, _assemble, _digits, _pack, _replay,
                     reverse_index, reverse_indices, walk_count, walk_from_index, walk_space)
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
+QUERY_BLOCK = 4096         # queries whose draws an oracle makes at once
 
 
 def _exact_log2(x: int) -> int:
@@ -150,8 +152,10 @@ def identity_function(n: int) -> ToyFunction:
 
 
 def random_permutation(n: int, seed: int) -> ToyFunction:
+    """A uniformly random permutation of the n-bit strings, under the seed's
+    STREAM_PERMUTATION key (``prob.permutation``)."""
     _check_table_bits(n, "input")
-    return ToyFunction(n, n, np.random.default_rng(seed).permutation(1 << n), True)
+    return ToyFunction(n, n, permutation(stream_key(seed, STREAM_PERMUTATION), 1 << n), True)
 
 
 def vertex_function(g: HybridGraph) -> ToyFunction:
@@ -194,9 +198,23 @@ def planted_profile(func: ToyFunction, delta: float) -> np.ndarray:
     return prof
 
 
-def _query_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _QueryDraws:
+    """The draws of an oracle's queries: ``draw(queries)`` maps an int64 array
+    of query numbers to one row of draws per query, a function of the query
+    number alone.  ``row(q)`` returns query q's row as Python numbers; the rows
+    of QUERY_BLOCK consecutive queries are drawn at once, which only saves
+    numpy calls."""
+
+    def __init__(self, draw: Callable[[np.ndarray], np.ndarray]):
+        self._draw = draw
+        self._lo, self._rows = -1, []
+
+    def row(self, q: int):
+        lo = q - q % QUERY_BLOCK
+        if lo != self._lo:
+            self._rows = self._draw(np.arange(lo, lo + QUERY_BLOCK)).tolist()
+            self._lo = lo
+        return self._rows[q - lo]
 
 
 class Inverter:
@@ -259,11 +277,13 @@ class AdversaryOracle(Inverter):
             raise ParameterError("profile values must lie in [0, 1]")
         self.profile = profile
         self.seed = int(seed)
+        key = stream_key(self.seed, STREAM_ORACLE)
+        self._coins = _QueryDraws(lambda qs: uniforms(key, qs))
 
     def invert(self, y: int) -> Optional[int]:
         q = self.query_count
         self.query_count += 1
-        if _query_rng(self.seed, q).random() < self.profile[y]:
+        if self._coins.row(q) < self.profile[y]:
             x = int(self.func.canonical_preimages()[y])
             if x >= 0:
                 return x
@@ -477,14 +497,21 @@ class ReducedDirectInverter(Inverter):
         self.inner = inner
         self.t = t
         self.seed = int(seed)
+        key = stream_key(self.seed, STREAM_REDUCTION)
+
+        def draw(qs):
+            # query q: its position at counter q*(t+1), its t filler inputs after it
+            counters = qs[:, None] * (t + 1) + np.arange(1, t + 1)
+            fillers = func.evaluate(integers(key, counters, 1 << func.n))
+            return np.column_stack([integers(key, qs * (t + 1), t), fillers])
+
+        self._draws = _QueryDraws(draw)
 
     def invert(self, y: int) -> Optional[int]:
         q = self.query_count
         self.query_count += 1
-        rng = _query_rng(self.seed, q)
         t, func = self.t, self.func
-        i = int(rng.integers(t))
-        ys = func.evaluate(rng.integers(0, 1 << func.n, size=t)).tolist()
+        i, *ys = self._draws.row(q)
         ys[i] = y
         yvec = 0
         for v in ys:
@@ -536,15 +563,21 @@ class ReducedWalkInverter(Inverter):
         self.g = g
         self.t = t
         self.seed = int(seed)
+        key = stream_key(self.seed, STREAM_REDUCTION)
+
+        def draw(qs):
+            # query q: its position at counter q*(t+1), its t labels after it
+            labels = integers(key, qs[:, None] * (t + 1) + np.arange(1, t + 1), g.d)
+            return np.column_stack([1 + integers(key, qs * (t + 1), t - 1), labels])
+
+        self._draws = _QueryDraws(draw)
 
     def invert(self, y: int) -> Optional[int]:
         q = self.query_count
         self.query_count += 1
-        rng = _query_rng(self.seed, q)
         g, t = self.g, self.t
-        i = 1 + int(rng.integers(t - 1))
-        fwd = [int(v) for v in rng.integers(0, g.d, size=t - i)]
-        prefix = [int(v) for v in rng.integers(0, g.d, size=i)]
+        i, *labels = self._draws.row(q)
+        fwd, prefix = labels[:t - i], labels[t - i:]
         packed = conditioned_reverse_index(g, t, i, y, fwd, prefix)
         ans = self.inner.invert(packed)
         if ans is None:
@@ -641,7 +674,8 @@ def measure_inversion(
     ranged table stays unbuilt.  Otherwise the expanded profile is dotted with
     the image distribution.
 
-    ``mc`` draws all ``trials`` inputs at once and maps them with one
+    ``mc`` draws all ``trials`` inputs at once, trial q's at counter q of the
+    seed's STREAM_INPUTS key, and maps them with one
     ``func.evaluate`` call, then queries the live oracle once per trial, in
     draw order.  Its answers go into a preallocated int64 array, and every
     defined one is checked after the loop, with one ``evaluate`` call per
@@ -662,8 +696,8 @@ def measure_inversion(
     else:
         if trials < 1:
             raise ParameterError(f"trials must be >= 1, got {trials}")
-        rng = np.random.default_rng(seed)
-        ys = func.evaluate(rng.integers(0, 1 << func.n, size=trials))
+        key = stream_key(seed, STREAM_INPUTS)
+        ys = func.evaluate(integers(key, np.arange(trials), 1 << func.n))
         answers = np.full(trials, -1, dtype=np.int64)   # -1: no answer
         for q in range(trials):
             v = oracle.invert(int(ys[q]))

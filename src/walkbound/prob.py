@@ -16,6 +16,14 @@ way spectral-gap arguments require (see ``walkbound.walks``).
 Both evaluators are the one-row case of a block evaluator: ``product_bound_sweep``
 runs it over blocks of random product instances that share one grid, with every
 check of the per-instance path and bit-identical reports.
+
+Every random draw in the package comes from one keyed, counter-based generator
+(``words``): word c of key k is the splitmix64 finalizer of
+``(c + 1) * 0x9E3779B97F4A7C15 + mix(k)``.  A draw site's key is the user seed
+under that site's fixed stream id (``stream_key``), and each draw reads its own
+counter, so a draw does not depend on how many draws came before it or on how
+they were batched.  Uniform floats, 0/1 flags, bounded integers and
+permutations are derived from the words.
 """
 
 from __future__ import annotations
@@ -41,6 +49,120 @@ RATIO_TOL = 1e-9          # joint/product ratios up to 1 + RATIO_TOL count as bo
 GRID_MAX_BYTES = 2 ** 30  # product-space grids: coordinates, weights and outcome tuples
 SWEEP_SCRATCH_BYTES = 2 ** 21  # working memory of one block of a product-instance sweep
 MAX_WITNESSES = 16
+
+# stream ids: one per draw site, so no two sites read the same words for a seed
+STREAM_PERMUTATION = 1   # a random vertex or input permutation (verify-beta, amplify)
+STREAM_FAMILIES = 2      # sampled families of the independence checks
+STREAM_AGREE = 3         # verify-beta's route-agreement families
+STREAM_SWEEP = 4         # the instance seeds of a bound sweep
+STREAM_INSTANCE = 5      # a random product instance's marginals and Z values
+STREAM_SUBSEEDS = 6      # amplify's oracle, reduction and Monte Carlo seeds
+STREAM_ORACLE = 7        # an adversary oracle's per-query coin
+STREAM_REDUCTION = 8     # a reduction's per-query position and fillers
+STREAM_INPUTS = 9        # Monte Carlo inputs of measure_inversion
+STREAM_WALK = 10         # sample_walk's start vertex and labels
+STREAM_VECTORS = 11      # check_projection_contraction's test vectors
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = (1 << 64) - 1
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on a uint64 array (which it returns);
+    a bijection of 64-bit words with mix(0) = 0."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def words(key, counters) -> np.ndarray:
+    """Word c of key k for every counter: ``mix((c + 1) * 0x9E3779B97F4A7C15 +
+    mix(k))`` as uint64, modulo 2**64.  ``key`` is a 64-bit int or a uint64 array
+    that broadcasts against ``counters``.  At a fixed key distinct counters give
+    distinct words, since both maps are bijections."""
+    counters = np.asarray(counters, dtype=np.uint64)
+    mixed = _mix(np.array(key, dtype=np.uint64, ndmin=1))
+    z = np.empty(np.broadcast_shapes(counters.shape, mixed.shape), dtype=np.uint64)
+    np.add(counters, np.uint64(1), out=z)
+    z *= _GOLDEN
+    z += mixed
+    return _mix(z)
+
+
+def stream_keys(seeds: Sequence[int], stream: int) -> np.ndarray:
+    """(len(seeds),) uint64: the key of draw site ``stream`` under each seed.
+
+    A seed is read in 64-bit limbs, lowest first, and each limb l takes the key
+    k (the stream id before the first limb) to word k of key l.  So a seed below
+    2**64 has key ``words(seed, stream)``, and every nonnegative seed has one.
+    """
+    rest = [int(s) for s in seeds]
+    if any(s < 0 for s in rest):
+        raise ParameterError("seeds must be >= 0")
+    keys = np.full(len(rest), stream, dtype=np.uint64)
+    todo = np.arange(len(rest))
+    while todo.size:
+        limbs = np.array([rest[i] & _MASK64 for i in todo], dtype=np.uint64)
+        keys[todo] = words(limbs, keys[todo])
+        for i in todo:
+            rest[i] >>= 64
+        todo = todo[[rest[i] > 0 for i in todo]]
+    return keys
+
+
+def stream_key(seed: int, stream: int) -> int:
+    """The key of draw site ``stream`` under ``seed`` (see ``stream_keys``)."""
+    return int(stream_keys([seed], stream)[0])
+
+
+def uniforms(key, counters) -> np.ndarray:
+    """Floats in [0, 1), one per counter: the top 53 bits of its word."""
+    return (words(key, counters) >> np.uint64(11)) * 2.0 ** -53
+
+
+def coins(key: int, lo: int, hi: int) -> np.ndarray:
+    """Flips lo .. hi-1 of key's 0/1 stream as a bool array: flip f is bit f % 64
+    of word f // 64, so every bit of a word is used."""
+    first = lo // 64
+    w = words(key, np.arange(first, -(-hi // 64), dtype=np.uint64))
+    bits = np.unpackbits(w.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    return bits[lo - 64 * first: hi - 64 * first].view(bool)
+
+
+def integers(key: int, counters, bound: int) -> np.ndarray:
+    """Exactly uniform int64 draws in [0, bound), one per counter, for
+    1 <= bound <= 2**63.
+
+    A draw is its word's low bits under the smallest mask 2**b - 1 that covers
+    bound - 1; at a power of two every draw is accepted.  A draw of bound or
+    more is rejected and read again at the same counter of key + 1, then of
+    key + 2, and so on, so it stays one counter's draw.
+    """
+    if not 1 <= bound <= 1 << 63:
+        raise ParameterError(f"bound must lie in 1..2**63, got {bound}")
+    key = int(key)
+    mask = np.uint64((1 << (bound - 1).bit_length()) - 1)
+    counters = np.asarray(counters, dtype=np.uint64)
+    out = (words(key, counters) & mask).astype(np.int64)
+    if bound & (bound - 1) == 0:
+        return out
+    redraw = np.flatnonzero(out >= bound)
+    shift = 0
+    while redraw.size:
+        shift += 1
+        out.flat[redraw] = words((key + shift) & _MASK64, counters.flat[redraw]) & mask
+        redraw = redraw[out.flat[redraw] >= bound]
+    return out
+
+
+def permutation(key: int, n: int) -> np.ndarray:
+    """A uniformly random permutation of range(n) as int64: the argsort of words
+    0 .. n-1 of ``key``.  The words are distinct, so the order is unique and
+    every sort algorithm, stable or not, returns the same permutation."""
+    return np.argsort(words(key, np.arange(n, dtype=np.uint64)))
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -200,8 +322,10 @@ def conditional_expectation(z: RandomVariable, u: RandomObject) -> RandomVariabl
 
 
 def tail_probability(w: RandomVariable, eps: float) -> float:
-    """Mass of the strict tail {w > eps} under w's own space."""
-    return float(np.sum(w.domain.weights[w.values > eps]))
+    """Mass of the strict tail {w > eps} under w's own space, capped at 1: the
+    weights sum to 1 only within WEIGHT_TOL, and a tail mass over 1 would make
+    the bounds rise with beta."""
+    return min(float(np.sum(w.domain.weights[w.values > eps])), 1.0)
 
 
 def _chain_sum(terms) -> float:
@@ -246,7 +370,8 @@ class BoundReport:
 
 
 def _tail_masses(mass: np.ndarray, values: np.ndarray, eps: float) -> np.ndarray:
-    """``np.sum(mass[r][values[r] > eps])`` for every row r.
+    """``np.sum(mass[r][values[r] > eps])`` for every row r, capped at 1 as
+    ``tail_probability`` caps it.
 
     Each row's tail is packed to the left and summed over its own length, as
     the one-row call does: numpy sums 8 or more terms pairwise, so zeros left
@@ -259,7 +384,7 @@ def _tail_masses(mass: np.ndarray, values: np.ndarray, eps: float) -> np.ndarray
     for n in np.flatnonzero(np.bincount(counts)):
         rows = counts == n
         out[rows] = np.sum(packed[rows, :n], axis=1)
-    return out
+    return np.minimum(out, 1.0, out=out)
 
 
 def _evaluate(
@@ -524,14 +649,15 @@ def _instance_grid(t: int, psi: int) -> np.ndarray:
 
 def _draw_instances(seeds: Sequence[int], t: int, psi: int, identical: bool) -> tuple:
     """Grid weights and Z values, each (len(seeds), psi**t), of the random
-    product instance of every seed.  A seed's ``default_rng`` draws one
-    marginal (``identical``) or t of them from U(0.1, 1), then the values."""
-    margs = np.empty((len(seeds), 1 if identical else t, psi))
-    values = np.empty((len(seeds), psi ** t))
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        margs[r] = rng.uniform(0.1, 1.0, margs.shape[1:])
-        rng.random(out=values[r])
+    product instance of every seed.  Under its seed's STREAM_INSTANCE key, an
+    instance draws its marginal (``identical``) or t of them, psi weights each
+    from U(0.1, 1), at counters 0, 1, ..., then its Z values from U(0, 1) at the
+    next psi**t counters.  All seeds of the block are drawn at once."""
+    rows = 1 if identical else t
+    keys = stream_keys(seeds, STREAM_INSTANCE)[:, None]
+    margs = 0.1 + 0.9 * uniforms(keys, np.arange(rows * psi, dtype=np.uint64))
+    margs = margs.reshape(len(seeds), rows, psi)
+    values = uniforms(keys, np.arange(rows * psi, rows * psi + psi ** t, dtype=np.uint64))
     margs /= np.sum(margs, axis=2, keepdims=True)
     weights = _grid_weights([margs[:, 0 if identical else i] for i in range(t)])
     return weights, values

@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
 from .expander import ColoredRotation, TransitionMatrix, compose_permutation, transition_matrix
-from .prob import (MAX_WITNESSES, RATIO_TOL, FiniteSpace, IndependenceReport, RandomObject,
-                   mask_int, subset_sums)
+from .prob import (MAX_WITNESSES, RATIO_TOL, STREAM_FAMILIES, STREAM_WALK, FiniteSpace,
+                   IndependenceReport, RandomObject, coins, integers, mask_int, stream_key,
+                   subset_sums)
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
@@ -220,10 +221,11 @@ def reverse_indices(g: HybridGraph, t: int, xs) -> np.ndarray:
 
 
 def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
-    """Uniform start vertex, then t uniform edge labels."""
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(g.n_vertices))
-    labels = tuple(int(j) for j in rng.integers(0, g.d, size=t))
+    """Uniform start vertex (counter 0 of the seed's STREAM_WALK key), then t
+    uniform edge labels (counters 1 .. t)."""
+    key = stream_key(seed, STREAM_WALK)
+    start = int(integers(key, [0], g.n_vertices)[0])
+    labels = tuple(integers(key, np.arange(1, t + 1), g.d).tolist())
     return Walk(_replay(g, start, labels), labels)
 
 
@@ -542,46 +544,29 @@ def _walk_counts(g: HybridGraph, t: int, counts: np.ndarray, masks) -> np.ndarra
 
 
 def _batch_size(n: int, t: int) -> int:
-    """Families per batch: the (B, t+1, N) flags at 10 bytes each (a raw draw
-    takes half a 64-bit word, the bool mask and its transposed copy one byte
-    each), plus three (N, B) count arrays of at most int64, fit in
+    """Families per batch: the (B, t+1, N) flags at 4 bytes each (the bool mask,
+    its transposed copy and the unpacked draw one byte each, the drawn words
+    under one), plus three (N, B) count arrays of at most int64, fit in
     WALK_SCRATCH_BYTES (at least one family)."""
-    return max(1, WALK_SCRATCH_BYTES // (n * (10 * (t + 1) + 24)))
+    return max(1, WALK_SCRATCH_BYTES // (n * (4 * (t + 1) + 24)))
 
 
-def random_families(rng: np.random.Generator, count: int, t: int, n: int) -> np.ndarray:
-    """``count`` uniformly random families of t+1 vertex sets, as a (count, t+1, N)
-    boolean array: exactly ``rng.integers(0, 2, size=(count, t+1, N)).astype(bool)``,
-    and ``rng`` is left in the state that call would leave.
+def random_families(key: int, count: int, t: int, n: int, first: int = 0) -> np.ndarray:
+    """Families ``first`` .. ``first + count - 1`` of key's uniformly random
+    families of t+1 sets of n points, as a (count, t+1, n) boolean array.
 
-    On PCG64 that call returns bit 31 of successive 32-bit halves of the raw
-    outputs, low half first, with a pending high half buffered in the bit
-    generator's state (``has_uint32`` / ``uinteger``).  The flags are read from
-    ``random_raw`` words the same way, ``_batch_size`` families at a time so a
-    batch's words stay within WALK_SCRATCH_BYTES, and the buffered half is
-    consumed and left exactly as ``integers`` does, so the stream does not depend
-    on the batching.  Any other bit generator raises ParameterError.
+    Family f is flips f * (t+1) * n onward of the 0/1 stream (``prob.coins``),
+    position-major then point by point, so its sets do not depend on ``count``,
+    ``first`` or the batching.  The flips are drawn ``_batch_size`` families at
+    a time, so a batch's words stay within WALK_SCRATCH_BYTES.
     """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise ParameterError(f"family draws need a PCG64 generator, got {type(bitgen).__name__}")
     masks = np.empty((count, t + 1, n), dtype=bool)
-    flags = masks.reshape(-1)
-    step = _batch_size(n, t) * (t + 1) * n
-    for lo in range(0, flags.size, step):
-        out = flags[lo: lo + step]
-        state = bitgen.state
-        head = state["has_uint32"]
-        if head:
-            out[0] = state["uinteger"] >> 31
-        rest = out.size - head
-        halves = bitgen.random_raw(-(-rest // 2)).astype("<u8", copy=False).view("<u4")
-        np.greater_equal(halves[:rest], 1 << 31, out=out[head:])
-        state = bitgen.state
-        state["has_uint32"] = rest % 2
-        if halves.size:    # integers keeps the last word's high half, used or not
-            state["uinteger"] = int(halves[-1])
-        bitgen.state = state
+    size = (t + 1) * n
+    per = _batch_size(n, t)
+    for lo in range(0, count, per):
+        hi = min(count, lo + per)
+        flips = coins(key, (first + lo) * size, (first + hi) * size)
+        masks[lo:hi] = flips.reshape(hi - lo, t + 1, n)
     return masks
 
 
@@ -607,7 +592,8 @@ def _check_families(marginals: np.ndarray, per: int, event_probs, beta: float, m
     boolean batch of families; ``subsets`` is the (B,) int64 array of set ids
     (bit v set iff v is in the set) when each family repeats one set at every
     position, else None.  ``exhaustive`` sweeps every single-set family (all
-    2**k subsets) and then samples ``trials`` families with ``random_families``;
+    2**k subsets) and then samples ``trials`` families with ``random_families``
+    under the seed's STREAM_FAMILIES key;
     ``sampled`` only samples, ``per`` families a batch.  Single-set batches are
     ``_batch_size(k, t - 1)`` families: their flags are the batch's only
     allocation here, and ``event_probs`` sizes its own scratch.  A ratio against a
@@ -652,10 +638,10 @@ def _check_families(marginals: np.ndarray, per: int, event_probs, beta: float, m
         same_set = np.broadcast_to(sets[:, None, :], (ids.size, t, k))
         _note(same_set, event_probs(same_set, ids), lambda i, lo=lo: ("single", lo + i))
 
-    rng = np.random.default_rng(seed)
+    key = stream_key(seed, STREAM_FAMILIES)
     n_sampled = 0
     while n_sampled < trials:
-        masks = random_families(rng, min(per, trials - n_sampled), t - 1, k)
+        masks = random_families(key, min(per, trials - n_sampled), t - 1, k, first=n_sampled)
         _note(masks, event_probs(masks, None),
               lambda i, masks=masks: ("multi", tuple(map(mask_int, masks[i]))))
         n_sampled += masks.shape[0]

@@ -111,19 +111,6 @@ class TestSpectral:
             assert abs(row["alpha"] - frozen) <= 1e-9
             assert abs(row["alpha_cover"] - row["alpha"]) <= row["tol"]
 
-    def test_spectral_does_not_import_numpy_random(self):
-        # the Lanczos start is a hash of the vertex index, not a Generator draw
-        script = (
-            "import contextlib, io, sys\n"
-            "from walkbound.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(['spectral', '--m', '6'])\n"
-            "print(code, 'numpy.random' in sys.modules)\n"
-        )
-        run = run_python(script)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["0", "False"]
-
     def test_alpha_drop_fails_the_monotone_check(self, capsys, monkeypatch):
         from dataclasses import replace
 
@@ -166,6 +153,48 @@ class TestSpectral:
         assert [c["holds"] for c in report["checks"] if c["name"] == name] == [False]
 
 
+class TestNoNumpyRandom:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectral", "--m", "6"],
+            ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--trials", "200", "--agree", "0"],
+            ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled", "--trials", "300",
+             "--agree", "20", "--seed", "1"],
+            ["bound", "--preset", "cube", "--t", "3"],
+            ["bound", "--preset", "random", "--t", "3", "--seed", "2"],
+            ["bound", "--preset", "sweep", "--count", "20", "--seed", "2"],
+            ["bound", "--instance-file", "{instance}"],
+            ["amplify", "--construction", "walk", "--m", "2", "--t", "3", "--seed", "1"],
+            ["amplify", "--construction", "direct", "--n", "4", "--t", "2", "--seed", "1"],
+            ["amplify", "--construction", "walk", "--m", "2", "--t", "3", "--mode", "mc",
+             "--trials", "200", "--seed", "1"],
+            ["amplify", "--construction", "direct", "--n", "4", "--t", "2", "--mode", "mc",
+             "--trials", "200", "--seed", "1"],
+        ],
+        ids=["spectral", "verify-beta-exhaustive", "verify-beta-sampled-agree", "bound-cube",
+             "bound-random", "bound-sweep", "bound-instance-file", "amplify-walk-exact",
+             "amplify-direct-exact", "amplify-walk-mc", "amplify-direct-mc"],
+    )
+    def test_command_does_not_import_numpy_random(self, tmp_path, argv):
+        # every draw is a keyed hash (prob.words), so no command needs numpy's
+        # generators or the OpenSSL-backed secrets module they import
+        instance = tmp_path / "inst.json"
+        instance.write_text(json.dumps({"weights": [0.5, 0.5], "objects": [[0, 1], [1, 0]],
+                                        "z": [0.25, 0.75], "eps": 0.01, "variant": "percoord"}))
+        argv = [arg.format(instance=instance) for arg in argv]
+        script = (
+            "import contextlib, io, sys\n"
+            "from walkbound.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'numpy.random' in sys.modules, 'secrets' in sys.modules)\n"
+        )
+        run = run_python(script)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "False", "False"]
+
+
 class TestVerifyBeta:
     def test_passes_with_all_checks(self, capsys):
         code, report, _ = run_cli(
@@ -202,9 +231,22 @@ class TestVerifyBeta:
              "--agree", "130", "--seed", "5"],
         )
         assert code == 0
-        assert report["results"]["independence"]["worst_ratio"] == 0.4613527184451325
+        assert report["results"]["independence"]["worst_ratio"] == 0.4336161902041745
         assert report["results"]["independence"]["witnesses"] == []
         assert report["results"]["route_agreement_max_diff"] == 0.0
+
+    def test_report_does_not_depend_on_the_scratch_budget(self, capsys, monkeypatch):
+        # every family is drawn at its own counters, so one-family batches of
+        # the sampled and the agreement families give the same report
+        from walkbound import walks
+
+        argv = ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled", "--trials", "400",
+                "--agree", "30", "--seed", "5"]
+        _, whole, _ = run_cli(capsys, argv)
+        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        assert walks._batch_size(16, 3) == 1
+        _, split, _ = run_cli(capsys, argv)
+        assert strip_wall_time(split) == strip_wall_time(whole)
 
     def test_verify_beta_leaves_the_reverse_packing_unbuilt(self, capsys, monkeypatch):
         import walkbound.cli as cli
@@ -337,6 +379,21 @@ class TestBound:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12
         assert all(r["holds"] == "True" for r in rows)
+
+    @pytest.mark.parametrize("variant", ["pooled", "percoord"])
+    def test_sweep_report_does_not_depend_on_the_scratch_budget(self, capsys, monkeypatch,
+                                                                variant):
+        # the instance seeds and each instance's draws are keyed, so one
+        # instance per block gives the same report
+        from walkbound import prob
+
+        argv = ["bound", "--preset", "sweep", "--count", "30", "--t", "3", "--psi", "4",
+                "--variant", variant, "--beta", "0.4", "--seed", "7"]
+        _, whole, _ = run_cli(capsys, argv)
+        monkeypatch.setattr(prob, "SWEEP_SCRATCH_BYTES", 1)
+        _, split, _ = run_cli(capsys, argv)
+        assert strip_wall_time(split) == strip_wall_time(whole)
+        assert whole["all_hold"] and len({row["seed"] for row in whole["results"]["rows"]}) == 30
 
     @pytest.mark.parametrize(
         "argv, code, error",

@@ -246,6 +246,19 @@ class TestAdversaryOracle:
         assert pattern_a == pattern_b
         assert a.query_count == 30
 
+    def test_coin_of_query_q_is_counter_q_of_the_oracle_key(self, monkeypatch):
+        # the coins of a block of queries are drawn at once; the block size
+        # changes nothing
+        from walkbound import owf, prob
+
+        f = wb.random_permutation(4, 0)
+        key = prob.stream_key(9, prob.STREAM_ORACLE)
+        expect = (prob.uniforms(key, np.arange(50)) < 0.5).tolist()
+        for block in (owf.QUERY_BLOCK, 7):
+            monkeypatch.setattr(owf, "QUERY_BLOCK", block)
+            oracle = wb.AdversaryOracle(f, np.full(16, 0.5), seed=9)
+            assert [oracle.invert(5) is not None for _ in range(50)] == expect
+
     def test_answers_are_canonical_preimages(self):
         f = wb.ToyFunction(2, 2, np.array([3, 1, 1, 0]), False)
         oracle = wb.AdversaryOracle(f, np.ones(4), seed=0)
@@ -567,6 +580,31 @@ class TestConditionedReverse:
             wb.conditioned_reverse_index(g_random, 3, 2, 0, [0], [0])
         with pytest.raises(ParameterError):
             wb.conditioned_reverse_index(g_random, 3, 0, 0, [0, 0, 0], [])
+
+
+class TestReductionDraws:
+    @pytest.mark.parametrize("construction", ["direct", "walk"])
+    def test_answers_do_not_depend_on_the_query_block(self, monkeypatch, g_random, construction):
+        # t = 4 walk steps and t = 3 blocks: positions drawn below 3, so some
+        # draws are redrawn; queries 0..39 span several 7-query blocks
+        from walkbound import owf
+
+        def answers():
+            if construction == "direct":
+                f = wb.random_permutation(3, 11)
+                base = wb.AdversaryOracle(f, wb.planted_profile(f, 0.25), seed=1)
+                reduced = wb.reduce_direct(wb.BlockwiseInverter(base, 3), f, 3, seed=4)
+            else:
+                f = wb.vertex_function(g_random)
+                base = wb.AdversaryOracle(f, wb.planted_profile(f, 0.25), seed=1)
+                reduced = wb.reduce_walk(wb.WalkChainInverter(base, g_random, 4), g_random, 4,
+                                         seed=4)
+            return [reduced.invert(y % (1 << f.n)) for y in range(40)]
+
+        whole = answers()
+        monkeypatch.setattr(owf, "QUERY_BLOCK", 7)
+        assert answers() == whole
+        assert None in whole and any(x is not None for x in whole)
 
 
 class TestBlockwiseInverter:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkbound as wb
+from walkbound import prob
 from walkbound.errors import (
     BudgetError,
     MarginalMismatchError,
@@ -162,6 +163,25 @@ class TestPooledBound:
     def test_beta_monotonicity(self):
         z, objs = random_product_instance(3, 4, 2, identical=True)
         bounds = [wb.pooled_bound(z, objs, 0.05, beta=b).bound_value for b in (0.0, 0.3, 0.7, 1.0)]
+        assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+
+    def test_tail_mass_over_one_is_capped(self):
+        # weights that sum to 1 + 1 ulp, within WEIGHT_TOL, all in the tail: the
+        # raw tail mass is 1.0000000000000002, which made the bound exceed
+        # 1 + t*eps and rise from beta = 0.7 to beta = 1
+        weights = np.array([0.5, 0.5 + 2.0 ** -52])
+        assert np.sum(weights) == 1.0 + 2.0 ** -52
+        space = wb.FiniteSpace((0, 1), weights)
+        z = wb.RandomVariable(space, [1.0, 1.0])
+        objs = [wb.RandomObject(space, (0,), [0, 0])] * 3
+        assert wb.tail_probability(z, 0.05) == 1.0
+        bounds = []
+        for beta in (0.0, 0.3, 0.7, 1.0):
+            for rep in (wb.pooled_bound(z, objs, 0.05, beta),
+                        wb.percoord_bound(z, objs, [0.05] * 3, beta)):
+                assert rep.tail_terms == (1.0,) * len(rep.tail_terms)
+                assert rep.bound_value == 1.0 + (0.05 + 0.05 + 0.05)
+            bounds.append(rep.bound_value)
         assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
     def test_eps_monotonicity(self):
@@ -398,15 +418,15 @@ class TestIndependence:
     @pytest.mark.parametrize("t,k", [(3, 3), (2, 5), (4, 7)])
     def test_sampled_families_follow_one_draw_per_family(self, t, k):
         # one fully dependent object taken t times, on eighth weights: the
-        # witnesses are the families of per-family rng.integers draws whose
+        # witnesses are the families of per-family keyed draws whose
         # exact ratio exceeds 1, in draw order, for odd and even flag counts
         pts = np.arange(8) % k
         u = wb.RandomObject(wb.FiniteSpace.uniform(range(8)), tuple(range(k)), pts)
         rep = wb.check_independence([u] * t, beta=1.0, mode="sampled", trials=200, seed=6)
-        rng = np.random.default_rng(6)
+        key = prob.stream_key(6, prob.STREAM_FAMILIES)
         expect = []
-        for _ in range(200):
-            sets = rng.integers(0, 2, size=(t, k)).astype(bool)
+        for f in range(200):
+            sets = prob.coins(key, f * t * k, (f + 1) * t * k).reshape(t, k)
             joint = sum(0.125 for p in pts if all(s[p] for s in sets))
             prod = math.prod(sum(0.125 for p in pts if s[p]) for s in sets)
             if prod > 0 and joint / prod > 1.0 + 1e-9:
@@ -422,14 +442,19 @@ def reference_sweep(t, psi, seeds, eps, beta, pooled):
     cols = np.array(grid, dtype=np.int64).reshape(len(grid), t).T
     rows = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws = [rng.uniform(0.1, 1.0, psi) for _ in range(1 if pooled else t)]
+        # an instance's keyed stream: psi marginal weights per drawn marginal,
+        # then one Z value per grid point
+        key = prob.stream_key(seed, prob.STREAM_INSTANCE)
+        n_marg = 1 if pooled else t
+        draws = [0.1 + 0.9 * prob.uniforms(key, np.arange(i * psi, (i + 1) * psi))
+                 for i in range(n_marg)]
         margs = [m / m.sum() for m in draws] * (t if pooled else 1)
         w = np.ones(len(grid))
         for m, c in zip(margs, cols):
             w = w * m[c]
         space = wb.FiniteSpace(grid, w / np.sum(w))
-        z = wb.RandomVariable(space, rng.random(len(grid)))
+        z = wb.RandomVariable(space, prob.uniforms(key, np.arange(n_marg * psi,
+                                                                  n_marg * psi + len(grid))))
         conds = [wb.conditional_expectation(z, wb.RandomObject(space, range(psi), c)) for c in cols]
         if pooled:
             vals = [c.values for c in conds]
@@ -469,8 +494,6 @@ class TestBoundSweep:
     def test_rows_match_the_per_instance_reference(self, monkeypatch, t, psi, pooled, scratch):
         # psi >= 8 reaches numpy's pairwise summation, where a tail summed with
         # zeros in place of the dropped entries rounds differently
-        from walkbound import prob
-
         if scratch == "one-byte":
             monkeypatch.setattr(prob, "SWEEP_SCRATCH_BYTES", 1)
         seeds = np.random.default_rng(100 * t + psi).integers(0, 1 << 62, 60).tolist()
@@ -523,8 +546,6 @@ class TestBoundSweep:
     ):
         # rows are checked in order, and each row's checks in the order the
         # per-instance path runs them, even when both share one block
-        from walkbound import prob
-
         if fault == "zero-weight-tol":
             monkeypatch.setattr(prob, "WEIGHT_TOL", 0.0)
         else:
@@ -578,3 +599,84 @@ def test_percoord_bound_property(seed, t, psi):
     eps = np.random.default_rng(seed + 1).uniform(0.01, 0.5, t)
     rep = wb.percoord_bound(z, objs, list(eps))
     assert rep.holds
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_word(key, counter):
+    """Word ``counter`` of ``key`` in pure Python: the splitmix64 finalizer of
+    (counter + 1) * golden + finalizer(key), modulo 2**64."""
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    return mix(((counter + 1) * 0x9E3779B97F4A7C15 + mix(key)) & MASK64)
+
+
+def reference_key(seed, stream):
+    key = stream
+    while True:
+        key = splitmix64_word(seed & MASK64, key)
+        seed >>= 64
+        if not seed:
+            return key
+
+
+class TestKeyedStream:
+    def test_key_zero_is_plain_splitmix64(self):
+        # the published splitmix64 outputs of state 0
+        assert prob.words(0, np.arange(3)).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed, stream", [
+        (0, prob.STREAM_PERMUTATION), (1, prob.STREAM_FAMILIES), (5, prob.STREAM_ORACLE),
+        (2 ** 63 + 3, prob.STREAM_SWEEP), (2 ** 64 + 5, prob.STREAM_INPUTS),
+        (7 << 130, prob.STREAM_WALK),
+    ])
+    def test_first_words_match_a_pure_python_reference(self, seed, stream):
+        key = prob.stream_key(seed, stream)
+        assert key == reference_key(seed, stream)
+        assert prob.words(key, np.arange(8)).tolist() == [
+            splitmix64_word(key, c) for c in range(8)]
+
+    def test_keys_of_a_block_match_the_one_seed_keys(self):
+        seeds = [0, 9, 2 ** 64 - 1, 2 ** 64, 3 << 70]
+        assert prob.stream_keys(seeds, prob.STREAM_INSTANCE).tolist() == [
+            prob.stream_key(s, prob.STREAM_INSTANCE) for s in seeds]
+        with pytest.raises(ParameterError):
+            prob.stream_key(-1, prob.STREAM_INSTANCE)
+
+    def test_uniforms_and_coins_read_the_words(self):
+        key = prob.stream_key(4, prob.STREAM_FAMILIES)
+        assert prob.uniforms(key, np.arange(5)).tolist() == [
+            (splitmix64_word(key, c) >> 11) * 2.0 ** -53 for c in range(5)]
+        # flips 50 .. 199 straddle three words, from the middle of the first
+        assert prob.coins(key, 50, 200).tolist() == [
+            bool(splitmix64_word(key, f // 64) >> (f % 64) & 1) for f in range(50, 200)]
+
+    @pytest.mark.parametrize("bound", [3, 5, 8, 1])
+    def test_bounded_draws_match_a_rejection_reference(self, bound):
+        # t - 1 = 3 at t = 4: a draw of 3 under the mask 3 is redrawn at the
+        # same counter of the next key, as often as it takes
+        key = prob.stream_key(11, prob.STREAM_REDUCTION)
+        mask = (1 << (bound - 1).bit_length()) - 1
+        expect, redrawn = [], 0
+        for c in range(2000):
+            shift = 0
+            while (w := splitmix64_word((key + shift) & MASK64, c) & mask) >= bound:
+                shift += 1
+            expect.append(w)
+            redrawn += shift > 0
+        got = prob.integers(key, np.arange(2000), bound)
+        assert got.dtype == np.int64 and got.tolist() == expect
+        assert (redrawn > 0) == (bound & (bound - 1) != 0)
+        with pytest.raises(ParameterError):
+            prob.integers(key, np.arange(3), 0)
+
+    def test_permutation_orders_the_words(self):
+        key = prob.stream_key(2, prob.STREAM_PERMUTATION)
+        perm = prob.permutation(key, 300)
+        ws = [splitmix64_word(key, c) for c in range(300)]
+        assert perm.tolist() == sorted(range(300), key=ws.__getitem__)

@@ -479,33 +479,6 @@ class TestEnumerationKernels:
         assert np.array_equal(p_enum, wb.family_event_probs_matrix(g, 4, masks))
 
 
-class TestFamilyDraws:
-    """random_families reads PCG64's raw words; ``rng.integers`` is its oracle."""
-
-    @pytest.mark.parametrize("scratch", [None, 1], ids=["one-batch", "one-family-batches"])
-    @pytest.mark.parametrize("prior", [0, 3], ids=["fresh", "after-odd-draw"])
-    def test_draws_equal_integers_and_leave_the_same_stream(self, monkeypatch, scratch, prior):
-        # 3 families of 3 sets over 5 vertices: 45 flags, an odd total, and with
-        # one-family batches 15 flags per batch, so a half is carried between
-        # batches; three earlier flags leave a half buffered before the first
-        from walkbound import walks
-
-        if scratch is not None:
-            monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", scratch)
-        ref, mine = np.random.default_rng([4, 17]), np.random.default_rng([4, 17])
-        ref.integers(0, 2, size=prior)
-        mine.integers(0, 2, size=prior)
-        expect = ref.integers(0, 2, size=(3, 3, 5)).astype(bool)
-        assert np.array_equal(wb.random_families(mine, 3, 2, 5), expect)
-        assert mine.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(mine.integers(0, 2, size=7), ref.integers(0, 2, size=7))
-        assert np.array_equal(mine.integers(0, 1 << 40, size=3), ref.integers(0, 1 << 40, size=3))
-
-    def test_other_bit_generators_are_rejected(self):
-        with pytest.raises(ParameterError):
-            wb.random_families(np.random.Generator(np.random.MT19937(1)), 2, 1, 4)
-
-
 class TestWalkIndependence:
     def test_identity_permutation_holds(self, g_identity):
         beta = 1.0 - wb.second_eigenvalue_magnitude(wb.transition_matrix(g_identity.rot)).alpha
@@ -531,12 +504,14 @@ class TestWalkIndependence:
         # stream moves the ratios and the witness sets recorded here
         g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(8).permutation(16))
         rep = wb.verify_walk_independence(g, 2, 0.9, mode="sampled", trials=300, seed=4)
-        assert rep.worst_ratio == 1.041922143382695
+        assert rep.worst_ratio == 1.1676569361921985
         assert rep.witnesses == (
-            (("multi", (46755, 47994, 26235)), 1.041922143382695),
-            (("multi", (11014, 3833, 12443)), 1.0141496243545052),
-            (("multi", (60531, 40262, 59101)), 1.0030576478484599),
-            (("multi", (55418, 41078, 11119)), 1.0193554423485556),
+            (("multi", (13205, 5429, 65093)), 1.0476149119569231),
+            (("multi", (14044, 41043, 30998)), 1.010844825277815),
+            (("multi", (51461, 60430, 34404)), 1.020408163265306),
+            (("multi", (64768, 50372, 12465)), 1.1676569361921985),
+            (("multi", (1525, 61880, 19805)), 1.048319307432922),
+            (("multi", (41646, 2649, 34963)), 1.0760667903525045),
         )
 
     def test_sampled_mode_skips_sweep(self, g_random):
@@ -620,20 +595,25 @@ class TestWalkIndependence:
         assert peak < 2 * walks.WALK_SCRATCH_BYTES
 
     def test_family_draws_do_not_depend_on_the_batching(self, monkeypatch):
-        from walkbound import walks
+        # family f is flips 48f .. 48f + 47 of the key's 0/1 stream, whichever
+        # call and batch draws it
+        from walkbound import prob, walks
 
-        whole = np.random.default_rng([3, 17]).integers(0, 2, size=(9, 3, 16)).astype(bool)
-        assert np.array_equal(wb.random_families(np.random.default_rng([3, 17]), 9, 2, 16), whole)
+        key = prob.stream_key(3, prob.STREAM_AGREE)
+        whole = prob.coins(key, 0, 9 * 3 * 16).reshape(9, 3, 16)
+        assert np.array_equal(wb.random_families(key, 9, 2, 16), whole)
+        assert np.array_equal(wb.random_families(key, 4, 2, 16, first=5), whole[5:])
         monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
-        assert np.array_equal(wb.random_families(np.random.default_rng([3, 17]), 9, 2, 16), whole)
+        assert np.array_equal(wb.random_families(key, 9, 2, 16), whole)
+        assert np.array_equal(wb.random_families(key, 4, 2, 16, first=5), whole[5:])
 
     def test_family_draws_fit_the_scratch_budget(self):
         # N = 4096: 100 families drawn at once would take 9.4 MiB of int64 draws
-        from walkbound import walks
+        from walkbound import prob, walks
 
         tracemalloc.start()
         try:
-            masks = wb.random_families(np.random.default_rng(1), 100, 2, 4096)
+            masks = wb.random_families(prob.stream_key(1, prob.STREAM_AGREE), 100, 2, 4096)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
