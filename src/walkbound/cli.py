@@ -34,7 +34,6 @@ from .expander import (
     mgg_rotation,
     second_eigenvalue_magnitude,
     torus_spectrum,
-    transition_matrix,
 )
 from .owf import (
     TABLE_MAX_BITS,
@@ -144,7 +143,7 @@ def cmd_spectral(args) -> dict:
     rows = []
     checks = []
 
-    k4 = second_eigenvalue_magnitude(transition_matrix(k4_rotation()))
+    k4 = second_eigenvalue_magnitude(k4_rotation())
     rows.append({"graph": "K4", "m": 0, "n_vertices": 4, "degree": 3, **k4.to_dict()})
     checks.append(
         _check(

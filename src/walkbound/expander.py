@@ -1,4 +1,4 @@
-"""Explicit constant-degree expanders: rotation maps, transition matrices, spectra.
+"""Explicit constant-degree expanders: rotation maps, their walk operator, spectra.
 
 The workhorse family is the affine-torus construction on ``N = 2**(2m)`` vertices
 of degree 8: a vertex packs a pair ``(x, y)`` of m-bit residues as ``x * 2**m + y``
@@ -12,11 +12,15 @@ all mod 2**m.  Consecutive labels are mutually inverse, so the rotation map is
 variant with ``x+y`` in place of ``x+2y`` has second eigenvalue drifting past
 0.91 by m=5, while this family provably stays below ``5*sqrt(2)/8``.
 
-The doubling also makes translation by ``2**(m-1)`` in either coordinate commute
-with every neighbor map, so the torus transition matrix splits into four
-character blocks of size N/4 (``torus_character_blocks``).  No torus spectrum
-builds the dense N x N matrix: up to ``DENSE_EIGENSOLVE_MAX`` vertices the four
-blocks are solved densely, above it Lanczos runs over the nonzeros.
+The rotation's neighbor table is the one form of the normalized adjacency A:
+``_push`` sums a vector over each vertex's d neighbors, label row by label
+row, and that sum over d is one step of A.  The dense N x N matrix is built
+from the same table only for the generic engine's small sizes.  The doubling
+also makes translation by ``2**(m-1)`` in either coordinate commute with every
+neighbor map, so the torus operator splits into four character blocks of size
+N/4 (``torus_character_blocks``).  No torus spectrum builds the dense N x N
+matrix: up to ``DENSE_EIGENSOLVE_MAX`` vertices the four blocks are solved
+densely, above it Lanczos runs over the push.
 
 Lanczos keeps no Krylov basis (``_lanczos_extremes``): pass 1 runs the
 three-term recurrence from a fixed hashed start and keeps the tridiagonal
@@ -38,8 +42,6 @@ import numpy as np
 from .errors import ParameterError, StructuralError
 from .prob import RATIO_TOL, STREAM_VECTORS, stream_key, uniforms
 
-STOCHASTIC_TOL = 1e-12
-SYMMETRY_TOL = 1e-14
 DENSE_EIGENSOLVE_MAX = 1024   # dense eigvalsh up to this N (torus: four N/4 blocks); Lanczos above
 EIGEN_TOL = 1e-8              # residual stop of the Lanczos routes
 LANCZOS_MAX_STEPS = 400
@@ -53,7 +55,12 @@ class ColoredRotation:
 
     ``neighbors[u, j]`` is the vertex reached from ``u`` along the edge slot
     labeled ``j``; ``back_labels[u, j]`` is the slot of the same edge at the far
-    end.  The pair must be involutive: rotating twice is the identity.
+    end.  The pair must be involutive: rotating twice is the identity.  That
+    check is all the operator needs: an involution pairs the d slots out of
+    each vertex with d slots into it, so A (slot counts over d) is symmetric
+    and doubly stochastic.  Tables that are already int64 are kept without a
+    copy, views included (a transposed label-major table, a broadcast row of
+    back labels), and made read-only.
     """
 
     m: int
@@ -63,8 +70,8 @@ class ColoredRotation:
     back_labels: np.ndarray
 
     def __post_init__(self):
-        nb = np.array(self.neighbors, dtype=np.int64)
-        bl = np.array(self.back_labels, dtype=np.int64)
+        nb = np.asarray(self.neighbors, dtype=np.int64)
+        bl = np.asarray(self.back_labels, dtype=np.int64)
         nb.setflags(write=False)
         bl.setflags(write=False)
         object.__setattr__(self, "neighbors", nb)
@@ -76,12 +83,9 @@ class ColoredRotation:
             raise StructuralError("neighbor entries must be vertices")
         if np.any(bl < 0) or np.any(bl >= d):
             raise StructuralError("back labels must be edge slots")
-        back_v = nb[nb, bl]
-        back_j = bl[nb, bl]
-        if not (
-            np.array_equal(back_v, np.broadcast_to(np.arange(n)[:, None], (n, d)))
-            and np.array_equal(back_j, np.broadcast_to(np.arange(d)[None, :], (n, d)))
-        ):
+        # one far-end table at a time: the second is gathered only if the first passes
+        if not (np.all(nb[nb, bl] == np.arange(n)[:, None])
+                and np.all(bl[nb, bl] == np.arange(d))):
             raise StructuralError("rotation map is not an involution")
 
     def rotate(self, u: int, j: int) -> tuple:
@@ -106,7 +110,11 @@ class ColoredRotation:
 
 def mgg_rotation(m: int) -> ColoredRotation:
     """The degree-8 affine-torus rotation on ``2**(2m)`` vertices (Margulis /
-    Gabber-Galil style), with the involution check applied at construction."""
+    Gabber-Galil style), with the involution check applied at construction.
+
+    The table is built label-major, one row of N per label, and ``neighbors``
+    is its transposed view, so ``neighbors.T`` is the push's table as it is;
+    the back labels ``j ^ 1`` are one broadcast row."""
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     side = 1 << m
@@ -115,17 +123,17 @@ def mgg_rotation(m: int) -> ColoredRotation:
     idx = np.arange(n, dtype=np.int64)
     x = idx >> m
     y = idx & mask
-    nb = np.empty((n, 8), dtype=np.int64)
-    nb[:, 0] = (((x + 2 * y) & mask) << m) | y
-    nb[:, 1] = (((x - 2 * y) & mask) << m) | y
-    nb[:, 2] = (((x + 2 * y + 1) & mask) << m) | y
-    nb[:, 3] = (((x - 2 * y - 1) & mask) << m) | y
-    nb[:, 4] = (x << m) | ((y + 2 * x) & mask)
-    nb[:, 5] = (x << m) | ((y - 2 * x) & mask)
-    nb[:, 6] = (x << m) | ((y + 2 * x + 1) & mask)
-    nb[:, 7] = (x << m) | ((y - 2 * x - 1) & mask)
-    bl = np.broadcast_to(np.arange(8, dtype=np.int64) ^ 1, (n, 8)).copy()
-    return ColoredRotation(m=m, n_vertices=n, d=8, neighbors=nb, back_labels=bl)
+    nb = np.empty((8, n), dtype=np.int64)
+    nb[0] = (((x + 2 * y) & mask) << m) | y
+    nb[1] = (((x - 2 * y) & mask) << m) | y
+    nb[2] = (((x + 2 * y + 1) & mask) << m) | y
+    nb[3] = (((x - 2 * y - 1) & mask) << m) | y
+    nb[4] = (x << m) | ((y + 2 * x) & mask)
+    nb[5] = (x << m) | ((y - 2 * x) & mask)
+    nb[6] = (x << m) | ((y + 2 * x + 1) & mask)
+    nb[7] = (x << m) | ((y - 2 * x - 1) & mask)
+    bl = np.broadcast_to(np.arange(8, dtype=np.int64) ^ 1, (n, 8))
+    return ColoredRotation(m=m, n_vertices=n, d=8, neighbors=nb.T, back_labels=bl)
 
 
 def k4_rotation() -> ColoredRotation:
@@ -134,82 +142,41 @@ def k4_rotation() -> ColoredRotation:
     verts = np.arange(4, dtype=np.int64)[:, None]
     labs = np.arange(3, dtype=np.int64)[None, :]
     nb = verts ^ (labs + 1)
-    bl = np.broadcast_to(np.arange(3, dtype=np.int64), (4, 3)).copy()
+    bl = np.broadcast_to(np.arange(3, dtype=np.int64), (4, 3))
     return ColoredRotation(m=0, n_vertices=4, d=3, neighbors=nb, back_labels=bl)
 
 
-class TransitionMatrix:
-    """A doubly stochastic transition matrix, symmetric unless directed.
-
-    Stored as its nonzero entries: parallel arrays ``rows``, ``cols``, ``vals``
-    in row-major order.  ``entries`` builds the dense array on demand, for the
-    dense algorithms only.  ``TransitionMatrix(dense)`` wraps a hand-written
-    matrix; ``from_triples`` takes the nonzeros directly, keeping arrays that
-    are already int64 (indices) or float64 (values) without a copy and making
-    them read-only once they pass the checks.
-    """
-
-    def __init__(self, entries, directed: bool = False):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise StructuralError("entries must be square")
-        rows, cols = np.indices(a.shape)[:, a != 0.0]
-        self._store(a.shape[0], rows, cols, a[rows, cols], directed)
-
-    @classmethod
-    def from_triples(cls, n_dim: int, rows, cols, vals, directed: bool = False) -> "TransitionMatrix":
-        tm = cls.__new__(cls)
-        tm._store(n_dim, rows, cols, vals, directed)
-        return tm
-
-    def _store(self, n: int, rows, cols, vals, directed: bool) -> None:
-        self.n_dim, self.directed = int(n), bool(directed)
-        self.rows, self.cols = (np.asarray(x, dtype=np.int64) for x in (rows, cols))
-        self.vals = np.asarray(vals, dtype=float)
-        keys = self.rows * n
-        keys += self.cols
-        if np.any(keys[1:] <= keys[:-1]):
-            raise StructuralError("nonzeros must be distinct and in row-major order")
-        if np.any(self.vals < 0.0):
-            raise StructuralError("entries must be nonnegative")
-        row_sums = np.bincount(self.rows, weights=self.vals, minlength=n)
-        col_sums = np.bincount(self.cols, weights=self.vals, minlength=n)
-        if max(np.max(np.abs(row_sums - 1.0)), np.max(np.abs(col_sums - 1.0))) > STOCHASTIC_TOL:
-            raise StructuralError("rows and columns must each sum to 1")
-        if not directed:
-            # n nonzeros at a time, so the lookups hold O(n) scratch
-            for lo in range(0, keys.size, n):
-                hi = lo + n
-                mirror_keys = self.cols[lo:hi] * n + self.rows[lo:hi]
-                pos = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
-                mirror = np.where(keys[pos] == mirror_keys, self.vals[pos], 0.0)
-                if float(np.max(np.abs(self.vals[lo:hi] - mirror))) > SYMMETRY_TOL:
-                    raise StructuralError("undirected transition matrices must be symmetric")
-        for arr in (self.rows, self.cols, self.vals):
-            arr.setflags(write=False)
-
-    @property
-    def entries(self) -> np.ndarray:
-        a = np.zeros((self.n_dim, self.n_dim))
-        a[self.rows, self.cols] = self.vals
-        return a
+def _push(table: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``out[w] = sum_k v[table[k, w]]`` over the rows of a label-major (d, N)
+    table, in row order: one gather per row added into one output.  With the
+    transposed neighbor table this is d times one step of A; with a hybrid
+    graph's predecessor table it pushes walk counts one step forward.  ``v``
+    may carry trailing axes, which come along with each gathered entry."""
+    out = v[table[0]]
+    for row in table[1:]:
+        out += v[row]
+    return out
 
 
-def transition_matrix(rot: ColoredRotation) -> TransitionMatrix:
-    """Normalized adjacency of the rotation's graph; parallel edges and loops
-    accumulate multiples of 1/d.  Each vertex's neighbors are sorted in
-    place of a global sort: a run of equal neighbors is one nonzero."""
-    n, d = rot.n_vertices, rot.d
-    nb = np.sort(rot.neighbors, axis=1).reshape(-1)
-    first = np.ones(n * d, dtype=bool)
-    np.not_equal(nb[1:], nb[:-1], out=first[1:])
-    first[::d] = True
-    rows = np.flatnonzero(first)
-    cols = nb[rows]
-    del nb, first
-    vals = np.diff(rows, append=n * d) / d
-    rows //= d  # flat positions of the runs' heads become their row indices
-    return TransitionMatrix.from_triples(n, rows, cols, vals)
+def _step(rot: ColoredRotation):
+    """One step of A as a function of a vector: the push over the transposed
+    neighbor table, over d."""
+    table, d = rot.neighbors.T, rot.d
+
+    def step(v):
+        out = _push(table, v)
+        out /= d
+        return out
+
+    return step
+
+
+def _dense_operator(rot: ColoredRotation) -> np.ndarray:
+    """A as a dense N x N array: ``A[u, v]`` counts the edge slots from u to v
+    (parallel edges and loops included), over d."""
+    n = rot.n_vertices
+    cells = np.arange(n, dtype=np.int64)[:, None] * n + rot.neighbors
+    return np.bincount(cells.reshape(-1), minlength=n * n).reshape(n, n) / rot.d
 
 
 @dataclass(frozen=True)
@@ -345,32 +312,21 @@ def _lanczos_extremes(matvec, project, n: int, tol: float) -> tuple:
     return float(theta[-1]), float(theta[0]), steps, False
 
 
-def second_eigenvalue_magnitude(tm: TransitionMatrix, tol: float = EIGEN_TOL) -> SpectralReport:
-    """alpha = max(|second largest|, |most negative|) eigenvalue of a connected,
-    non-bipartite, symmetric doubly stochastic matrix; beta = 1 - alpha.
+def second_eigenvalue_magnitude(rot: ColoredRotation, tol: float = EIGEN_TOL) -> SpectralReport:
+    """alpha = max(|second largest|, |most negative|) eigenvalue of the
+    normalized adjacency A of a connected, non-bipartite rotation's graph;
+    beta = 1 - alpha.
 
-    Dense symmetric eigensolve up to ``DENSE_EIGENSOLVE_MAX`` dimensions; above
-    that, one Lanczos run over the nonzeros on the complement of the all-ones
-    vector gives both ends of the spectrum.
+    Dense symmetric eigensolve of A up to ``DENSE_EIGENSOLVE_MAX`` vertices;
+    above that, one Lanczos run over the push on the complement of the
+    all-ones vector gives both ends of the spectrum.
     """
-    if tm.directed:
-        raise StructuralError("spectral verification requires a symmetric matrix")
-    n = tm.n_dim
+    n = rot.n_vertices
     if n <= DENSE_EIGENSOLVE_MAX:
-        evals = np.linalg.eigvalsh(tm.entries)
+        evals = np.linalg.eigvalsh(_dense_operator(rot))
         lam2 = float(evals[-2]) if n > 1 else 0.0
         return _spectral_report(lam2, float(evals[0]), tol, "full-eigensolve", 0, True, {})
-
-    # every row of a stochastic matrix is nonempty, so its nonzeros are one
-    # segment each; np.bincount would copy the read-only row indices per step
-    starts = np.searchsorted(tm.rows, np.arange(n))
-
-    def step(v):
-        terms = v[tm.cols]
-        terms *= tm.vals
-        return np.add.reduceat(terms, starts)
-
-    lam2, lam_min, steps, converged = _lanczos_extremes(step, lambda v: v - v.mean(), n, tol)
+    lam2, lam_min, steps, converged = _lanczos_extremes(_step(rot), lambda v: v - v.mean(), n, tol)
     return _spectral_report(lam2, lam_min, tol, "lanczos", steps, converged, {"lanczos": steps})
 
 
@@ -383,50 +339,50 @@ def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport,
     of level m (Bilu & Linial 2006): spec(m-1) is contained in spec(m), and the
     other eigenvalues live on functions that sum to 0 on each 4-vertex fiber.
     ``base`` is the level m-1 spectrum; the fiber complement is solved by
-    Lanczos with the step applied as a gather over the neighbor table, and
-    its extremes are merged with ``base``'s.  The covering property is checked
-    on the tables first.
+    Lanczos over the push, and its extremes are merged with ``base``'s.  The
+    covering property is checked on the label-major tables first, one label
+    at a time.
     """
     m, n, d = rot.m, rot.n_vertices, rot.d
     quotient = mgg_rotation(m - 1)
     half = 1 << (m - 1)
     mask = half - 1
-    nb = rot.neighbors
-    reduced = (((nb >> m) & mask) << (m - 1)) | (nb & mask)
-    if n != 4 * quotient.n_vertices or d != quotient.d or not np.all(
-        reduced.reshape(2, half, 2, half, d) == quotient.neighbors.reshape(1, half, 1, half, d)
+
+    def covers(row, below):
+        reduced = (((row >> m) & mask) << (m - 1)) | (row & mask)
+        return np.all(reduced.reshape(2, half, 2, half) == below.reshape(1, half, 1, half))
+
+    # one label row at a time, so the check holds a few vectors of length N
+    if n != 4 * quotient.n_vertices or d != quotient.d or not all(
+        map(covers, rot.neighbors.T, quotient.neighbors.T)
     ):
         raise StructuralError(f"rotation is not a label-preserving cover of the level {m - 1} torus")
-    by_label = np.ascontiguousarray(nb.T)
-
-    def step(v):
-        return v[by_label].sum(axis=0) / d
 
     def fiber_free(v):
         f = v.reshape(2, half, 2, half)
         return (f - f.mean(axis=(0, 2), keepdims=True)).reshape(-1)
 
-    top, bottom, steps, converged = _lanczos_extremes(step, fiber_free, n, tol)
+    top, bottom, steps, converged = _lanczos_extremes(_step(rot), fiber_free, n, tol)
     return _spectral_report(max(base.lambda_second, top), min(base.lambda_min, bottom), tol,
                             "torus-cover", steps, converged and base.converged,
                             {"torus-cover": steps})
 
 
 def torus_character_blocks(rot: ColoredRotation) -> np.ndarray:
-    """The torus transition matrix split by its half translations.
+    """The torus operator A split by its half translations.
 
     With ``h = 2**(m-1)``, translation by h in x or in y commutes with every
     neighbor map of ``mgg_rotation(m)``, because ``2h = 0 mod 2**m``.  The two
-    translations generate a Klein four-group, so the transition matrix A is
-    block diagonal over its four characters (a, b) in {0,1}^2.  Returns a
-    (2, 2, N/4, N/4) array whose ``[a, b]`` block acts on the quarter
-    ``x, y < h``: for each neighbor v of a quarter vertex u,
-    ``B[u, rep(v)] += (-1)**(a*qx(v) + b*qy(v)) / d``, where rep(v) reduces
-    both coordinates mod h and qx, qy are the bits that reduction drops.
-    spec(A) is the union of the four block spectra, and block [0, 0] is the
-    level m-1 transition matrix.  Both translations are first checked to
-    commute with the neighbor table, label by label: otherwise the blocks are
-    not those of A and need not even be symmetric.
+    translations generate a Klein four-group, so A is block diagonal over its
+    four characters (a, b) in {0,1}^2.  Returns a (2, 2, N/4, N/4) array
+    whose ``[a, b]`` block acts on the quarter ``x, y < h``: for each
+    neighbor v of a quarter vertex u, ``B[u, rep(v)] += (-1)**(a*qx(v) +
+    b*qy(v)) / d``, where rep(v) reduces both coordinates mod h and qx, qy
+    are the bits that reduction drops.  spec(A) is the union of the four
+    block spectra, and block [0, 0] is the level m-1 operator.  Both
+    translations are first checked to commute with the neighbor table, label
+    by label: otherwise the blocks are not those of A and need not even be
+    symmetric.
     """
     m, n, d = rot.m, rot.n_vertices, rot.d
     if m < 1 or n != 4 ** m:
@@ -453,9 +409,9 @@ def torus_character_blocks(rot: ColoredRotation) -> np.ndarray:
 def _one_route_spectrum(rot: ColoredRotation, tol: float) -> SpectralReport:
     """One route's spectrum of a torus level: the dense eigensolve of the four
     character blocks up to ``DENSE_EIGENSOLVE_MAX`` vertices, else Lanczos over
-    the transition nonzeros."""
+    the push."""
     if rot.n_vertices > DENSE_EIGENSOLVE_MAX:
-        return second_eigenvalue_magnitude(transition_matrix(rot), tol)
+        return second_eigenvalue_magnitude(rot, tol)
     evals = np.sort(np.linalg.eigvalsh(torus_character_blocks(rot)), axis=None)
     return _spectral_report(float(evals[-2]), float(evals[0]), tol, "full-eigensolve", 0, True, {})
 
@@ -467,8 +423,8 @@ def torus_spectrum(rot: ColoredRotation, base: Optional[SpectralReport] = None,
     Up to ``DENSE_EIGENSOLVE_MAX`` vertices this is one route: a dense
     eigensolve of each of the four ``torus_character_blocks``, whose
     eigenvalues together are the spectrum; ``base`` is not used, so every
-    level is solved on its own.  Above it, route A (Lanczos over the
-    transition nonzeros) and route B (``torus_cover_spectrum`` over ``base``,
+    level is solved on its own.  Above it, route A (Lanczos over the push
+    on the complement of the all-ones vector) and route B (``torus_cover_spectrum`` over ``base``,
     the level m-1 spectrum, computed here by that level's one route when not
     given) both run; the report is route A's, with both routes' matvecs,
     route B's alpha, and ``converged`` only if both converged and their
@@ -545,24 +501,25 @@ class ContractionReport:
 
 
 def check_projection_contraction(
-    tm: TransitionMatrix,
+    rot: ColoredRotation,
     s1: Projection,
     s2: Projection,
     trials: int = 1000,
     seed: int = 0,
     alpha: Optional[float] = None,
 ) -> ContractionReport:
-    """Verify ``|P A P' v| <= sqrt((a+b*mu)(a+b*mu')) |v|`` on ``trials`` random
-    vectors, uniform on the cube [-1, 1)**n under the seed's STREAM_VECTORS key,
-    and exactly via the operator norm when the dimension allows an SVD."""
-    n = tm.n_dim
+    """Verify ``|P A P' v| <= sqrt((a+b*mu)(a+b*mu')) |v|`` for the rotation's
+    dense A on ``trials`` random vectors, uniform on the cube [-1, 1)**n under
+    the seed's STREAM_VECTORS key, and exactly via the operator norm when the
+    dimension allows an SVD."""
+    n = rot.n_vertices
     if s1.n_dim != n or s2.n_dim != n:
-        raise StructuralError("projections must match the matrix dimension")
+        raise StructuralError("projections must match the rotation's vertex count")
     if alpha is None:
-        alpha = second_eigenvalue_magnitude(tm).alpha
+        alpha = second_eigenvalue_magnitude(rot).alpha
     beta = 1.0 - alpha
     factor = float(np.sqrt((alpha + beta * s1.mu) * (alpha + beta * s2.mu)))
-    masked = s1.mask[:, None] * tm.entries * s2.mask[None, :]
+    masked = s1.mask[:, None] * _dense_operator(rot) * s2.mask[None, :]
 
     def ratio_of(norm_val: float) -> float:
         if factor > 0:
@@ -580,18 +537,6 @@ def check_projection_contraction(
         exact = float(np.linalg.svd(masked, compute_uv=False)[0])
         max_ratio = max(max_ratio, ratio_of(exact))
     return ContractionReport(max_ratio=max_ratio, factor=factor, exact_norm=exact, trials=trials)
-
-
-def compose_permutation(tm: TransitionMatrix, perm: np.ndarray) -> TransitionMatrix:
-    """Transition matrix of the hybrid graph: take an edge, then apply the
-    permutation.  Equals A*B with B the permutation's 0/1 matrix; directed."""
-    perm = np.asarray(perm, dtype=np.int64)
-    n = tm.n_dim
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise StructuralError("perm must be a bijection on the vertex set")
-    cols = perm[tm.cols]
-    order = np.argsort(tm.rows * n + cols)
-    return TransitionMatrix.from_triples(n, tm.rows[order], cols[order], tm.vals[order], directed=True)
 
 
 def adjacency_text(rot: ColoredRotation) -> str:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
-from .expander import ColoredRotation, TransitionMatrix, compose_permutation, transition_matrix
+from .expander import ColoredRotation, _push
 from .prob import (MAX_WITNESSES, RATIO_TOL, STREAM_FAMILIES, STREAM_WALK, FiniteSpace,
                    IndependenceReport, RandomObject, coins, integers, mask_int, stream_key,
                    subset_sums)
@@ -75,19 +75,14 @@ class HybridGraph:
         v, _ = self.rot.rotate(u, j)
         return int(self.perm[v])
 
-    def transition(self) -> TransitionMatrix:
-        """The dense-capable one-step matrix; the walk routes never build it, tests
-        use it as their oracle."""
-        return compose_permutation(transition_matrix(self.rot), self.perm)
-
     @cached_property
     def predecessors(self) -> np.ndarray:
         """``pred[k, w]``, k < d: the vertices one step before w, with multiplicity.
 
         The rotation is an involution, so the d edges into ``perm^-1(w)`` are the
-        d edges out of it: ``pred = neighbors[perm^-1].T``, read-only.
+        d edges out of it: ``pred = neighbors.T[:, perm^-1]``, read-only.
         """
-        pred = np.ascontiguousarray(self.rot.neighbors[np.argsort(self.perm)].T)
+        pred = np.ascontiguousarray(self.rot.neighbors.T[:, np.argsort(self.perm)])
         pred.setflags(write=False)
         return pred
 
@@ -189,9 +184,10 @@ def reverse_indices(g: HybridGraph, t: int, xs) -> np.ndarray:
     The walks are replayed together, one step at a time: step s reads label
     j_s off x's base-d digits, most significant first, adds the back label
     ``back_labels[u, j_s] * d**(s-1)`` and moves every walk on from u.  No
-    walk space is built: the points go 4096 at a time through two int64
-    scratch arrays written in place, so beside ``xs`` and the result this
-    holds 64 KiB at any length and any t.
+    walk space is built: the points go 4096 at a time, so beside ``xs`` and
+    the result this holds a few int64 arrays of 4096 entries at any length
+    and any t.  The tables are read as (u, j) pairs, so a label-major or
+    broadcast table is never flattened into a copy.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and (xs.min() < 0 or xs.max() >= walk_count(g, t)):
@@ -201,20 +197,14 @@ def reverse_indices(g: HybridGraph, t: int, xs) -> np.ndarray:
     flat_in, flat_out = xs.reshape(-1), out.reshape(-1)
     for lo in range(0, xs.size, 4096):
         x, acc = flat_in[lo: lo + 4096], flat_out[lo: lo + 4096]
-        cur = x // d ** t          # each walk's vertex u, then its edge u * d + j_s
+        cur = x // d ** t          # each walk's vertex u before step s
         digit = np.empty_like(cur)
         acc[:] = 0
         for s in range(1, t + 1):
             np.floor_divide(x, d ** (t - s), out=digit)
             np.remainder(digit, d, out=digit)
-            cur *= d
-            cur += digit
-            # take(mode="clip") writes into ``out`` without a buffer; indices never clip
-            np.take(g.rot.back_labels, cur, out=digit, mode="clip")
-            digit *= d ** (s - 1)
-            acc += digit
-            np.take(g.rot.neighbors, cur, out=digit, mode="clip")
-            np.take(g.perm, digit, out=cur, mode="clip")
+            acc += g.rot.back_labels[cur, digit] * d ** (s - 1)
+            cur = g.perm[g.rot.neighbors[cur, digit]]
         cur *= d ** t
         acc += cur
     return out
@@ -431,7 +421,7 @@ def walk_space(g: HybridGraph, t: int) -> WalkSpace:
             raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
         n = g.n_vertices
         dtype = np.min_scalar_type(n - 1)
-        succ = g.perm[g.rot.neighbors].astype(dtype)
+        succ = g.perm[g.rot.neighbors].astype(dtype, order="C")
         pred = g.predecessors.T.astype(dtype)
         root = np.arange(n, dtype=dtype)
         heads, levels = [root], [root]
@@ -529,15 +519,14 @@ def _walk_counts(g: HybridGraph, t: int, counts: np.ndarray, masks) -> np.ndarra
 
     ``counts`` has shape (N, B): walks ending at each vertex, per family.  Each
     mask broadcasts to (N, B), and a step is ``c[w] = mask[w] * sum_k
-    c[pred[k, w]]``, one row gather per k.  ``t`` is the walks' length after
-    the last step, so no count exceeds ``walk_count(g, t)``: the counts are
-    int32 when that is below 2**31 (half the memory traffic), else int64.
+    c[pred[k, w]]``, the push over the predecessor table.  ``t`` is the
+    walks' length after the last step, so no count exceeds ``walk_count(g,
+    t)``: the counts are int32 when that is below 2**31 (half the memory
+    traffic), else int64.
     """
     counts = counts.astype(np.int32 if walk_count(g, t) < 1 << 31 else np.int64)
     for mask in masks:
-        nxt = counts[g.predecessors[0]]
-        for row in g.predecessors[1:]:
-            nxt += counts[row]
+        nxt = _push(g.predecessors, counts)
         nxt *= mask
         counts = nxt
     return counts

@@ -1,9 +1,9 @@
 """Shared fixtures and harness-only oracles.
 
 The harness may do things the library must not: reverse_inv inverts the vertex
-permutation by table lookup to decode reverse packings, and the integer
+permutation by table lookup to decode reverse packings, the integer
 walk-counting oracle recomputes event masses in exact arithmetic independent of
-any matrix product.
+any matrix product, and dense_oracle builds the one-step matrix slot by slot.
 """
 
 from fractions import Fraction
@@ -89,3 +89,19 @@ def exact_family_counts(g, t, masks):
 def exact_family_prob(g, t, masks):
     total = g.n_vertices * g.d ** t
     return Fraction(sum(exact_family_counts(g, t, masks)), total)
+
+
+def dense_oracle(g):
+    """The one-step matrix ``A[u, v] = #{j : step(u, j) = v} / d`` of a rotation
+    (its ``rotate``) or a hybrid graph (its ``step``), looped slot by slot:
+    independent of the library's tables, push and dense builder."""
+    if isinstance(g, wb.ColoredRotation):
+        step = lambda u, j: g.rotate(u, j)[0]   # noqa: E731
+    else:
+        step = g.step
+    n, d = g.n_vertices, g.d
+    counts = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for j in range(d):
+            counts[u, step(u, j)] += 1
+    return counts / d

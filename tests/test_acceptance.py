@@ -13,7 +13,7 @@ import pytest
 
 import walkbound as wb
 
-from conftest import exact_family_prob
+from conftest import dense_oracle, exact_family_prob
 
 
 def outcome(ok):
@@ -25,7 +25,7 @@ def test_01_torus_family_spectral_constant(announce):
     target = 5.0 * math.sqrt(2.0) / 8.0 + 1e-6
     measured = {}
     for m in range(2, 7):
-        rep = wb.second_eigenvalue_magnitude(wb.transition_matrix(wb.mgg_rotation(m)))
+        rep = wb.second_eigenvalue_magnitude(wb.mgg_rotation(m))
         measured[m] = rep.alpha
     elapsed = time.perf_counter() - t0
     worst = max(measured.values())
@@ -41,7 +41,7 @@ def test_01_torus_family_spectral_constant(announce):
 def test_02_product_bound_exhaustive_two_routes(announce):
     t0 = time.perf_counter()
     rot = wb.mgg_rotation(2)
-    spectral = wb.second_eigenvalue_magnitude(wb.transition_matrix(rot))
+    spectral = wb.second_eigenvalue_magnitude(rot)
     alpha, beta = spectral.alpha, spectral.beta
     t, n = 3, 16
     worst_slack = math.inf
@@ -49,7 +49,7 @@ def test_02_product_bound_exhaustive_two_routes(announce):
     bit_cols = np.arange(n, dtype=np.int64)
     for perm_seed in range(10):
         g = wb.HybridGraph(rot, np.random.default_rng(perm_seed).permutation(n))
-        a = g.transition().entries
+        a = dense_oracle(g)
 
         # every single-set family, enumeration route vs matrix route
         by_enum = wb.single_set_event_probs(g, t)
@@ -269,7 +269,7 @@ def test_08_end_to_end_amplification(announce):
 
     # walk construction at m=2, t=3 against the spectral-gap bound
     rot = wb.mgg_rotation(2)
-    spectral = wb.second_eigenvalue_magnitude(wb.transition_matrix(rot))
+    spectral = wb.second_eigenvalue_magnitude(rot)
     g = wb.HybridGraph(rot, f.table)
     fv = wb.vertex_function(g)
     prof_w = wb.planted_profile(fv, delta)
