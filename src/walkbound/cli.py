@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -70,6 +71,7 @@ from .prob import (
     words,
 )
 from .walks import (
+    ROUTE_AGREE_TOL,
     SUBSET_EXH_MAX_N,
     WALK_ENUM_MAX,
     HybridGraph,
@@ -81,7 +83,6 @@ from .walks import (
 )
 
 SPECTRAL_M_MAX = 9            # eigensolver budget: N = 4**m vertices
-ROUTE_AGREE_TOL = 1e-12
 EXACT_CHECK_TOL = 1e-9
 
 
@@ -282,6 +283,8 @@ def _instance_from_file(path: str) -> tuple:
     objects = []
     for index_map in data["objects"]:
         arr = _numeric(index_map, "objects", np.int64)
+        if not np.array_equal(arr, _numeric(index_map, "objects")):   # the cast truncates 1.7 to 1
+            raise StructuralError("instance field 'objects' must hold integer indices")
         if arr.size == 0:
             raise StructuralError("an object's index map is empty")
         objects.append(RandomObject(space, tuple(range(int(arr.max()) + 1)), arr))
@@ -576,7 +579,15 @@ def main(argv=None) -> int:
     except (WalkboundError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone; devnull takes stdout so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return 2
     return 0 if report["all_hold"] else 1
 
 

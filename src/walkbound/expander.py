@@ -40,12 +40,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .prob import RATIO_TOL, STREAM_VECTORS, stream_key, uniforms
+from .prob import RATIO_TOL, uniforms
 
 DENSE_EIGENSOLVE_MAX = 1024   # dense eigvalsh up to this N (torus: four N/4 blocks); Lanczos above
 EIGEN_TOL = 1e-8              # residual stop of the Lanczos routes
 LANCZOS_MAX_STEPS = 400
-EXACT_NORM_MAX = 256          # SVD-based exact operator norms up to this dimension
 ALPHA_FAMILY_BOUND = 5.0 * np.sqrt(2.0) / 8.0
 
 
@@ -442,101 +441,50 @@ def torus_spectrum(rot: ColoredRotation, base: Optional[SpectralReport] = None,
                    matvecs={**lanczos.matvecs, **cover.matvecs}, alpha_cover=cover.alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class Projection:
-    """Coordinate projection onto a vertex subset, stored as a boolean mask."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.mask, dtype=bool)
-        m.setflags(write=False)
-        object.__setattr__(self, "mask", m)
-        if m.ndim != 1:
-            raise StructuralError("mask must be one-dimensional")
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "Projection":
-        mask = np.zeros(n, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise StructuralError("subset indices out of range")
-        mask[idx] = True
-        return cls(mask)
-
-    @classmethod
-    def full(cls, n: int) -> "Projection":
-        return cls(np.ones(n, dtype=bool))
-
-    @property
-    def n_dim(self) -> int:
-        return self.mask.size
-
-    @property
-    def size(self) -> int:
-        return int(np.sum(self.mask))
-
-    @property
-    def mu(self) -> float:
-        return self.size / self.n_dim
-
-
-def projection_apply(s: Projection, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (s.n_dim,):
-        raise StructuralError("vector dimension does not match the projection")
-    return np.where(s.mask, v, 0.0)
-
-
 @dataclass(frozen=True)
 class ContractionReport:
-    max_ratio: float
+    """``exact_norm`` is ``|P_S A P_S'|`` and ``factor`` its bound; ``converged``
+    is the residual certificate of the norm's solve."""
+
+    exact_norm: float
     factor: float
-    exact_norm: Optional[float]
-    trials: int
+    converged: bool
 
     @property
     def holds(self) -> bool:
-        return self.max_ratio <= 1.0 + RATIO_TOL
+        return self.converged and self.exact_norm <= self.factor * (1.0 + RATIO_TOL)
 
 
-def check_projection_contraction(
-    rot: ColoredRotation,
-    s1: Projection,
-    s2: Projection,
-    trials: int = 1000,
-    seed: int = 0,
-    alpha: Optional[float] = None,
-) -> ContractionReport:
-    """Verify ``|P A P' v| <= sqrt((a+b*mu)(a+b*mu')) |v|`` for the rotation's
-    dense A on ``trials`` random vectors, uniform on the cube [-1, 1)**n under
-    the seed's STREAM_VECTORS key, and exactly via the operator norm when the
-    dimension allows an SVD."""
+def check_projection_contraction(rot: ColoredRotation, s1: np.ndarray, s2: np.ndarray,
+                                 alpha: Optional[float] = None) -> ContractionReport:
+    """The one-step contraction ``|P_S A P_S'| <= sqrt((a+b*mu)(a+b*mu'))`` of
+    Alon & Chung (1988), for boolean vertex masks S = s1 and S' = s2 of
+    densities mu and mu', with a the rotation's alpha and b = 1 - a.
+
+    The norm of M = P_S A P_S' is the top eigenvalue of the symmetric dilation
+    [[0, M], [M^T, 0]] on vectors x||y of length 2N, whose spectrum is the
+    singular values of M and their negatives; M^T = P_S' A P_S since A is
+    symmetric.  One Lanczos run over the push gives it: every vector it steps
+    already lies in the masks' range, so the projected step ``step(y)||step(x)``
+    times the masks is the dilation, and the norm counts only with its
+    residual certificate.  An empty mask makes M zero, with no solve.
+    """
     n = rot.n_vertices
-    if s1.n_dim != n or s2.n_dim != n:
-        raise StructuralError("projections must match the rotation's vertex count")
+    s1, s2 = np.asarray(s1), np.asarray(s2)
+    for s in (s1, s2):
+        if s.dtype != bool or s.shape != (n,):
+            raise StructuralError("masks must be boolean vectors over the rotation's vertices")
     if alpha is None:
         alpha = second_eigenvalue_magnitude(rot).alpha
     beta = 1.0 - alpha
-    factor = float(np.sqrt((alpha + beta * s1.mu) * (alpha + beta * s2.mu)))
-    masked = s1.mask[:, None] * _dense_operator(rot) * s2.mask[None, :]
-
-    def ratio_of(norm_val: float) -> float:
-        if factor > 0:
-            return norm_val / factor
-        return 0.0 if norm_val == 0.0 else np.inf
-
-    max_ratio = 0.0
-    key = stream_key(seed, STREAM_VECTORS)
-    for trial in range(trials):
-        v = 2.0 * uniforms(key, np.arange(trial * n, (trial + 1) * n)) - 1.0
-        v /= np.linalg.norm(v)
-        max_ratio = max(max_ratio, ratio_of(float(np.linalg.norm(masked @ v))))
-    exact = None
-    if n <= EXACT_NORM_MAX:
-        exact = float(np.linalg.svd(masked, compute_uv=False)[0])
-        max_ratio = max(max_ratio, ratio_of(exact))
-    return ContractionReport(max_ratio=max_ratio, factor=factor, exact_norm=exact, trials=trials)
+    factor = float(np.sqrt((alpha + beta * s1.mean()) * (alpha + beta * s2.mean())))
+    if not (s1.any() and s2.any()):
+        return ContractionReport(exact_norm=0.0, factor=factor, converged=True)
+    step, both = _step(rot), np.concatenate([s1, s2])
+    norm, _, _, converged = _lanczos_extremes(
+        lambda v: np.concatenate([step(v[n:]), step(v[:n])]), lambda v: v * both, 2 * n, EIGEN_TOL
+    )
+    return ContractionReport(exact_norm=norm, factor=factor, converged=converged)
 
 
 def adjacency_text(rot: ColoredRotation) -> str:

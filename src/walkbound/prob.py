@@ -61,7 +61,6 @@ STREAM_ORACLE = 7        # an adversary oracle's per-query coin
 STREAM_REDUCTION = 8     # a reduction's per-query position and fillers
 STREAM_INPUTS = 9        # Monte Carlo inputs of measure_inversion
 STREAM_WALK = 10         # sample_walk's start vertex and labels
-STREAM_VECTORS = 11      # check_projection_contraction's test vectors
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK64 = (1 << 64) - 1
@@ -448,7 +447,7 @@ def _evaluate(
         for mass in masses[1:]:
             mismatch |= np.max(np.abs(mass - masses[0]), axis=1) > IDENTICAL_TOL
         faults.append((mismatch, lambda r: MarginalMismatchError(
-            "objects are not identically distributed within 1e-12; use percoord_bound")))
+            f"objects are not identically distributed within {IDENTICAL_TOL:g}; use percoord_bound")))
     for mass, cond in zip(masses, conds):
         faults += [*_weight_faults(mass), _finite_fault(cond)]
     if pooled:

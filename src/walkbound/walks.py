@@ -43,7 +43,7 @@ SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
 # working memory of one batch of families of the count operator, and of one
 # range of start vertices of the enumeration route
 WALK_SCRATCH_BYTES = 2 ** 21
-EXT_TOL = 1e-12
+ROUTE_AGREE_TOL = 1e-12   # largest gap between two routes to one number
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +481,7 @@ class ExtensionReport:
 
     @property
     def holds(self) -> bool:
-        return self.prob_diff <= EXT_TOL and self.vector_diff <= EXT_TOL
+        return self.prob_diff <= ROUTE_AGREE_TOL and self.vector_diff <= ROUTE_AGREE_TOL
 
 
 def check_extension_identity(g: HybridGraph, t: int, base_indices) -> ExtensionReport:

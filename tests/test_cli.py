@@ -22,12 +22,17 @@ def run_cli(capsys, argv):
     return code, report, captured.err
 
 
+def checkout_env():
+    """The environment of a fresh interpreter that imports this checkout's walkbound."""
+    src = str(Path(wb.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(script):
     """Run ``script`` in a fresh interpreter that imports this checkout's walkbound."""
-    src = str(Path(wb.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=checkout_env())
 
 
 def report_schema(name="run_report"):
@@ -471,8 +476,10 @@ class TestBound:
             ({"weights": "abc", "objects": [[0]], "z": [0.5]}, "weights"),
             ({"weights": [1.0], "objects": 5, "z": [0.5]}, "objects"),
             ({"weights": [1.0], "objects": [[0]], "z": [0.5], "eps": "x"}, "eps"),
+            ({"weights": [0.5, 0.5], "objects": [[0, 1.7], [1, 0]], "z": [0.2, 0.9], "eps": 0.1},
+             "objects"),
         ],
-        ids=["missing-file", "weights-string", "objects-number", "eps-string"],
+        ids=["missing-file", "weights-string", "objects-number", "eps-string", "objects-fractional"],
     )
     def test_malformed_instance_is_a_usage_error(self, capsys, tmp_path, content, needle):
         path = tmp_path / "inst.json"
@@ -625,6 +632,17 @@ class TestHarness:
             main(["spectral"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_closed_stdout_is_a_resource_error(self):
+        # the reader closes its end before the report is written: exit 2 with one
+        # error line, and the flush at interpreter exit raises nothing further
+        proc = subprocess.Popen([sys.executable, "-m", "walkbound.cli", "spectral", "--m", "3"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=checkout_env())
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_determinism_modulo_wall_time(self, capsys):
         argv = ["amplify", "--construction", "walk", "--m", "2", "--t", "2", "--seed", "9",

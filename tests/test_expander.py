@@ -491,53 +491,80 @@ class TestCharacterBlocks:
             wb.torus_spectrum(wb.k4_rotation())
 
 
-class TestProjection:
-    def test_mu_exact(self):
-        s = wb.Projection.from_indices(16, [0, 3, 7, 9, 12])
-        assert s.size == 5 and s.mu == 5 / 16
-
-    def test_apply_full_and_empty(self):
-        v = np.arange(8, dtype=float)
-        assert np.array_equal(wb.projection_apply(wb.Projection.full(8), v), v)
-        empty = wb.Projection.from_indices(8, [])
-        assert np.array_equal(wb.projection_apply(empty, v), np.zeros(8))
-
-    def test_unit_vector_mass(self):
-        rng = np.random.default_rng(2)
-        u0 = np.full(16, 1 / 4)
-        for _ in range(20):
-            idx = np.nonzero(rng.integers(0, 2, 16))[0]
-            s = wb.Projection.from_indices(16, idx)
-            assert float(np.sum(wb.projection_apply(s, u0) ** 2)) == s.mu
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(StructuralError):
-            wb.projection_apply(wb.Projection.full(4), np.ones(5))
-
-    def test_index_validation(self):
-        with pytest.raises(StructuralError):
-            wb.Projection.from_indices(4, [4])
+def contraction_cases(rot):
+    """Mask pairs for the contraction check: random S != S', S = S', single
+    vertices, two nonempty masks with no edge between them, full and empty."""
+    n = rot.n_vertices
+    rng = np.random.default_rng(n)
+    full, empty = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    one = empty.copy()
+    one[0] = True
+    apart = full.copy()                          # vertex 0's non-neighbors
+    apart[rot.neighbors[0]] = False
+    s1, s2 = rng.random(n) < 0.3, rng.random(n) < 0.6
+    return [(s1, s2), (s2, s1), (s1, s1), (one, one), (one, full), (one, apart),
+            (full, full), (full, empty), (empty, s1)]
 
 
 class TestContraction:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5], ids=lambda m: "k4" if m == 0 else f"mgg{m}")
+    def test_matches_the_dense_svd(self, m):
+        rot = wb.k4_rotation() if m == 0 else wb.mgg_rotation(m)
+        a = dense_oracle(rot)
+        for s1, s2 in contraction_cases(rot):
+            rep = wb.check_projection_contraction(rot, s1, s2, alpha=0.5)
+            svd = np.linalg.svd(s1[:, None] * a * s2[None, :], compute_uv=False)[0]
+            assert rep.converged and abs(rep.exact_norm - svd) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.ones(5, dtype=bool), np.ones(4), np.ones((4, 1), dtype=bool)],
+                             ids=["wrong-length", "float", "two-dimensional"])
+    def test_mask_validation(self, bad):
+        with pytest.raises(StructuralError):
+            wb.check_projection_contraction(wb.k4_rotation(), bad, np.ones(4, dtype=bool))
+        with pytest.raises(StructuralError):
+            wb.check_projection_contraction(wb.k4_rotation(), np.ones(4, dtype=bool), bad)
+
+    def test_unconverged_solve_does_not_hold(self, monkeypatch):
+        monkeypatch.setattr(expander, "LANCZOS_MAX_STEPS", 1)
+        rot = wb.mgg_rotation(3)
+        (s1, s2), *_ = contraction_cases(rot)
+        rep = wb.check_projection_contraction(rot, s1, s2, alpha=0.5)
+        assert not rep.converged and not rep.holds
+
+    def test_memory_at_m8_has_no_dense_operator(self, monkeypatch):
+        def dense(rot):
+            raise AssertionError("the contraction check built the dense operator")
+
+        monkeypatch.setattr(expander, "_dense_operator", dense)
+        rot = wb.mgg_rotation(8)
+        (s1, s2), *_ = contraction_cases(rot)
+        tracemalloc.start()
+        try:
+            rep = wb.check_projection_contraction(rot, s1, s2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.holds
+        assert peak < 16 * 2 ** 20
+
     def test_random_subsets_bounded(self, rot2):
         alpha = wb.second_eigenvalue_magnitude(rot2).alpha
         rng = np.random.default_rng(0)
         for trial in range(25):
-            s1 = wb.Projection(rng.integers(0, 2, 16).astype(bool))
-            s2 = wb.Projection(rng.integers(0, 2, 16).astype(bool))
-            rep = wb.check_projection_contraction(rot2, s1, s2, trials=40, seed=trial, alpha=alpha)
+            s1 = rng.integers(0, 2, 16).astype(bool)
+            s2 = rng.integers(0, 2, 16).astype(bool)
+            rep = wb.check_projection_contraction(rot2, s1, s2, alpha=alpha)
             assert rep.holds
-            assert rep.exact_norm is not None    # N=16 always gets the SVD route
+            assert rep.exact_norm is not None    # every N gets the certified norm
 
     def test_full_projections(self, rot2):
-        full = wb.Projection.full(16)
-        rep = wb.check_projection_contraction(rot2, full, full, trials=100, seed=1, alpha=0.7)
+        full = np.ones(16, dtype=bool)
+        rep = wb.check_projection_contraction(rot2, full, full, alpha=0.7)
         assert rep.factor == 1.0 and rep.holds
 
     def test_empty_side_gives_zero(self, rot2):
         rep = wb.check_projection_contraction(
-            rot2, wb.Projection.full(16), wb.Projection.from_indices(16, []), trials=10, seed=0, alpha=0.7
+            rot2, np.ones(16, dtype=bool), np.zeros(16, dtype=bool), alpha=0.7
         )
         assert rep.exact_norm == 0.0 and rep.holds
 
