@@ -20,7 +20,7 @@ also makes translation by ``2**(m-1)`` in either coordinate commute with every
 neighbor map, so the torus operator splits into four character blocks of size
 N/4 (``torus_character_blocks``).  No torus spectrum builds the dense N x N
 matrix: up to ``DENSE_EIGENSOLVE_MAX`` vertices the four blocks are solved
-densely, above it Lanczos runs over the push.
+densely, one at a time, above it Lanczos runs over the push.
 
 Lanczos keeps no Krylov basis (``_lanczos_extremes``): pass 1 runs the
 three-term recurrence from a fixed hashed start and keeps the tridiagonal
@@ -46,6 +46,7 @@ DENSE_EIGENSOLVE_MAX = 1024   # dense eigvalsh up to this N (torus: four N/4 blo
 EIGEN_TOL = 1e-8              # residual stop of the Lanczos routes
 LANCZOS_MAX_STEPS = 400
 ALPHA_FAMILY_BOUND = 5.0 * np.sqrt(2.0) / 8.0
+_RANGE = 1 << 14              # vertices per range of a rotation's build and checks
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +60,8 @@ class ColoredRotation:
     each vertex with d slots into it, so A (slot counts over d) is symmetric
     and doubly stochastic.  Tables that are already int64 are kept without a
     copy, views included (a transposed label-major table, a broadcast row of
-    back labels), and made read-only.
+    back labels), and made read-only.  The checks run over ranges of
+    ``_RANGE`` vertices.
     """
 
     m: int
@@ -78,14 +80,18 @@ class ColoredRotation:
         n, d = self.n_vertices, self.d
         if nb.shape != (n, d) or bl.shape != (n, d):
             raise StructuralError("neighbor and back-label tables must be (n_vertices, d)")
-        if np.any(nb < 0) or np.any(nb >= n):
-            raise StructuralError("neighbor entries must be vertices")
-        if np.any(bl < 0) or np.any(bl >= d):
-            raise StructuralError("back labels must be edge slots")
-        # one far-end table at a time: the second is gathered only if the first passes
-        if not (np.all(nb[nb, bl] == np.arange(n)[:, None])
-                and np.all(bl[nb, bl] == np.arange(d))):
-            raise StructuralError("rotation map is not an involution")
+        # range by range of vertices, so the checks hold one range of scratch
+        # beside the tables; a range's far ends are gathered from the whole table
+        for lo in range(0, n, _RANGE):
+            nb_r, bl_r = nb[lo: lo + _RANGE], bl[lo: lo + _RANGE]
+            if np.any(nb_r < 0) or np.any(nb_r >= n):
+                raise StructuralError("neighbor entries must be vertices")
+            if np.any(bl_r < 0) or np.any(bl_r >= d):
+                raise StructuralError("back labels must be edge slots")
+            # one far-end table at a time: the second is gathered only if the first passes
+            if not (np.all(nb[nb_r, bl_r] == np.arange(lo, lo + len(nb_r))[:, None])
+                    and np.all(bl[nb_r, bl_r] == np.arange(d))):
+                raise StructuralError("rotation map is not an involution")
 
     def rotate(self, u: int, j: int) -> tuple:
         """One application: returns ``(v, k)`` with ``rotate(v, k) == (u, j)``."""
@@ -113,24 +119,28 @@ def mgg_rotation(m: int) -> ColoredRotation:
 
     The table is built label-major, one row of N per label, and ``neighbors``
     is its transposed view, so ``neighbors.T`` is the push's table as it is;
-    the back labels ``j ^ 1`` are one broadcast row."""
+    the back labels ``j ^ 1`` are one broadcast row.  It is filled range by
+    range of ``_RANGE`` vertices, so the build holds the table plus one
+    range of scratch."""
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     side = 1 << m
     n = side * side
     mask = side - 1
-    idx = np.arange(n, dtype=np.int64)
-    x = idx >> m
-    y = idx & mask
     nb = np.empty((8, n), dtype=np.int64)
-    nb[0] = (((x + 2 * y) & mask) << m) | y
-    nb[1] = (((x - 2 * y) & mask) << m) | y
-    nb[2] = (((x + 2 * y + 1) & mask) << m) | y
-    nb[3] = (((x - 2 * y - 1) & mask) << m) | y
-    nb[4] = (x << m) | ((y + 2 * x) & mask)
-    nb[5] = (x << m) | ((y - 2 * x) & mask)
-    nb[6] = (x << m) | ((y + 2 * x + 1) & mask)
-    nb[7] = (x << m) | ((y - 2 * x - 1) & mask)
+    for lo in range(0, n, _RANGE):
+        idx = np.arange(lo, min(n, lo + _RANGE), dtype=np.int64)
+        x = idx >> m
+        y = idx & mask
+        out = nb[:, lo: lo + idx.size]
+        out[0] = (((x + 2 * y) & mask) << m) | y
+        out[1] = (((x - 2 * y) & mask) << m) | y
+        out[2] = (((x + 2 * y + 1) & mask) << m) | y
+        out[3] = (((x - 2 * y - 1) & mask) << m) | y
+        out[4] = (x << m) | ((y + 2 * x) & mask)
+        out[5] = (x << m) | ((y - 2 * x) & mask)
+        out[6] = (x << m) | ((y + 2 * x + 1) & mask)
+        out[7] = (x << m) | ((y - 2 * x - 1) & mask)
     bl = np.broadcast_to(np.arange(8, dtype=np.int64) ^ 1, (n, 8))
     return ColoredRotation(m=m, n_vertices=n, d=8, neighbors=nb.T, back_labels=bl)
 
@@ -356,6 +366,7 @@ def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport,
         map(covers, rot.neighbors.T, quotient.neighbors.T)
     ):
         raise StructuralError(f"rotation is not a label-preserving cover of the level {m - 1} torus")
+    del quotient  # a quarter of rot's table, which the solve below does not read
 
     def fiber_free(v):
         f = v.reshape(2, half, 2, half)
@@ -365,6 +376,33 @@ def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport,
     return _spectral_report(max(base.lambda_second, top), min(base.lambda_min, bottom), tol,
                             "torus-cover", steps, converged and base.converged,
                             {"torus-cover": steps})
+
+
+def _character_blocks(rot: ColoredRotation):
+    """The four blocks of ``torus_character_blocks``, yielded one at a time in
+    the order [0, 0], [0, 1], [1, 0], [1, 1]: each is its own ``bincount``
+    over the same cells in the same order as the stack's, so it holds the same
+    floats, and a caller that drops each block before asking for the next
+    holds one N/4 x N/4 block at a time."""
+    m, n, d = rot.m, rot.n_vertices, rot.d
+    if m < 1 or n != 4 ** m:
+        raise StructuralError(f"rotation on {n} vertices is not a 2**{m} x 2**{m} torus")
+    half = 1 << (m - 1)
+    nb = rot.neighbors
+    idx = np.arange(n, dtype=np.int64)
+    for shift in (half << m, half):
+        if not np.array_equal(nb[idx ^ shift], nb ^ shift):
+            raise StructuralError(f"rotation does not commute with the half translations "
+                                  f"of the level {m} torus")
+    q = n // 4
+    x, y = np.divmod(np.arange(q, dtype=np.int64), half)
+    v = nb[(x << m) | y]
+    cell = np.arange(q)[:, None] * q + ((v >> m) & (half - 1)) * half + (v & (half - 1))
+    qx, qy = (v >> (2 * m - 1)) & 1, (v >> (m - 1)) & 1
+    for a, b in itertools.product((0, 1), repeat=2):
+        sign = 1 - 2 * ((a * qx + b * qy) & 1)
+        yield np.bincount(cell.reshape(-1), weights=sign.reshape(-1) / d,
+                          minlength=q * q).reshape(q, q)
 
 
 def torus_character_blocks(rot: ColoredRotation) -> np.ndarray:
@@ -383,35 +421,23 @@ def torus_character_blocks(rot: ColoredRotation) -> np.ndarray:
     by label: otherwise the blocks are not those of A and need not even be
     symmetric.
     """
-    m, n, d = rot.m, rot.n_vertices, rot.d
-    if m < 1 or n != 4 ** m:
-        raise StructuralError(f"rotation on {n} vertices is not a 2**{m} x 2**{m} torus")
-    half = 1 << (m - 1)
-    nb = rot.neighbors
-    idx = np.arange(n, dtype=np.int64)
-    for shift in (half << m, half):
-        if not np.array_equal(nb[idx ^ shift], nb ^ shift):
-            raise StructuralError(f"rotation does not commute with the half translations "
-                                  f"of the level {m} torus")
-    q = n // 4
-    x, y = np.divmod(np.arange(q, dtype=np.int64), half)
-    v = nb[(x << m) | y]
-    cell = np.arange(q)[:, None] * q + ((v >> m) & (half - 1)) * half + (v & (half - 1))
-    qx, qy = (v >> (2 * m - 1)) & 1, (v >> (m - 1)) & 1
-    char = np.arange(4)[:, None, None]
-    sign = 1 - 2 * (((char >> 1) * qx + (char & 1) * qy) & 1)
-    blocks = np.bincount((char * q * q + cell).reshape(-1), weights=sign.reshape(-1) / d,
-                         minlength=4 * q * q)
-    return blocks.reshape(2, 2, q, q)
+    blocks = np.stack(list(_character_blocks(rot)))
+    return blocks.reshape((2, 2) + blocks.shape[1:])
+
+
+def _character_spectrum(rot: ColoredRotation) -> np.ndarray:
+    """spec(A) of a torus level, sorted: the four character blocks solved one at
+    a time (``map`` drops each block once ``eigvalsh`` has it)."""
+    return np.sort(np.concatenate(list(map(np.linalg.eigvalsh, _character_blocks(rot)))))
 
 
 def _one_route_spectrum(rot: ColoredRotation, tol: float) -> SpectralReport:
     """One route's spectrum of a torus level: the dense eigensolve of the four
-    character blocks up to ``DENSE_EIGENSOLVE_MAX`` vertices, else Lanczos over
-    the push."""
+    character blocks, one at a time, up to ``DENSE_EIGENSOLVE_MAX`` vertices,
+    else Lanczos over the push."""
     if rot.n_vertices > DENSE_EIGENSOLVE_MAX:
         return second_eigenvalue_magnitude(rot, tol)
-    evals = np.sort(np.linalg.eigvalsh(torus_character_blocks(rot)), axis=None)
+    evals = _character_spectrum(rot)
     return _spectral_report(float(evals[-2]), float(evals[0]), tol, "full-eigensolve", 0, True, {})
 
 

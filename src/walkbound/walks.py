@@ -468,7 +468,7 @@ def terminal_vector(g: HybridGraph, t: int, constraints: Sequence) -> TerminalVe
         raise StructuralError("need one constraint set per walk position (t+1 of them)")
     n = g.n_vertices
     masks = np.stack([_as_mask(n, c) for c in constraints])[:, :, None]
-    counts = _walk_counts(g, t, masks[0], masks[1:])[:, 0]
+    counts = _walk_counts(g, masks[0], masks[1:])[:, 0]
     return TerminalVector(counts / walk_count(g, t))
 
 
@@ -505,7 +505,7 @@ def check_extension_identity(g: HybridGraph, t: int, base_indices) -> ExtensionR
     ext_ends = g.perm[g.rot.neighbors[ends]]            # (|S'|, d)
     v_ext = np.bincount(ext_ends.reshape(-1), minlength=n).astype(float) / total_ext
     prob_ext = base_indices.size * g.d / total_ext
-    pushed = _walk_counts(g, t, base_counts[:, None], [True])[:, 0] / total_ext  # one unmasked step
+    pushed = _walk_counts(g, base_counts[:, None], [True])[:, 0] / total_ext  # one unmasked step
     return ExtensionReport(
         prob_base=float(prob_base),
         prob_extended=float(prob_ext),
@@ -514,17 +514,19 @@ def check_extension_identity(g: HybridGraph, t: int, base_indices) -> ExtensionR
     )
 
 
-def _walk_counts(g: HybridGraph, t: int, counts: np.ndarray, masks) -> np.ndarray:
+def _walk_counts(g: HybridGraph, counts: np.ndarray, masks) -> np.ndarray:
     """Integer walk counts pushed one step per mask, with no transition matrix.
 
     ``counts`` has shape (N, B): walks ending at each vertex, per family.  Each
     mask broadcasts to (N, B), and a step is ``c[w] = mask[w] * sum_k
-    c[pred[k, w]]``, the push over the predecessor table.  ``t`` is the
-    walks' length after the last step, so no count exceeds ``walk_count(g,
-    t)``: the counts are int32 when that is below 2**31 (half the memory
-    traffic), else int64.
+    c[pred[k, w]]``, the push over the predecessor table.  A step multiplies
+    the largest count by at most d, so no count exceeds ``max(counts) *
+    d**len(masks)``: the counts are the narrowest of int8, int16, int32 and
+    int64 that holds that bound (less memory traffic per push).
     """
-    counts = counts.astype(np.int32 if walk_count(g, t) < 1 << 31 else np.int64)
+    bound = int(counts.max(initial=0)) * g.d ** len(masks)
+    counts = counts.astype(next((dt for dt in (np.int8, np.int16, np.int32)
+                                 if bound <= np.iinfo(dt).max), np.int64))
     for mask in masks:
         nxt = _push(g.predecessors, counts)
         nxt *= mask
@@ -567,7 +569,7 @@ def _family_counts(g: HybridGraph, masks: np.ndarray) -> np.ndarray:
     out = np.empty(masks.shape[0], dtype=np.int64)
     for lo in range(0, masks.shape[0], per):
         fam = np.ascontiguousarray(masks[lo: lo + per].transpose(1, 2, 0))
-        out[lo: lo + per] = _walk_counts(g, t, fam[0], fam[1:]).sum(axis=0)
+        out[lo: lo + per] = _walk_counts(g, fam[0], fam[1:]).sum(axis=0, dtype=np.int64)
     return out
 
 

@@ -70,6 +70,19 @@ class TestSpectral:
         assert code == 2 and report is None
         assert "budget" in err.lower() or "error" in err.lower()
 
+    def test_m10_is_within_the_budget(self, capsys, monkeypatch):
+        import walkbound.cli as cli
+
+        built = []
+
+        def stop(m):
+            built.append(m)
+            raise wb.StructuralError("stopped before the build")
+
+        monkeypatch.setattr(cli, "mgg_rotation", stop)
+        code, _, err = run_cli(capsys, ["spectral", "--m", "10", "--m-min", "10"])
+        assert code == 2 and built == [10] and "stopped" in err
+
     def test_dump_graph(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         code, _, _ = run_cli(capsys, ["spectral", "--m", "2", "--dump-graph", str(path)])
@@ -478,8 +491,13 @@ class TestBound:
             ({"weights": [1.0], "objects": [[0]], "z": [0.5], "eps": "x"}, "eps"),
             ({"weights": [0.5, 0.5], "objects": [[0, 1.7], [1, 0]], "z": [0.2, 0.9], "eps": 0.1},
              "objects"),
+            ({"weights": ["0.5", "0.5"], "objects": [["0", "1"], [1, 0]], "z": ["0.2", 0.9],
+              "eps": "0.1"}, "weights"),
+            ({"weights": [0.5, 0.5], "objects": [[0, 1], [1, 0]], "z": [True, 0.9], "eps": 0.1},
+             "'z'"),
         ],
-        ids=["missing-file", "weights-string", "objects-number", "eps-string", "objects-fractional"],
+        ids=["missing-file", "weights-string", "objects-number", "eps-string", "objects-fractional",
+             "numeric-strings", "z-boolean"],
     )
     def test_malformed_instance_is_a_usage_error(self, capsys, tmp_path, content, needle):
         path = tmp_path / "inst.json"
@@ -710,12 +728,15 @@ class TestHarness:
              "--seed", "1"],
             ["verify-beta", "--m", "0", "--t", "2", "--seed", "1"],
             ["amplify", "--construction", "walk", "--m", "0", "--t", "2", "--seed", "1"],
+            ["spectral", "--m", "11"],
+            ["verify-beta", "--m", "10", "--t", "2", "--mode", "sampled", "--trials", "10",
+             "--agree", "0", "--seed", "1"],
         ],
         ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
              "verify-agree-over-enumeration-ceiling", "negative-trials", "negative-agree",
              "sampled-zero-trials", "negative-tol", "nan-tol", "spectral-m-min-zero",
              "verify-negative-t", "verify-walk-count-over-64-bits", "verify-m-zero",
-             "amplify-walk-m-zero"],
+             "amplify-walk-m-zero", "spectral-m-over-budget", "verify-sampled-m-over-budget"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
         import walkbound.cli as cli

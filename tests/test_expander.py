@@ -167,6 +167,59 @@ class TestRotation:
         with pytest.raises(StructuralError, match="involution"):
             wb.ColoredRotation(m=3, n_vertices=64, d=8, neighbors=nb, back_labels=rot.back_labels)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("span", [7, expander._RANGE])
+    def test_ranged_build_is_the_whole_table(self, monkeypatch, m, span):
+        # the affine maps evaluated on all N vertices at once, label by label
+        side = 1 << m
+        x, y = np.divmod(np.arange(side * side, dtype=np.int64), side)
+        maps = [(1, 0), (-1, 0), (1, 1), (-1, -1)]    # x -> x + s*2y + c, then y likewise
+        whole = np.stack([(((x + s * 2 * y + c) % side) << m) | y for s, c in maps]
+                         + [(x << m) | ((y + s * 2 * x + c) % side) for s, c in maps])
+        monkeypatch.setattr(expander, "_RANGE", span)
+        rot = wb.mgg_rotation(m)
+        assert rot.neighbors.T.flags.c_contiguous
+        assert np.array_equal(rot.neighbors.T, whole)
+
+    def test_build_at_m9_holds_its_table_and_one_range(self):
+        # N = 262,144: the table is 16 MiB; building it and checking its
+        # involution at once traced 42 MiB
+        tracemalloc.start()
+        try:
+            rot = wb.mgg_rotation(9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rot.neighbors.nbytes == 16 * 2 ** 20
+        assert peak <= rot.neighbors.nbytes + 4 * 2 ** 20
+
+    @pytest.mark.parametrize("u", [5, 60], ids=["first-range", "last-range"])
+    @pytest.mark.parametrize("table", ["neighbors", "back_labels"])
+    def test_broken_involution_found_in_any_range(self, monkeypatch, u, table):
+        # four ranges of 16 vertices; one slot of vertex u points elsewhere
+        monkeypatch.setattr(expander, "_RANGE", 16)
+        rot = wb.mgg_rotation(3)
+        tables = {"neighbors": np.array(rot.neighbors), "back_labels": np.array(rot.back_labels)}
+        broken = tables[table]
+        broken[u, 2] = (broken[u, 2] + 1) % (64 if table == "neighbors" else 8)
+        with pytest.raises(StructuralError, match="not an involution"):
+            wb.ColoredRotation(m=3, n_vertices=64, d=8, **tables)
+
+    @pytest.mark.parametrize("u", [5, 60], ids=["first-range", "last-range"])
+    @pytest.mark.parametrize(
+        "table, value, needle",
+        [("neighbors", 64, "vertices"), ("neighbors", -1, "vertices"),
+         ("back_labels", 8, "edge slots"), ("back_labels", -1, "edge slots")],
+    )
+    def test_out_of_range_entries_rejected_in_any_range(self, monkeypatch, u, table, value,
+                                                        needle):
+        monkeypatch.setattr(expander, "_RANGE", 16)
+        rot = wb.mgg_rotation(3)
+        tables = {"neighbors": np.array(rot.neighbors), "back_labels": np.array(rot.back_labels)}
+        tables[table][u, 7] = value
+        with pytest.raises(StructuralError, match=needle):
+            wb.ColoredRotation(m=3, n_vertices=64, d=8, **tables)
+
 
 ROTATIONS = {
     "K4": wb.k4_rotation,
@@ -439,6 +492,9 @@ class TestCharacterBlocks:
         merged = np.sort(np.linalg.eigvalsh(wb.torus_character_blocks(rot)), axis=None)
         assert merged.shape == evals.shape
         assert np.max(np.abs(merged - evals)) <= 1e-12
+        # the blocks solved one at a time give the stacked solve bit for bit
+        one_by_one = expander._character_spectrum(rot)
+        assert one_by_one.dtype == merged.dtype and one_by_one.tobytes() == merged.tobytes()
         rep = wb.torus_spectrum(rot)
         assert rep.method == "full-eigensolve" and rep.converged
         assert abs(rep.lambda_second - evals[-2]) <= 1e-12
@@ -463,6 +519,17 @@ class TestCharacterBlocks:
             tracemalloc.stop()
         assert rep.method == "full-eigensolve" and rep.converged
         assert peak < 4 * 2 ** 20
+
+    def test_dense_solve_holds_one_block(self):
+        # N = 1024: each block is 0.5 MiB, and the four stacked traced 2.26 MiB
+        tracemalloc.start()
+        try:
+            rep = wb.torus_spectrum(wb.mgg_rotation(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.method == "full-eigensolve" and rep.converged
+        assert peak < 1.25 * 2 ** 20
 
     def test_cover_base_comes_from_the_blocks(self, monkeypatch):
         # at m = 6 only route A runs the generic engine, over the push; the

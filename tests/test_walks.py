@@ -313,6 +313,25 @@ class TestRouteAgreement:
         assert wb.terminal_vector(g, t, list(full[0])).total == 1.0
         assert wb.family_event_probs_matrix(g, t, full).tolist() == [1.0]
 
+    @pytest.mark.parametrize(
+        "t, dtype", [(2, np.int8), (3, np.int16), (5, np.int32), (11, np.int64)],
+        ids=["8**2=64", "8**3=512", "8**5=32768", "8**11=2**33"],
+    )
+    def test_walk_counts_in_the_narrowest_dtype(self, t, dtype):
+        # family 0 meets every mask, so each vertex ends exactly 8**t walks of
+        # it: the bound max(counts) * d**t is reached, one past int16 at t = 5
+        from walkbound import walks
+
+        g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(2).permutation(16))
+        masks = random_masks(np.random.default_rng(t), 3, t, 16).transpose(1, 2, 0)
+        masks[:, :, 0] = True
+        counts = walks._walk_counts(g, masks[0], masks[1:])
+        ref = masks[0].astype(np.int64)
+        for mask in masks[1:]:
+            ref = sum(ref[row] for row in g.predecessors) * mask
+        assert counts.dtype == dtype
+        assert np.array_equal(counts, ref) and np.all(counts[:, 0] == 8 ** t)
+
     def test_matrix_route_memory_is_linear_in_the_vertices(self):
         # N = 4096: the dense walk matrix alone would take 128 MiB
         g = wb.HybridGraph(wb.mgg_rotation(6), np.random.default_rng(16).permutation(4096))
