@@ -30,7 +30,7 @@ from . import __version__
 from .errors import BudgetError, ParameterError, StructuralError, WalkboundError
 from .expander import (
     ALPHA_FAMILY_BOUND,
-    adjacency_text,
+    adjacency_chunks,
     k4_rotation,
     mgg_rotation,
     second_eigenvalue_magnitude,
@@ -181,7 +181,7 @@ def cmd_spectral(args) -> dict:
 
     if args.dump_graph:
         with _open_output(args.dump_graph) as fh:
-            fh.write(adjacency_text(mgg_rotation(args.m)))
+            fh.writelines(adjacency_chunks(mgg_rotation(args.m)))
     if args.csv:
         _write_csv(
             args.csv,
@@ -313,9 +313,11 @@ def _instance_from_file(path: str) -> tuple:
 
 
 def _bound_eps(variant, eps: list, t: int):
-    """The eps argument of the bound: the first value for ``pooled``, else one
+    """The eps argument of the bound: the one value for ``pooled``, else one
     value per object (a single value is repeated)."""
     if variant == "pooled":
+        if len(eps) != 1:
+            raise ParameterError(f"the pooled bound takes one eps, got {len(eps)}")
         return eps[0]
     return eps * t if len(eps) == 1 else eps
 

@@ -24,8 +24,9 @@ densely, one at a time, above it Lanczos runs over the push.
 
 Lanczos keeps no Krylov basis (``_lanczos_extremes``): pass 1 runs the
 three-term recurrence from a fixed hashed start and keeps the tridiagonal
-matrix, pass 2 replays it to sum the two extreme Ritz vectors, and each
-extreme counts only with its explicit residual.  A step applies the operator
+matrix, solved only when its stop test is due, pass 2 replays it to sum the
+two extreme Ritz vectors, and each extreme counts only with its explicit
+residual.  A step applies the operator
 twice, once per pass, and each certificate twice more; reports count Lanczos
 steps as ``iterations`` and ``matvecs``.  A solve holds a few vectors of
 length N, plus the operator's own scratch.
@@ -280,7 +281,13 @@ def _residual(matvec, project, y: np.ndarray, theta: float) -> float:
     return float(np.linalg.norm(r))
 
 
-def _lanczos_extremes(matvec, project, n: int, tol: float) -> tuple:
+def _ritz(diag: list, off: list) -> tuple:
+    """The eigenvalues and eigenvectors of the tridiagonal T that pass 1 has
+    built so far, by one dense symmetric solve."""
+    return np.linalg.eigh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+
+
+def _lanczos_extremes(matvec, project, n: int, tol: float, degree: int = 1) -> tuple:
     """Largest and smallest eigenvalue of a symmetric operator on the subspace
     kept by ``project``, an orthogonal projection that commutes with it.
 
@@ -296,15 +303,28 @@ def _lanczos_extremes(matvec, project, n: int, tol: float) -> tuple:
     step count has doubled.  A step costs two operator applications, one
     per pass, plus two per certificate; the returned step count counts
     Lanczos steps.  Returns ``(top, bottom, steps, converged)``.
+
+    The estimate is tested, by a dense solve of T, only when a test is due:
+    at step 1, at an invariant subspace, at ``LANCZOS_MAX_STEPS``, and
+    otherwise once the steps since the last test have read about as many
+    entries (``n * degree`` each, ``degree`` being the entries one operator
+    application reads per vector entry) as one solve of the k x k T costs,
+    k cubed, and never more than k/8 steps after the last test.  No test is
+    due while pass 2 waits for the step count to double.
     """
     diag, off = [], []
     run = _lanczos_vectors(matvec, project, n, diag, off)
-    recheck = 0
+    recheck = tested = 0
     for steps in range(1, LANCZOS_MAX_STEPS + 1):
         next(run)
-        theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-        ends = s[:, [-1, 0]]
         stuck = off[-1] == 0.0  # an invariant subspace: the recurrence cannot go on
+        gap = steps - tested
+        if not (stuck or steps == LANCZOS_MAX_STEPS or (steps >= recheck and (
+                8 * gap >= steps or gap * n * degree >= steps ** 3))):
+            continue
+        tested = steps
+        theta, s = _ritz(diag, off)
+        ends = s[:, [-1, 0]]
         if not stuck and (steps < recheck or off[-1] * np.max(np.abs(ends[-1])) > tol):
             continue
         run = _lanczos_vectors(matvec, project, n, diag, off)
@@ -335,7 +355,8 @@ def second_eigenvalue_magnitude(rot: ColoredRotation, tol: float = EIGEN_TOL) ->
         evals = np.linalg.eigvalsh(_dense_operator(rot))
         lam2 = float(evals[-2]) if n > 1 else 0.0
         return _spectral_report(lam2, float(evals[0]), tol, "full-eigensolve", 0, True, {})
-    lam2, lam_min, steps, converged = _lanczos_extremes(_step(rot), lambda v: v - v.mean(), n, tol)
+    lam2, lam_min, steps, converged = _lanczos_extremes(_step(rot), lambda v: v - v.mean(), n, tol,
+                                                       rot.d)
     return _spectral_report(lam2, lam_min, tol, "lanczos", steps, converged, {"lanczos": steps})
 
 
@@ -372,7 +393,7 @@ def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport,
         f = v.reshape(2, half, 2, half)
         return (f - f.mean(axis=(0, 2), keepdims=True)).reshape(-1)
 
-    top, bottom, steps, converged = _lanczos_extremes(_step(rot), fiber_free, n, tol)
+    top, bottom, steps, converged = _lanczos_extremes(_step(rot), fiber_free, n, tol, d)
     return _spectral_report(max(base.lambda_second, top), min(base.lambda_min, bottom), tol,
                             "torus-cover", steps, converged and base.converged,
                             {"torus-cover": steps})
@@ -508,14 +529,24 @@ def check_projection_contraction(rot: ColoredRotation, s1: np.ndarray, s2: np.nd
         return ContractionReport(exact_norm=0.0, factor=factor, converged=True)
     step, both = _step(rot), np.concatenate([s1, s2])
     norm, _, _, converged = _lanczos_extremes(
-        lambda v: np.concatenate([step(v[n:]), step(v[:n])]), lambda v: v * both, 2 * n, EIGEN_TOL
+        lambda v: np.concatenate([step(v[n:]), step(v[:n])]), lambda v: v * both, 2 * n, EIGEN_TOL,
+        rot.d
     )
     return ContractionReport(exact_norm=norm, factor=factor, converged=converged)
 
 
+def adjacency_chunks(rot: ColoredRotation):
+    """The lines of ``adjacency_text``, one string per range of ``_RANGE``
+    vertices: each range is formatted by one ``%`` over its flat table, so a
+    writer holds the table plus one range of text."""
+    n, d = rot.n_vertices, rot.d
+    line = "%d: " + " ".join(["%d"] * d) + "\n"
+    for lo in range(0, n, _RANGE):
+        rows = rot.neighbors[lo: lo + _RANGE]
+        ids = np.arange(lo, lo + len(rows), dtype=np.int64)[:, None]
+        yield line * len(rows) % tuple(np.hstack([ids, rows]).ravel().tolist())
+
+
 def adjacency_text(rot: ColoredRotation) -> str:
     """One line per vertex: ``u: v0 v1 ... v_{d-1}`` with neighbors in label order."""
-    lines = []
-    for u in range(rot.n_vertices):
-        lines.append(f"{u}: " + " ".join(str(int(v)) for v in rot.neighbors[u]))
-    return "\n".join(lines) + "\n"
+    return "".join(adjacency_chunks(rot))

@@ -1,15 +1,20 @@
 """Command-line harness: exit codes, report shape, determinism, artifacts."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walkbound as wb
 from walkbound.cli import main
@@ -423,10 +428,13 @@ class TestBound:
             (["--count", "0", "--t", "0"], 0, ""),
             (["--eps", "0.1", "0.2", "--variant", "percoord", "--t", "3"], 2,
              "error: need exactly one eps per object"),
+            (["--eps", "0.1", "0.2", "0.3", "--t", "3"], 2,
+             "error: the pooled bound takes one eps, got 3"),
             (["--eps", "1.5"], 2, "error: eps must lie in (0, 1), got 1.5"),
             (["--beta", "1.5"], 2, "error: beta must lie in [0, 1], got 1.5"),
         ],
-        ids=["grid-budget", "t-zero", "no-instances", "eps-count", "eps-range", "beta-range"],
+        ids=["grid-budget", "t-zero", "no-instances", "eps-count", "pooled-eps-count", "eps-range",
+             "beta-range"],
     )
     def test_sweep_exit_codes_and_errors(self, capsys, argv, code, error):
         got, report, err = run_cli(capsys, ["bound", "--preset", "sweep", "--seed", "1"] + argv)
@@ -495,9 +503,11 @@ class TestBound:
               "eps": "0.1"}, "weights"),
             ({"weights": [0.5, 0.5], "objects": [[0, 1], [1, 0]], "z": [True, 0.9], "eps": 0.1},
              "'z'"),
+            ({"weights": [0.5, 0.5], "objects": [[0, 1], [1, 0]], "z": [0.2, 0.9],
+              "eps": [0.01, 0.5], "variant": "pooled"}, "pooled bound takes one eps"),
         ],
         ids=["missing-file", "weights-string", "objects-number", "eps-string", "objects-fractional",
-             "numeric-strings", "z-boolean"],
+             "numeric-strings", "z-boolean", "pooled-eps-list"],
     )
     def test_malformed_instance_is_a_usage_error(self, capsys, tmp_path, content, needle):
         path = tmp_path / "inst.json"
@@ -700,6 +710,7 @@ class TestHarness:
              "--t", "3", "--seed", "1"],
             ["bound", "--preset", "sweep", "--eps", "1.5", "--seed", "1"],
             ["bound", "--preset", "sweep", "--beta", "1.5", "--seed", "1"],
+            ["bound", "--preset", "cube", "--t", "3", "--eps", "0.01", "0.5", "0.9"],
         ],
     )
     def test_out_of_range_argument_is_a_usage_error(self, capsys, argv):
@@ -782,3 +793,109 @@ class TestHarness:
     def test_version_field(self, capsys):
         _, report, _ = run_cli(capsys, ["bound", "--preset", "cube"])
         assert report["version"] == wb.__version__
+
+
+def some(good, bad):
+    """One of ``good`` two times in three, else one of ``bad``."""
+    return st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(bad))
+
+
+def command(name, required, optional):
+    """Argument vectors of ``name``: every required flag and some optional
+    ones, each given a drawn value; a list value spreads over several
+    arguments."""
+    def argv(values):
+        return [name] + [arg for flag, v in values.items()
+                         for arg in [flag] + list(map(str, v if isinstance(v, list) else [v]))]
+
+    return st.fixed_dictionaries(required, optional=optional).map(argv)
+
+
+BAD_INTS = ["-1", "0", "x", "1.5"]
+BAD_FLOATS = ["-1", "nan", "inf", "x", "1e400"]
+SEED = some([0, 1, 7], ["-1", "x"])
+COMMAND_ARGV = st.one_of(
+    command("spectral", {"--m": some([1, 2, 3], [11, *BAD_INTS])},
+            {"--m-min": some([1, 2, 3], BAD_INTS), "--tol": some(["1e-6", "0.5"], BAD_FLOATS)}),
+    command("verify-beta",
+            {"--m": some([1, 2], [7, 10, *BAD_INTS]), "--t": some([0, 1, 2], [30, "-1", "x"]),
+             "--seed": SEED},
+            {"--mode": some(["exhaustive", "sampled"], ["x"]),
+             "--trials": some([1, 20], ["-5", "0", "x"]), "--agree": some([0, 3], ["-1", "x"])}),
+    command("bound", {},
+            {"--preset": some(["cube", "random", "sweep"], ["x"]),
+             "--p": some(["0.25", "0.6"], ["1.5", *BAD_FLOATS]),
+             "--t": some([1, 2, 3], [70, *BAD_INTS]), "--psi": some([1, 2, 4], BAD_INTS),
+             "--eps": some([["0.01"], ["0.1", "0.2"], ["0.5", "0.5", "0.5"]],
+                           [["1.5"], ["nan"], ["-1"], ["x"]]),
+             "--beta": some(["0", "0.3", "1"], ["1.5", *BAD_FLOATS]),
+             "--variant": some(["pooled", "percoord"], ["x"]),
+             "--count": some([0, 3], ["-1", "x"]), "--seed": SEED}),
+    command("amplify", {"--t": some([1, 2, 3], BAD_INTS), "--seed": SEED},
+            {"--construction": some(["direct", "walk"], ["x"]),
+             "--n": some([1, 2, 3], [30, *BAD_INTS]), "--m": some([1, 2], [13, *BAD_INTS]),
+             "--k": some([1, 2], ["0", "-1", "x"]),
+             "--delta": some(["0.25", "0.5"], ["0", "1.5", *BAD_FLOATS]),
+             "--eps": some(["0.015625", "0.2"], ["0", "1.5", *BAD_FLOATS]),
+             "--mode": some(["exact", "mc"], ["x"]), "--trials": some([1, 50], ["0", "-1", "x"])}),
+)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3)
+               | st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0, 1.7, -0.5, 1e308, float("nan"),
+                                  float("inf"), "0.5", "1", "x", ""]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+# well-formed instances of two and four outcomes; a drawn instance replaces up
+# to two of a well-formed one's fields with arbitrary JSON
+INSTANCES = st.builds(
+    lambda base, fields: base | fields,
+    st.sampled_from([
+        {"weights": [0.5, 0.5], "objects": [[0, 1], [1, 0]], "z": [0.2, 0.9]},
+        {"weights": [0.5, 0.5], "objects": [[0, 1], [0, 1]], "z": [1.0, 0.0], "eps": 0.01},
+        {"weights": [0.25] * 4, "objects": [[0, 0, 1, 1], [0, 1, 0, 1]], "z": [1.0, 0, 0, 0],
+         "eps": [0.01, 0.02], "beta": 0.5, "variant": "percoord"},
+    ]),
+    st.just({}) | st.dictionaries(st.sampled_from(["weights", "objects", "z", "eps", "beta",
+                                                   "variant"]),
+                                  JSON_VALUES | st.sampled_from(["pooled", "percoord"]),
+                                  min_size=1, max_size=2),
+)
+
+
+def exit_code_and_streams(argv):
+    """Exit code, stdout and stderr of the CLI on ``argv``, in this process;
+    argparse's own exit counts as the code it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodeContract:
+    """0 = every check holds, 1 = a check fails, 2 = usage, parse or resource
+    error, never a traceback, and a schema-valid report whenever one is due."""
+
+    @staticmethod
+    def assert_contract(argv):
+        code, out, err = exit_code_and_streams(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+        if code in (0, 1):
+            report = json.loads(out)
+            jsonschema.validate(report, report_schema())
+            assert report["all_hold"] == (code == 0)
+        else:
+            assert not out and err
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(COMMAND_ARGV)
+    def test_argument_vectors(self, argv):
+        self.assert_contract(argv)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(INSTANCES)
+    def test_instance_files(self, instance):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.json"
+            path.write_text(json.dumps(instance))
+            self.assert_contract(["bound", "--instance-file", str(path)])

@@ -1,10 +1,13 @@
 """Expander machinery: rotations, the walk operator, spectra, masked-norm contraction."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 import walkbound as wb
 from walkbound.errors import ParameterError, StructuralError
@@ -345,6 +348,40 @@ def lifted(f, m):
     return f[(x % half) * half + y % half]
 
 
+def character_block_extremes(rot):
+    """``(lambda_2, lambda_min)`` of a torus level from its four character
+    blocks, each built sparse from ``torus_character_blocks``'s formula and
+    solved at its two ends by ARPACK; block [0, 0] holds the trivial 1."""
+    m, d = rot.m, rot.d
+    half = 1 << (m - 1)
+    q = half * half
+    x, y = np.divmod(np.arange(q), half)
+    v = rot.neighbors[x * 2 * half + y]
+    vx, vy = np.divmod(v, 2 * half)
+    rows, cols = np.repeat(np.arange(q), d), ((vx % half) * half + vy % half).reshape(-1)
+    start = np.linspace(1.0, 2.0, q)
+    tops, bottoms = [], []
+    for a, b in itertools.product((0, 1), repeat=2):
+        signs = (-1.0) ** (a * (vx // half) + b * (vy // half)) / d
+        block = sparse.csr_matrix((signs.reshape(-1), (rows, cols)), shape=(q, q))
+        tops.append(np.sort(eigsh(block, k=2, which="LA", v0=start, return_eigenvectors=False)))
+        bottoms.append(eigsh(block, k=1, which="SA", v0=start, return_eigenvectors=False)[0])
+    return max(tops[0][0], *(top[1] for top in tops[1:])), min(bottoms)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The size k of every dense solve of T that Lanczos makes, in order."""
+    sizes, ritz = [], expander._ritz
+
+    def counted(diag, off):
+        sizes.append(len(diag))
+        return ritz(diag, off)
+
+    monkeypatch.setattr(expander, "_ritz", counted)
+    return sizes
+
+
 class TestLanczos:
     @pytest.mark.parametrize(
         "rot",
@@ -399,12 +436,53 @@ class TestLanczos:
             return residuals[-1]
 
         monkeypatch.setattr(expander, "_residual", recorded)
-        monkeypatch.setattr(expander, "LANCZOS_MAX_STEPS", 100)
+        # step 88 is the last step, so its test is due whatever the schedule
+        monkeypatch.setattr(expander, "LANCZOS_MAX_STEPS", 88)
         *_, converged = expander._lanczos_extremes(lambda v: lam * v + upper @ v, lambda v: v,
                                                    n, 1e-8)
         assert residuals and max(residuals) > 1e-8 and not converged
         # the symmetric part alone is certified
         assert expander._lanczos_extremes(lambda v: lam * v, lambda v: v, n, 1e-8)[3]
+
+    @pytest.mark.parametrize(
+        "n, max_steps, tested",
+        [
+            # every step up to k = 10 (k/8 <= 1 up to k = 8, k^3 <= n up to
+            # k = 10), then at most k/8 steps apart, and the last step
+            (1000, 100, list(range(1, 11)) + [12, 14, 16, 19, 22, 26, 30, 35, 40, 46, 53, 61,
+                                              70, 80, 92, 100]),
+            # k^3 <= n at every step, as at m = 9 and 10
+            (125_000, 50, list(range(1, 51))),
+        ],
+        ids=["n1000", "n125000"],
+    )
+    def test_dense_solves_only_when_a_test_is_due(self, monkeypatch, solves, n, max_steps,
+                                                   tested):
+        # tol 0 is never met, so pass 1 runs every step and pass 2 never starts
+        monkeypatch.setattr(expander, "LANCZOS_MAX_STEPS", max_steps)
+        lam = np.linspace(-1.0, 1.0, n)
+        *_, steps, converged = expander._lanczos_extremes(lambda v: lam * v, lambda v: v, n, 0.0)
+        assert steps == max_steps and not converged
+        assert solves == tested
+
+    def test_route_solves_fewer_times_than_it_steps(self, solves):
+        rep = wb.second_eigenvalue_magnitude(wb.mgg_rotation(6))
+        assert rep.converged and solves[-1] == rep.iterations
+        assert len(solves) < 0.6 * rep.iterations
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_routes_agree_with_the_character_blocks(self, m):
+        rot = wb.mgg_rotation(m)
+        lam2, lam_min = character_block_extremes(rot)
+        if m == 6:
+            evals = expander._character_spectrum(rot)
+            assert abs(lam2 - evals[-2]) <= 1e-12 and abs(lam_min - evals[0]) <= 1e-12
+        route_a = wb.second_eigenvalue_magnitude(rot)
+        route_b = wb.torus_cover_spectrum(rot, wb.torus_spectrum(wb.mgg_rotation(m - 1)))
+        for rep in (route_a, route_b):
+            assert rep.converged
+            assert abs(rep.lambda_second - lam2) <= expander.EIGEN_TOL
+            assert abs(rep.lambda_min - lam_min) <= expander.EIGEN_TOL
 
     def test_invariant_subspace_stops_without_dividing(self):
         # the zero operator leaves w = 0 after the first step: b_0 = 0
@@ -677,3 +755,27 @@ class TestAdjacencyText:
         lines = wb.adjacency_text(rot2).strip().split("\n")
         assert len(lines) == 16
         assert all(len(line.split(":")[1].split()) == 8 for line in lines)
+
+    @pytest.mark.parametrize("span", [1, 3, 1 << 14])
+    def test_chunks_are_the_lines_range_by_range(self, monkeypatch, span):
+        rot = wb.mgg_rotation(3)
+        whole = "".join(f"{u}: " + " ".join(map(str, row)) + "\n"
+                        for u, row in enumerate(rot.neighbors.tolist()))
+        monkeypatch.setattr(expander, "_RANGE", span)
+        chunks = list(wb.adjacency_chunks(rot))
+        assert len(chunks) == -(-rot.n_vertices // span)
+        assert "".join(chunks) == wb.adjacency_text(rot) == whole
+
+    def test_dump_at_m8_holds_its_table_and_one_range(self, tmp_path):
+        # 3.5 MB of text from a 4 MiB table; the whole text as one string took
+        # 13.6 MiB beside the table
+        tracemalloc.start()
+        try:
+            rot = wb.mgg_rotation(8)
+            with open(tmp_path / "g8.txt", "w") as fh:
+                fh.writelines(wb.adjacency_chunks(rot))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "g8.txt").stat().st_size == 3_504_490
+        assert peak < rot.neighbors.nbytes + 8 * 2 ** 20
