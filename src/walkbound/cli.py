@@ -292,7 +292,7 @@ def _instance_from_file(path: str) -> tuple:
     if not isinstance(data["objects"], list):
         raise StructuralError("instance field 'objects' must be a list of index maps")
     weights = _numeric(data["weights"], "weights")
-    space = FiniteSpace(tuple(range(weights.size)), weights)
+    space = FiniteSpace(weights)
     objects = []
     for index_map in data["objects"]:
         arr = _numeric(index_map, "objects", np.int64)

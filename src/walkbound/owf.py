@@ -19,7 +19,7 @@ repeated trials are independent yet whole experiments replay bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -825,14 +825,4 @@ class ExperimentConfig:
             raise ParameterError(f"m must be >= 1, got {self.m}")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "k": self.k,
-            "delta": self.delta,
-            "eps": self.eps,
-            "seed": self.seed,
-            "mode": self.mode,
-            "trials": self.trials,
-            "m": self.m,
-        }
+        return asdict(self)

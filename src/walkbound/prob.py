@@ -1,8 +1,9 @@
 """Finite probability spaces, conditional expectations, and tail-bound evaluators.
 
-Everything here is desk scale: outcomes are enumerated explicitly, weights are
-float64, and every quantity a bound evaluator reports can be recomputed by brute
-force summation over the full outcome set.  Two bound evaluators are provided:
+Everything here is desk scale: a space is the float64 weights of its outcomes
+0 .. size-1, a random object or variable is an array aligned with them, and
+every quantity a bound evaluator reports can be recomputed by brute force
+summation over the full outcome set.  Two bound evaluators are provided:
 
 * ``pooled_bound``   -- identically distributed objects, one epsilon, bound
                         ``(alpha + beta * p)**t + t*eps`` where ``p`` is the tail
@@ -28,7 +29,6 @@ permutations are derived from the words.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,7 +46,7 @@ WEIGHT_TOL = 1e-12        # allowed drift of a weight vector's total mass from 1
 IDENTICAL_TOL = 1e-12     # marginal histograms closer than this count as identical
 HOLDS_SLACK = 1e-9        # bound - E[Z] >= -HOLDS_SLACK counts as the bound holding
 RATIO_TOL = 1e-9          # joint/product ratios up to 1 + RATIO_TOL count as bounded
-GRID_MAX_BYTES = 2 ** 30  # product-space grids: coordinates, weights and outcome tuples
+GRID_MAX_BYTES = 2 ** 30  # a product instance and its bound: coordinates, weights, Z, scratch
 SWEEP_SCRATCH_BYTES = 2 ** 21  # working memory of one block of a product-instance sweep
 MAX_WITNESSES = 16
 
@@ -230,43 +230,39 @@ def _binned_sums(index_map: np.ndarray, weights: np.ndarray, k: int) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
-    """A finite sample space: a tuple of opaque outcomes plus float64 weights."""
+    """A finite sample space: its outcomes are the positions 0 .. size-1 of its
+    float64 ``weights``, and every map on it is an array aligned with them."""
 
-    outcomes: tuple
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
         object.__setattr__(self, "weights", _frozen_array(self.weights))
-        if self.weights.ndim != 1 or len(self.outcomes) != self.weights.size:
-            raise StructuralError("outcomes and weights must align one to one")
-        if self.weights.size == 0:
-            raise StructuralError("a sample space needs at least one outcome")
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise StructuralError("a sample space needs a 1-d array of at least one weight")
         _raise_first(_weight_faults(self.weights[None]), 1)
 
     @classmethod
-    def uniform(cls, outcomes) -> "FiniteSpace":
-        outcomes = tuple(outcomes)
-        n = len(outcomes)
-        if n == 0:
+    def uniform(cls, n: int) -> "FiniteSpace":
+        if n < 1:
             raise StructuralError("a sample space needs at least one outcome")
-        return cls(outcomes, np.full(n, 1.0 / n))
+        return cls(np.full(n, 1.0 / n))
 
     @property
     def size(self) -> int:
-        return len(self.outcomes)
+        return self.weights.size
 
     def same_space(self, other: "FiniteSpace") -> bool:
-        return self is other or (
-            self.outcomes == other.outcomes and np.array_equal(self.weights, other.weights)
-        )
+        return self is other or np.array_equal(self.weights, other.weights)
 
 
 @dataclass(frozen=True, eq=False)
 class RandomObject:
     """A measurable map from a finite space into an explicit codomain.
 
-    ``index_map[w]`` is the codomain index the outcome at position ``w`` maps to.
+    ``index_map[w]`` is the codomain index outcome ``w`` maps to.  The map
+    must have an integer dtype.  A read-only map that int64 holds is kept as
+    it is, so objects can share one array of maps; any other is copied to a
+    read-only int64 array.
     """
 
     domain: FiniteSpace
@@ -275,8 +271,13 @@ class RandomObject:
 
     def __post_init__(self):
         object.__setattr__(self, "codomain", tuple(self.codomain))
-        object.__setattr__(self, "index_map", _frozen_array(self.index_map, dtype=np.int64))
-        if self.index_map.ndim != 1 or self.index_map.size != self.domain.size:
+        index_map = np.asarray(self.index_map)
+        if index_map.dtype.kind not in "iu":   # a cast would truncate 0.9 to 0
+            raise StructuralError(f"index_map must hold integers, got dtype {index_map.dtype}")
+        if index_map.flags.writeable or not np.can_cast(index_map.dtype, np.int64):
+            index_map = _frozen_array(index_map, dtype=np.int64)
+        object.__setattr__(self, "index_map", index_map)
+        if index_map.ndim != 1 or index_map.size != self.domain.size:
             raise StructuralError("index_map must assign exactly one codomain point per outcome")
         if len(self.codomain) == 0:
             raise StructuralError("codomain must be nonempty")
@@ -317,7 +318,7 @@ def conditional_expectation(z: RandomVariable, u: RandomObject) -> RandomVariabl
     mass = _binned_sums(u.index_map, w[None], k)[0]
     num = _binned_sums(u.index_map, (w * z.values)[None], k)[0]
     vals = np.divide(num, mass, out=np.zeros_like(num), where=mass > 0)
-    return RandomVariable(FiniteSpace(u.codomain, mass), vals)
+    return RandomVariable(FiniteSpace(mass), vals)
 
 
 def tail_probability(w: RandomVariable, eps: float) -> float:
@@ -574,15 +575,17 @@ class IndependenceReport:
 
 
 def _grid(shape: tuple) -> np.ndarray:
-    """Coordinate columns of the grid of index tuples over ``shape``, in
-    ``itertools.product`` order: row i holds coordinate i of every point.
+    """Read-only coordinate columns of the grid of index tuples over ``shape``,
+    in ``itertools.product`` order: row i holds coordinate i of every point.
 
-    A grid point of an instance costs t int64 coordinates, a float64 weight
-    and a t-tuple outcome (8t + 64 bytes in CPython); the whole grid must fit
-    GRID_MAX_BYTES, which is checked before anything is allocated.
+    An instance's objects share these rows as their index maps, so a grid
+    point of an instance and its bound costs 8t + 40 bytes: t int64
+    coordinates, its float64 weight, Z value and weight times Z, and the two
+    int64 bin indices that ``_binned_sums`` holds at once.  The whole
+    grid must fit GRID_MAX_BYTES, which is checked before anything is allocated.
     """
     size = math.prod(shape)
-    if size * (16 * len(shape) + 72) > GRID_MAX_BYTES:
+    if size * (8 * len(shape) + 40) > GRID_MAX_BYTES:
         raise BudgetError(
             f"a product grid of {size} outcomes over {len(shape)} coordinates exceeds the "
             f"{GRID_MAX_BYTES}-byte budget"
@@ -592,6 +595,7 @@ def _grid(shape: tuple) -> np.ndarray:
     coords = np.empty((len(shape), size), dtype=np.int64)
     for i, k in enumerate(shape):
         coords[i].reshape(-1, k, math.prod(shape[i + 1:]))[...] = np.arange(k)[:, None]
+    coords.setflags(write=False)
     return coords
 
 
@@ -616,8 +620,7 @@ def _product_space(margs: Sequence[np.ndarray]) -> tuple:
     tuples, plus the grid's coordinate columns (see ``_grid``)."""
     coords = _grid(tuple(len(m) for m in margs))
     weights = _grid_weights([np.asarray(m)[None] for m in margs])[0]
-    outcomes = tuple(itertools.product(*(range(len(m)) for m in margs)))
-    return FiniteSpace(outcomes, weights), coords
+    return FiniteSpace(weights), coords
 
 
 def cube_instance(p: float, t: int) -> tuple:
@@ -672,7 +675,7 @@ def random_product_instance(
     """
     coords = _instance_grid(t, psi)
     weights, values = _draw_instances([seed], t, psi, identical)
-    space = FiniteSpace(tuple(itertools.product(range(psi), repeat=t)), weights[0])
+    space = FiniteSpace(weights[0])
     z = RandomVariable(space, values[0])
     objects = [RandomObject(space, tuple(range(psi)), c) for c in coords]
     return z, objects

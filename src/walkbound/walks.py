@@ -824,9 +824,11 @@ def family_event_probs_matrix(g: HybridGraph, t: int, masks: np.ndarray) -> np.n
 
 
 def projection_objects(g: HybridGraph, t: int) -> tuple:
-    """The uniform walk space plus its t+1 position projections as random objects."""
+    """The uniform walk space plus its t+1 position projections as random
+    objects, whose index maps are the rows of ``walk_space(g, t).columns``,
+    shared in their narrow dtype."""
     columns = walk_space(g, t).columns
-    space = FiniteSpace.uniform(range(columns.shape[1]))
+    space = FiniteSpace.uniform(columns.shape[1])
     codomain = tuple(range(g.n_vertices))
     objects = [RandomObject(space, codomain, col) for col in columns]
     return space, objects

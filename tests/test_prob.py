@@ -23,7 +23,7 @@ from walkbound.prob import cube_instance, random_product_instance
 def random_instance(seed, n_outcomes=12, psi=4, t=3):
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.05, 1.0, n_outcomes)
-    space = wb.FiniteSpace(tuple(range(n_outcomes)), w / w.sum())
+    space = wb.FiniteSpace(w / w.sum())
     z = wb.RandomVariable(space, rng.random(n_outcomes))
     objs = [
         wb.RandomObject(space, tuple(range(psi)), rng.integers(0, psi, n_outcomes))
@@ -48,40 +48,54 @@ def brute_conditional(z, u):
 class TestSpaces:
     def test_weights_must_normalize(self):
         with pytest.raises(StructuralError):
-            wb.FiniteSpace((0, 1), np.array([0.7, 0.7]))
+            wb.FiniteSpace(np.array([0.7, 0.7]))
 
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(StructuralError):
-            wb.FiniteSpace((0, 1), np.array([1.5, -0.5]))
+            wb.FiniteSpace(np.array([1.5, -0.5]))
 
     def test_empty_space_rejected(self):
         with pytest.raises(StructuralError):
-            wb.FiniteSpace((), np.array([]))
+            wb.FiniteSpace(np.array([]))
 
     def test_uniform(self):
-        s = wb.FiniteSpace.uniform("abcd")
+        s = wb.FiniteSpace.uniform(4)
         assert s.size == 4
         assert np.allclose(s.weights, 0.25)
 
     def test_weights_are_read_only(self):
-        s = wb.FiniteSpace.uniform(range(3))
+        s = wb.FiniteSpace.uniform(3)
         with pytest.raises(ValueError):
             s.weights[0] = 9.0
 
     def test_object_map_must_be_total(self):
-        s = wb.FiniteSpace.uniform(range(3))
+        s = wb.FiniteSpace.uniform(3)
         with pytest.raises(StructuralError):
             wb.RandomObject(s, (0, 1), np.array([0, 1]))
         with pytest.raises(StructuralError):
             wb.RandomObject(s, (0, 1), np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize("index_map", [np.array([0.9, 0.2, 1.0]), np.array([True, False, True])],
+                             ids=["float", "bool"])
+    def test_object_map_must_be_integer(self, index_map):
+        # a cast would read 0.9 as 0 and True as 1
+        s = wb.FiniteSpace.uniform(3)
+        with pytest.raises(StructuralError, match="integers"):
+            wb.RandomObject(s, (0, 1), index_map)
+
     def test_distribution_is_pushforward(self):
-        s = wb.FiniteSpace((0, 1, 2), np.array([0.2, 0.3, 0.5]))
+        s = wb.FiniteSpace(np.array([0.2, 0.3, 0.5]))
         u = wb.RandomObject(s, ("x", "y"), np.array([0, 1, 0]))
         assert np.allclose(u.distribution(), [0.7, 0.3])
 
+    def test_uint64_map_is_read_as_int64(self):
+        # the one integer dtype int64 does not hold; bincount takes no uint64 indices
+        s = wb.FiniteSpace(np.array([0.2, 0.3, 0.5]))
+        u = wb.RandomObject(s, ("x", "y"), np.array([0, 1, 0], dtype=np.uint64))
+        assert u.index_map.dtype == np.int64 and np.allclose(u.distribution(), [0.7, 0.3])
+
     def test_variable_rejects_nan(self):
-        s = wb.FiniteSpace.uniform(range(2))
+        s = wb.FiniteSpace.uniform(2)
         with pytest.raises(StructuralError):
             wb.RandomVariable(s, np.array([0.0, np.nan]))
 
@@ -108,7 +122,7 @@ class TestConditionals:
                 assert abs(wb.expectation(w) - wb.expectation(z)) <= 1e-12
 
     def test_zero_mass_point_gets_zero(self):
-        s = wb.FiniteSpace((0, 1, 2), np.array([0.5, 0.5, 0.0]))
+        s = wb.FiniteSpace(np.array([0.5, 0.5, 0.0]))
         z = wb.RandomVariable(s, np.array([1.0, 1.0, 1.0]))
         u = wb.RandomObject(s, (0, 1, 2), np.array([0, 0, 2]))
         w = wb.conditional_expectation(z, u)
@@ -116,7 +130,7 @@ class TestConditionals:
 
     def test_domain_mismatch(self):
         s1, z, _ = random_instance(0)
-        s2 = wb.FiniteSpace.uniform(range(12))
+        s2 = wb.FiniteSpace.uniform(12)
         u = wb.RandomObject(s2, (0, 1), np.zeros(12, dtype=int))
         with pytest.raises(StructuralError):
             wb.conditional_expectation(z, u)
@@ -124,14 +138,14 @@ class TestConditionals:
 
 class TestTail:
     def test_strict_inequality(self):
-        s = wb.FiniteSpace.uniform(range(4))
+        s = wb.FiniteSpace.uniform(4)
         w = wb.RandomVariable(s, np.full(4, 0.5))
         assert wb.tail_probability(w, 0.5) == 0.0
         assert wb.tail_probability(w, 0.49) == 1.0
 
     def test_matches_brute_force_on_grid(self):
         rng = np.random.default_rng(5)
-        s = wb.FiniteSpace.uniform(range(32))
+        s = wb.FiniteSpace.uniform(32)
         w = wb.RandomVariable(s, rng.random(32))
         for eps in np.linspace(0.0, 1.0, 21):
             brute = sum(1 / 32 for v in w.values if v > eps)
@@ -171,7 +185,7 @@ class TestPooledBound:
         # 1 + t*eps and rise from beta = 0.7 to beta = 1
         weights = np.array([0.5, 0.5 + 2.0 ** -52])
         assert np.sum(weights) == 1.0 + 2.0 ** -52
-        space = wb.FiniteSpace((0, 1), weights)
+        space = wb.FiniteSpace(weights)
         z = wb.RandomVariable(space, [1.0, 1.0])
         objs = [wb.RandomObject(space, (0,), [0, 0])] * 3
         assert wb.tail_probability(z, 0.05) == 1.0
@@ -300,10 +314,11 @@ class TestProductGrid:
     def test_projections_and_weights_follow_the_outcomes(self, build):
         z, objs = build()
         space = z.domain
+        outcomes = list(itertools.product(*(range(len(u.codomain)) for u in objs)))
         for i, u in enumerate(objs):
-            assert u.index_map.tolist() == [o[i] for o in space.outcomes]
+            assert u.index_map.tolist() == [o[i] for o in outcomes]
         dists = [u.distribution() for u in objs]
-        product = [np.prod([d[c] for d, c in zip(dists, o)]) for o in space.outcomes]
+        product = [np.prod([d[c] for d, c in zip(dists, o)]) for o in outcomes]
         np.testing.assert_allclose(space.weights, product, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -320,10 +335,35 @@ class TestProductGrid:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_objects_share_one_read_only_grid(self):
+        z, objs = cube_instance(0.25, 5)
+        grid = objs[0].index_map.base
+        assert grid.shape == (5, 2 ** 5) and not grid.flags.writeable
+        for u in objs:
+            assert u.index_map.base is grid and np.shares_memory(u.index_map, grid)
+
+    @pytest.mark.parametrize("t", [14, 16])
+    def test_byte_model_covers_the_traced_peak(self, t, monkeypatch):
+        # _grid models 8t + 40 bytes per point of an instance and its bound
+        model = 2 ** t * (8 * t + 40)
+        tracemalloc.start()
+        try:
+            z, objs = cube_instance(0.25, t)
+            wb.pooled_bound(z, objs, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= model + 2 ** 16
+        monkeypatch.setattr(prob, "GRID_MAX_BYTES", model)
+        cube_instance(0.25, t)
+        monkeypatch.setattr(prob, "GRID_MAX_BYTES", model - 1)
+        with pytest.raises(BudgetError):
+            cube_instance(0.25, t)
+
     def test_more_coordinates_than_array_dimensions(self):
         # 65 coordinates of one point each: a single outcome, past numpy's 64 axes
         z, objs = random_product_instance(65, 1, 2)
-        assert z.domain.outcomes == ((0,) * 65,) and len(objs) == 65
+        assert z.domain.size == 1 and len(objs) == 65
         assert all(u.index_map.tolist() == [0] for u in objs)
 
 
@@ -362,7 +402,7 @@ class TestIndependence:
         assert rep.holds and rep.worst_ratio >= 1.0 - 1e-9
 
     def test_correlated_objects_flagged(self):
-        s = wb.FiniteSpace.uniform(range(2))
+        s = wb.FiniteSpace.uniform(2)
         u = wb.RandomObject(s, (0, 1), np.array([0, 1]))
         rep = wb.check_independence([u, u], beta=1.0, mode="exhaustive", trials=0)
         # P{U in {0}, U in {0}} = 1/2 over (1/2)^2 = 2
@@ -371,13 +411,13 @@ class TestIndependence:
         assert len(rep.witnesses) > 0
 
     def test_beta_zero_never_flags(self):
-        s = wb.FiniteSpace.uniform(range(2))
+        s = wb.FiniteSpace.uniform(2)
         u = wb.RandomObject(s, (0, 1), np.array([0, 1]))
         rep = wb.check_independence([u, u], beta=0.0, mode="exhaustive", trials=200, seed=1)
         assert rep.holds
 
     def test_budget_error(self):
-        s = wb.FiniteSpace.uniform(range(4))
+        s = wb.FiniteSpace.uniform(4)
         u = wb.RandomObject(s, tuple(range(30)), np.arange(4))
         with pytest.raises(BudgetError):
             wb.check_independence([u, u], beta=1.0, mode="exhaustive", trials=0)
@@ -391,7 +431,7 @@ class TestIndependence:
         # one uniform object on 4 of 70 codomain points, taken twice: fully
         # dependent, so beta = 1 is overstated and multi-set witnesses appear
         pts = [0, 63, 64, 69]
-        u = wb.RandomObject(wb.FiniteSpace.uniform(range(4)), tuple(range(70)), np.array(pts))
+        u = wb.RandomObject(wb.FiniteSpace.uniform(4), tuple(range(70)), np.array(pts))
         rep = wb.check_independence([u, u], beta=1.0, mode="sampled", trials=300, seed=3)
         multi = [(sets, ratio) for (kind, sets), ratio in rep.witnesses if kind == "multi"]
         assert len(multi) == len(rep.witnesses) > 0
@@ -421,7 +461,7 @@ class TestIndependence:
         # witnesses are the families of per-family keyed draws whose
         # exact ratio exceeds 1, in draw order, for odd and even flag counts
         pts = np.arange(8) % k
-        u = wb.RandomObject(wb.FiniteSpace.uniform(range(8)), tuple(range(k)), pts)
+        u = wb.RandomObject(wb.FiniteSpace.uniform(8), tuple(range(k)), pts)
         rep = wb.check_independence([u] * t, beta=1.0, mode="sampled", trials=200, seed=6)
         key = prob.stream_key(6, prob.STREAM_FAMILIES)
         expect = []
@@ -452,7 +492,7 @@ def reference_sweep(t, psi, seeds, eps, beta, pooled):
         w = np.ones(len(grid))
         for m, c in zip(margs, cols):
             w = w * m[c]
-        space = wb.FiniteSpace(grid, w / np.sum(w))
+        space = wb.FiniteSpace(w / np.sum(w))
         z = wb.RandomVariable(space, prob.uniforms(key, np.arange(n_marg * psi,
                                                                   n_marg * psi + len(grid))))
         conds = [wb.conditional_expectation(z, wb.RandomObject(space, range(psi), c)) for c in cols]

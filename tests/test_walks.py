@@ -651,10 +651,17 @@ class TestProjectionBridge:
         # position projections of the walk space behave like relaxed-independent
         # objects at the measured beta
         space, objects = wb.projection_objects(g_random, 2)
-        assert len(space.outcomes) == wb.walk_count(g_random, 2)
+        assert space.size == wb.walk_count(g_random, 2)
         beta = 1.0 - wb.second_eigenvalue_magnitude(g_random.rot).alpha
         rep = wb.check_independence(objects, beta, mode="sampled", trials=400, seed=5)
         assert rep.holds
+
+    def test_projections_share_the_walk_columns(self, g_random):
+        columns = wb.walk_space(g_random, 2).columns
+        _, objects = wb.projection_objects(g_random, 2)
+        assert len(objects) == columns.shape[0]
+        for u, col in zip(objects, columns):
+            assert u.index_map.dtype == columns.dtype and np.shares_memory(u.index_map, col)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     @pytest.mark.parametrize("beta", [0.9, 1.0, None], ids=["0.9", "1.0", "measured"])
