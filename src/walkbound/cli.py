@@ -53,6 +53,7 @@ from .owf import (
     walk_permutation,
 )
 from .prob import (
+    HOLDS_SLACK,
     STREAM_AGREE,
     STREAM_PERMUTATION,
     STREAM_SUBSEEDS,
@@ -78,7 +79,6 @@ from .walks import (
     family_event_probs,
     family_event_probs_matrix,
     random_families,
-    terminal_vector,
     verify_walk_independence,
 )
 
@@ -86,7 +86,6 @@ SPECTRAL_M_MAX = 10           # eigensolver budget: N = 4**m vertices
 # verify-beta's own budget: its sampled check takes about 30 s and 285 MiB at
 # m = 9, and each level costs about 4 times more
 VERIFY_BETA_M_MAX = 9
-EXACT_CHECK_TOL = 1e-9
 
 
 def _json_default(obj):
@@ -136,8 +135,6 @@ def _write_csv(path: str, fieldnames: list, rows: list) -> None:
 
 def cmd_spectral(args) -> dict:
     t0 = time.perf_counter()
-    if not 0.0 < args.tol < np.inf:
-        raise ParameterError(f"--tol must be finite and > 0, got {args.tol}")
     if args.m_min < 1:
         raise ParameterError(f"--m-min must be >= 1, got {args.m_min}")
     if args.m < args.m_min:
@@ -152,7 +149,7 @@ def cmd_spectral(args) -> dict:
     checks.append(
         _check(
             "K4-alpha-exact",
-            abs(k4.alpha - 1.0 / 3.0) <= EXACT_CHECK_TOL,
+            abs(k4.alpha - 1.0 / 3.0) <= ROUTE_AGREE_TOL,
             measured=k4.alpha,
             target=1.0 / 3.0,
         )
@@ -167,10 +164,10 @@ def cmd_spectral(args) -> dict:
         checks.append(
             _check(
                 f"alpha-bound-m{m}",
-                rep.converged and rep.alpha <= ALPHA_FAMILY_BOUND + args.tol,
+                rep.converged and rep.alpha <= ALPHA_FAMILY_BOUND + rep.tol,
                 measured=rep.alpha,
                 bound=ALPHA_FAMILY_BOUND,
-                slack=ALPHA_FAMILY_BOUND + args.tol - rep.alpha,
+                slack=ALPHA_FAMILY_BOUND + rep.tol - rep.alpha,
             )
         )
         alphas.append(rep.alpha)
@@ -189,7 +186,7 @@ def cmd_spectral(args) -> dict:
              "lambda_min", "method", "iterations", "converged", "alpha_cover"],
             rows,
         )
-    config = {"m_min": args.m_min, "m_max": args.m, "tol": args.tol}
+    config = {"m_min": args.m_min, "m_max": args.m}
     return _report("spectral", config, None, {"rows": rows}, checks, t0)
 
 
@@ -240,12 +237,12 @@ def cmd_verify_beta(args) -> dict:
         agreement = float(np.max(np.abs(by_matrix - by_enum)))
         checks.append(_check("route-agreement", agreement <= ROUTE_AGREE_TOL, max_diff=agreement))
 
-    full = [np.ones(g.n_vertices, dtype=bool)] * (args.t + 1)
-    prob_full = terminal_vector(g, args.t, full).total
+    # sanity families: every walk, and none (empty at position 0)
+    sanity = np.ones((2, args.t + 1, g.n_vertices), dtype=bool)
+    sanity[1, 0] = False
+    prob_full, prob_empty = family_event_probs_matrix(g, args.t, sanity).tolist()
     checks.append(_check("full-family-probability-one", abs(prob_full - 1.0) <= ROUTE_AGREE_TOL,
                          measured=prob_full))
-    empty = [np.zeros(g.n_vertices, dtype=bool)] + full[1:]
-    prob_empty = terminal_vector(g, args.t, empty).total
     checks.append(_check("empty-set-probability-zero", prob_empty == 0.0, measured=prob_empty))
 
     config = {"m": args.m, "t": args.t, "mode": args.mode, "trials": args.trials,
@@ -454,7 +451,7 @@ def cmd_amplify(args) -> dict:
     checks.append(
         _check(
             "amplified-bound",
-            spectral_ok and amp_exact.success <= bound + EXACT_CHECK_TOL,
+            spectral_ok and amp_exact.success <= bound + HOLDS_SLACK,
             measured=amp_exact.success,
             bound=bound,
             slack=bound - amp_exact.success,
@@ -527,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectral", help="eigenvalue sweep of the affine-torus family")
     sp.add_argument("--m", type=int, required=True, help="largest torus parameter (N = 4**m)")
     sp.add_argument("--m-min", type=int, default=2)
-    sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--dump-graph", metavar="PATH", help="write the largest graph's adjacency list")
     sp.add_argument("--out", metavar="PATH")
     sp.add_argument("--csv", metavar="PATH")

@@ -91,9 +91,7 @@ class ToyFunction:
         if isinstance(self.source, RangedTable):
             ranges = self.source.ranges()
         else:
-            t = np.asarray(self.source)
-            if t.dtype != np.int64 or t.flags.writeable:   # read-only int64 tables are shared
-                t = _frozen_array(t, dtype=np.int64)
+            t = _frozen_array(self.source, dtype=np.int64)
             object.__setattr__(self, "source", t)
             ranges = [(0, t)]
         seen = np.zeros(1 << self.out_bits, dtype=bool) if self.is_permutation else None
@@ -270,7 +268,7 @@ class AdversaryOracle(Inverter):
 
     def __init__(self, func: ToyFunction, profile: np.ndarray, seed: int, cost: float = 1.0):
         super().__init__(func, cost)
-        profile = _frozen_array(profile)   # a copy: the caller's array may change
+        profile = _frozen_array(profile)   # a writable profile is copied
         if profile.shape != (1 << func.out_bits,):
             raise StructuralError("profile must assign one probability per output point")
         if np.any(profile < 0.0) or np.any(profile > 1.0):
@@ -635,19 +633,8 @@ class InversionReport:
     trials: int
     soundness_violations: int
     security: SecurityEstimate
-    oracle: Optional[Inverter] = None   # exact mode: the inverter whose profile was summed
-
-    @property
-    def per_point(self) -> Optional[np.ndarray]:
-        """Exact mode: the oracle's per-output success profile, None in mc mode.
-
-        Only a read expands the profile's runs (see ``Inverter.success_runs``);
-        the expansion is cached on the oracle, so every read returns the same
-        read-only array."""
-        return None if self.oracle is None else self.oracle.success_profile()
 
     def to_dict(self) -> dict:
-        # per_point stays in-memory only (it can be 2**n entries wide)
         return {
             "mode": self.mode,
             "success": self.success,
@@ -729,7 +716,6 @@ def measure_inversion(
         trials=n_trials,
         soundness_violations=violations,
         security=security,
-        oracle=oracle if mode == "exact" else None,
     )
 
 

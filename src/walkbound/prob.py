@@ -60,7 +60,7 @@ STREAM_SUBSEEDS = 6      # amplify's oracle, reduction and Monte Carlo seeds
 STREAM_ORACLE = 7        # an adversary oracle's per-query coin
 STREAM_REDUCTION = 8     # a reduction's per-query position and fillers
 STREAM_INPUTS = 9        # Monte Carlo inputs of measure_inversion
-STREAM_WALK = 10         # sample_walk's start vertex and labels
+# stream id 10 is retired: no draw site reads it
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK64 = (1 << 64) - 1
@@ -165,6 +165,10 @@ def permutation(key: int, n: int) -> np.ndarray:
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array.  An array that already is
+    one is kept, so objects can share it; anything else is copied."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -221,9 +225,15 @@ def _binned_sums(index_map: np.ndarray, weights: np.ndarray, k: int) -> np.ndarr
     rows, size = weights.shape
     length = max(4096, k)
     blocks = -(-size // length)
-    idx = index_map + k * (np.arange(size) // length)
-    idx = (idx + k * blocks * np.arange(rows)[:, None]).ravel()
-    sums = np.bincount(idx, weights.ravel(), minlength=rows * blocks * k)
+    # one index array, built in place: the bin of entry j is its block's first
+    # bin plus index_map[j]
+    idx = np.arange(size)
+    idx //= length
+    idx *= k
+    idx += index_map
+    if rows > 1:   # row r's bins follow row r-1's; one row needs no second array
+        idx = idx + k * blocks * np.arange(rows)[:, None]
+    sums = np.bincount(idx.ravel(), weights.ravel(), minlength=rows * blocks * k)
     # blocks last and contiguous: np.sum adds them pairwise
     return np.ascontiguousarray(sums.reshape(rows, blocks, k).transpose(0, 2, 1)).sum(axis=2)
 
@@ -580,8 +590,9 @@ def _grid(shape: tuple) -> np.ndarray:
 
     An instance's objects share these rows as their index maps, so a grid
     point of an instance and its bound costs 8t + 40 bytes: t int64
-    coordinates, its float64 weight, Z value and weight times Z, and the two
-    int64 bin indices that ``_binned_sums`` holds at once.  The whole
+    coordinates, its float64 weight, Z value and weight times Z, the int64 bin
+    index of ``_binned_sums`` and the copy of the read-only weights that
+    ``np.bincount`` makes.  The whole
     grid must fit GRID_MAX_BYTES, which is checked before anything is allocated.
     """
     size = math.prod(shape)
@@ -620,6 +631,7 @@ def _product_space(margs: Sequence[np.ndarray]) -> tuple:
     tuples, plus the grid's coordinate columns (see ``_grid``)."""
     coords = _grid(tuple(len(m) for m in margs))
     weights = _grid_weights([np.asarray(m)[None] for m in margs])[0]
+    weights.setflags(write=False)   # read-only, so the space keeps it uncopied
     return FiniteSpace(weights), coords
 
 
@@ -638,6 +650,7 @@ def cube_instance(p: float, t: int) -> tuple:
     space, coords = _product_space([np.array((q, 1.0 - q))] * t)
     z_values = np.zeros(space.size)
     z_values[0] = 1.0                   # grid point 0 is the all-zeros corner
+    z_values.setflags(write=False)
     z = RandomVariable(space, z_values)
     objects = [RandomObject(space, (0, 1), c) for c in coords]
     return z, objects
@@ -675,6 +688,8 @@ def random_product_instance(
     """
     coords = _instance_grid(t, psi)
     weights, values = _draw_instances([seed], t, psi, identical)
+    weights.setflags(write=False)   # read-only, so the space and Z keep their rows uncopied
+    values.setflags(write=False)
     space = FiniteSpace(weights[0])
     z = RandomVariable(space, values[0])
     objects = [RandomObject(space, tuple(range(psi)), c) for c in coords]

@@ -5,7 +5,7 @@ labels, so the walk space has exactly ``N * d**t`` points; vertex sequences are
 derived data (parallel edges mean several label sequences can share one vertex
 sequence).  Events over walks are handled two independent ways that tests
 compare: integer walk counts pushed step by step through the predecessor table
-(terminal vectors, no N x N matrix) and direct enumeration of the walk space.
+(no N x N matrix) and direct enumeration of the walk space.
 
 The walk space has two orders.  Walk-index order (start vertex first, then the
 labels) is a prefix tree growing forward along the successor table.  The
@@ -34,9 +34,8 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
 from .expander import ColoredRotation, _push
-from .prob import (MAX_WITNESSES, RATIO_TOL, STREAM_FAMILIES, STREAM_WALK, FiniteSpace,
-                   IndependenceReport, RandomObject, coins, integers, mask_int, stream_key,
-                   subset_sums)
+from .prob import (MAX_WITNESSES, RATIO_TOL, STREAM_FAMILIES, FiniteSpace, IndependenceReport,
+                   RandomObject, coins, mask_int, stream_key, subset_sums)
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
@@ -208,15 +207,6 @@ def reverse_indices(g: HybridGraph, t: int, xs) -> np.ndarray:
         cur *= d ** t
         acc += cur
     return out
-
-
-def sample_walk(g: HybridGraph, t: int, seed: int) -> Walk:
-    """Uniform start vertex (counter 0 of the seed's STREAM_WALK key), then t
-    uniform edge labels (counters 1 .. t)."""
-    key = stream_key(seed, STREAM_WALK)
-    start = int(integers(key, [0], g.n_vertices)[0])
-    labels = tuple(integers(key, np.arange(1, t + 1), g.d).tolist())
-    return Walk(_replay(g, start, labels), labels)
 
 
 def _descend(parents: Sequence, acc: np.ndarray, tables: Sequence, op,
@@ -434,42 +424,6 @@ def walk_space(g: HybridGraph, t: int) -> WalkSpace:
         g._spaces[t] = WalkSpace(tuple(heads[:t]), total, tuple(levels[:t]), succ, pred,
                                  g.rot.back_labels)
     return g._spaces[t]
-
-
-def _as_mask(n: int, subset) -> np.ndarray:
-    if isinstance(subset, np.ndarray) and subset.dtype == bool:
-        if subset.shape != (n,):
-            raise StructuralError("constraint mask has the wrong length")
-        return subset
-    mask = np.zeros(n, dtype=bool)
-    idx = np.asarray(list(subset), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise StructuralError("constraint contains a non-vertex")
-    mask[idx] = True
-    return mask
-
-
-@dataclass(frozen=True, eq=False)
-class TerminalVector:
-    """Sub-probability masses over terminal vertices of a constrained walk event."""
-
-    probs: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.probs))
-
-
-def terminal_vector(g: HybridGraph, t: int, constraints: Sequence) -> TerminalVector:
-    """Masses ``p_j = P{walk stays in the constraint sets and ends at j}`` via
-    the walk-count operator (uniform start, one mask per position 0..t)."""
-    constraints = list(constraints)
-    if len(constraints) != t + 1:
-        raise StructuralError("need one constraint set per walk position (t+1 of them)")
-    n = g.n_vertices
-    masks = np.stack([_as_mask(n, c) for c in constraints])[:, :, None]
-    counts = _walk_counts(g, masks[0], masks[1:])[:, 0]
-    return TerminalVector(counts / walk_count(g, t))
 
 
 @dataclass(frozen=True)

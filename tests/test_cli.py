@@ -62,6 +62,16 @@ class TestSpectral:
         rows = report["results"]["rows"]
         assert rows[0]["graph"] == "K4" and rows[1]["n_vertices"] == 16
 
+    def test_bound_slack_is_the_certified_tolerance(self, capsys):
+        # each row's own solver tolerance is the bound check's slack; no flag loosens it
+        _, report, _ = run_cli(capsys, ["spectral", "--m", "4"])
+        rows = {f"alpha-bound-m{r['m']}": r for r in report["results"]["rows"][1:]}
+        checks = [c for c in report["checks"] if c["name"] in rows]
+        assert len(checks) == 3 and "tol" not in report["config"]
+        for check in checks:
+            row = rows[check["name"]]
+            assert check["slack"] == check["bound"] + row["tol"] - row["alpha"]
+
     def test_alpha_values_are_stable(self, capsys):
         # frozen sweep values; any drift here means the graph family changed
         _, report, _ = run_cli(capsys, ["spectral", "--m", "4"])
@@ -244,6 +254,27 @@ class TestVerifyBeta:
         )
         assert code == 0
         assert "route-agreement" not in {c["name"] for c in report["checks"]}
+
+    def test_sanity_families_take_one_matrix_call(self, capsys, monkeypatch):
+        # every walk, and none: one (2, t+1, N) batch through the family route
+        import walkbound.cli as cli
+
+        shapes = []
+
+        def spy(g, t, masks):
+            shapes.append(masks.shape)
+            return wb.family_event_probs_matrix(g, t, masks)
+
+        monkeypatch.setattr(cli, "family_event_probs_matrix", spy)
+        code, report, _ = run_cli(
+            capsys,
+            ["verify-beta", "--m", "2", "--t", "3", "--seed", "3", "--mode", "sampled",
+             "--trials", "20", "--agree", "0"],
+        )
+        assert code == 0 and shapes == [(2, 4, 16)]
+        measured = {c["name"]: c.get("measured") for c in report["checks"]}
+        assert measured["full-family-probability-one"] == 1.0
+        assert measured["empty-set-probability-zero"] == 0.0
 
     def test_sampled_report_is_pinned(self, capsys):
         # the family draws and both routes are exact, so any change to the draw
@@ -661,6 +692,21 @@ class TestHarness:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_spectral_has_no_tolerance_flag(self, capsys, monkeypatch):
+        # a slack flag could loosen alpha-bound-m<m> until it cannot fail
+        import walkbound.cli as cli
+
+        def never(m):
+            raise AssertionError(f"mgg_rotation({m}) ran before the arguments were checked")
+
+        monkeypatch.setattr(cli, "mgg_rotation", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral", "--help"])
+        assert exc.value.code == 0 and "--tol" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral", "--m", "2", "--tol", "1e-6"])
+        assert exc.value.code == 2 and "--tol" in capsys.readouterr().err
+
     def test_closed_stdout_is_a_resource_error(self):
         # the reader closes its end before the report is written: exit 2 with one
         # error line, and the flush at interpreter exit raises nothing further
@@ -731,8 +777,6 @@ class TestHarness:
             ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--agree", "-5"],
             ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--mode", "sampled",
              "--trials", "0"],
-            ["spectral", "--m", "2", "--tol", "-1"],
-            ["spectral", "--m", "2", "--tol", "nan"],
             ["spectral", "--m", "2", "--m-min", "0"],
             ["verify-beta", "--m", "7", "--t", "-1", "--mode", "sampled", "--seed", "1"],
             ["verify-beta", "--m", "7", "--t", "25", "--mode", "sampled", "--agree", "0",
@@ -745,7 +789,7 @@ class TestHarness:
         ],
         ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
              "verify-agree-over-enumeration-ceiling", "negative-trials", "negative-agree",
-             "sampled-zero-trials", "negative-tol", "nan-tol", "spectral-m-min-zero",
+             "sampled-zero-trials", "spectral-m-min-zero",
              "verify-negative-t", "verify-walk-count-over-64-bits", "verify-m-zero",
              "amplify-walk-m-zero", "spectral-m-over-budget", "verify-sampled-m-over-budget"],
     )
@@ -816,7 +860,7 @@ BAD_FLOATS = ["-1", "nan", "inf", "x", "1e400"]
 SEED = some([0, 1, 7], ["-1", "x"])
 COMMAND_ARGV = st.one_of(
     command("spectral", {"--m": some([1, 2, 3], [11, *BAD_INTS])},
-            {"--m-min": some([1, 2, 3], BAD_INTS), "--tol": some(["1e-6", "0.5"], BAD_FLOATS)}),
+            {"--m-min": some([1, 2, 3], BAD_INTS)}),
     command("verify-beta",
             {"--m": some([1, 2], [7, 10, *BAD_INTS]), "--t": some([0, 1, 2], [30, "-1", "x"]),
              "--seed": SEED},

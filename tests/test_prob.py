@@ -94,6 +94,33 @@ class TestSpaces:
         u = wb.RandomObject(s, ("x", "y"), np.array([0, 1, 0], dtype=np.uint64))
         assert u.index_map.dtype == np.int64 and np.allclose(u.distribution(), [0.7, 0.3])
 
+    def test_read_only_values_are_shared(self):
+        # a read-only float64 array is kept as it is: no 8-byte copy per entry
+        n = 2 ** 20
+        space = wb.FiniteSpace.uniform(n)
+        values = np.linspace(0.0, 1.0, n)
+        values.setflags(write=False)
+        tracemalloc.start()
+        try:
+            z = wb.RandomVariable(space, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert z.values is values and peak < 2 * n
+
+    @pytest.mark.parametrize("writable, dtype", [(True, np.float64), (False, np.float32)],
+                             ids=["writable", "float32"])
+    def test_other_values_are_copied(self, writable, dtype):
+        # only a read-only float64 array is kept; the caller's later writes never reach a copy
+        values = np.array([0.25, 0.5, 0.75], dtype=dtype)
+        values.setflags(write=writable)
+        z = wb.RandomVariable(wb.FiniteSpace.uniform(3), values)
+        assert z.values is not values and not z.values.flags.writeable
+        assert z.values.dtype == np.float64
+        if writable:
+            values[0] = 9.0
+        assert z.values.tolist() == [0.25, 0.5, 0.75]
+
     def test_variable_rejects_nan(self):
         s = wb.FiniteSpace.uniform(2)
         with pytest.raises(StructuralError):
@@ -359,6 +386,24 @@ class TestProductGrid:
         monkeypatch.setattr(prob, "GRID_MAX_BYTES", model - 1)
         with pytest.raises(BudgetError):
             cube_instance(0.25, t)
+
+    def test_binned_sums_hold_one_index_array(self):
+        # one int64 bin index per entry, plus the block sums, their transposed
+        # copy and the 64 KiB buffer of numpy's uint8 -> int64 cast; the weights
+        # are writable, as the weight-times-Z rows are (np.bincount copies
+        # read-only weights)
+        n, k = 2 ** 20, 4
+        index_map = (np.arange(n) % k).astype(np.uint8)
+        weights = np.full((1, n), 1.0 / n)
+        block_sums = 8 * k * (n // 4096)
+        tracemalloc.start()
+        try:
+            sums = prob._binned_sums(index_map, weights, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + 2 * block_sums + 2 ** 17
+        assert sums.tolist() == [[0.25] * k]
 
     def test_more_coordinates_than_array_dimensions(self):
         # 65 coordinates of one point each: a single outcome, past numpy's 64 axes
@@ -673,7 +718,7 @@ class TestKeyedStream:
     @pytest.mark.parametrize("seed, stream", [
         (0, prob.STREAM_PERMUTATION), (1, prob.STREAM_FAMILIES), (5, prob.STREAM_ORACLE),
         (2 ** 63 + 3, prob.STREAM_SWEEP), (2 ** 64 + 5, prob.STREAM_INPUTS),
-        (7 << 130, prob.STREAM_WALK),
+        (7 << 130, 10),
     ])
     def test_first_words_match_a_pure_python_reference(self, seed, stream):
         key = prob.stream_key(seed, stream)

@@ -1,11 +1,10 @@
-"""Hybrid walks: indexing, uniformity, terminal vectors, route agreement."""
+"""Hybrid walks: indexing, enumeration, walk counts, route agreement."""
 
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import walkbound as wb
 from walkbound.errors import BudgetError, ParameterError, StructuralError
@@ -96,26 +95,6 @@ class TestWalkIndexing:
         assert wb.reverse_indices(g_identity, 1, []).size == 0
 
 
-class TestSampling:
-    def test_deterministic_per_seed(self, g_random):
-        assert wb.sample_walk(g_random, 4, 123) == wb.sample_walk(g_random, 4, 123)
-        assert wb.sample_walk(g_random, 4, 123) != wb.sample_walk(g_random, 4, 124)
-
-    def test_sampled_walks_are_valid(self, g_random):
-        for seed in range(50):
-            wb.validate_walk(g_random, wb.sample_walk(g_random, 3, seed))
-
-    def test_uniform_over_walk_space(self):
-        # m=1: 4 vertices, walk space 4 * 8 = 32 at t=1, chi-square at 1% level
-        g = wb.HybridGraph(wb.mgg_rotation(1), np.arange(4))
-        total = wb.walk_count(g, 1)
-        counts = np.zeros(total, dtype=int)
-        for seed in range(320 * 25):
-            counts[wb.walk_index(g, wb.sample_walk(g, 1, seed))] += 1
-        chi2 = stats.chisquare(counts).statistic
-        assert chi2 < stats.chi2.ppf(0.99, total - 1)
-
-
 class TestEnumeration:
     def test_rows_match_walk_from_index(self, g_random):
         columns = wb.walk_space(g_random, 2).columns
@@ -168,36 +147,6 @@ class TestEnumeration:
         assert columns.dtype == np.uint16
         for idx in np.random.default_rng(22).integers(0, columns.shape[1], size=40):
             assert tuple(columns[:, idx]) == wb.walk_from_index(g, 1, int(idx)).vertices
-
-
-class TestTerminalVector:
-    def test_matches_integer_oracle(self, g_random):
-        rng = np.random.default_rng(3)
-        t = 3
-        total = wb.walk_count(g_random, t)
-        for _ in range(10):
-            masks = rng.integers(0, 2, size=(t + 1, 16)).astype(bool)
-            tv = wb.terminal_vector(g_random, t, list(masks))
-            counts = exact_family_counts(g_random, t, masks)
-            for v in range(16):
-                assert Fraction(tv.probs[v]) == Fraction(counts[v], total)
-
-    def test_total_is_event_probability(self, g_random):
-        masks = [np.ones(16, dtype=bool)] * 4
-        tv = wb.terminal_vector(g_random, 3, masks)
-        assert abs(tv.total - 1.0) <= 1e-15
-
-    def test_index_constraints_accepted(self, g_identity):
-        tv = wb.terminal_vector(g_identity, 1, [range(16), [4]])
-        assert tv.probs[4] > 0 and np.sum(tv.probs > 0) == 1
-
-    def test_wrong_constraint_count(self, g_identity):
-        with pytest.raises(StructuralError):
-            wb.terminal_vector(g_identity, 2, [range(16)] * 2)
-
-    def test_bad_vertex_in_constraint(self, g_identity):
-        with pytest.raises(StructuralError):
-            wb.terminal_vector(g_identity, 1, [[0], [16]])
 
 
 class TestExtensionIdentity:
@@ -299,8 +248,6 @@ class TestRouteAgreement:
         for i in range(1, t + 1):
             v = (v @ a) * masks[:, i, :]
         assert np.array_equal(wb.family_event_probs_matrix(g, t, masks), v.sum(axis=1))
-        tv = wb.terminal_vector(g, t, list(masks[0]))
-        assert np.array_equal(tv.probs, v[0])
 
     @pytest.mark.parametrize(
         "m, t", [(3, 8), (2, 9), (2, 11)], ids=["2m+3t=30", "2m+3t=31", "2m+3t=37"]
@@ -310,7 +257,6 @@ class TestRouteAgreement:
         # each vertex alone ends 2**33 walks, so an int32 count would wrap
         g = wb.HybridGraph(wb.mgg_rotation(m), np.random.default_rng(m).permutation(4 ** m))
         full = np.ones((1, t + 1, g.n_vertices), dtype=bool)
-        assert wb.terminal_vector(g, t, list(full[0])).total == 1.0
         assert wb.family_event_probs_matrix(g, t, full).tolist() == [1.0]
 
     @pytest.mark.parametrize(
@@ -352,7 +298,6 @@ class TestRouteAgreement:
         monkeypatch.setattr(expander, "_dense_operator", dense)
         masks = random_masks(np.random.default_rng(18), 5, 2, 16)
         wb.family_event_probs_matrix(g_random, 2, masks)
-        wb.terminal_vector(g_random, 2, list(masks[0]))
         assert wb.check_extension_identity(g_random, 2, range(40)).holds
         wb.verify_walk_independence(g_random, 1, 0.3, trials=10, seed=0)
 
@@ -363,6 +308,17 @@ class TestRouteAgreement:
         for w in range(16):
             into = sorted(u for u in range(16) for j in range(8) if g_random.step(u, j) == w)
             assert sorted(pred[:, w]) == into
+
+    def test_terminal_counts_match_integer_oracle(self, g_random):
+        # per-vertex counts of the count route, each against the pure-integer DP
+        from walkbound import walks
+
+        t = 3
+        masks = random_masks(np.random.default_rng(3), 10, t, 16)
+        fam = np.ascontiguousarray(masks.transpose(1, 2, 0))
+        counts = walks._walk_counts(g_random, fam[0], fam[1:])
+        for b in range(10):
+            assert counts[:, b].tolist() == exact_family_counts(g_random, t, masks[b])
 
     def test_mask_shape_validation(self, g_random):
         with pytest.raises(StructuralError):
