@@ -88,16 +88,6 @@ SPECTRAL_M_MAX = 10           # eigensolver budget: N = 4**m vertices
 VERIFY_BETA_M_MAX = 9
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _check(name: str, holds: bool, **extra) -> dict:
     row = {"name": name, "holds": bool(holds)}
     row.update(extra)
@@ -207,9 +197,10 @@ def cmd_verify_beta(args) -> dict:
             f"--mode exhaustive sweeps 2**{4 ** args.m} subsets at m={args.m}, over the "
             f"2**{SUBSET_EXH_MAX_N} ceiling (use --mode sampled)"
         )
-    walks = 4 ** args.m * 8 ** args.t
-    if walks >= 1 << 63:
-        raise BudgetError(f"walk count {walks} at m={args.m}, t={args.t} exceeds the 64-bit range")
+    bits = 2 * args.m + 3 * args.t      # 4**m vertices times 8**t label strings
+    if bits >= 63:
+        raise BudgetError(f"walk count 2**{bits} at m={args.m}, t={args.t} exceeds the 64-bit range")
+    walks = 1 << bits
     if args.agree > 0 and walks > WALK_ENUM_MAX:
         raise BudgetError(
             f"--agree enumerates {walks} walks at m={args.m}, t={args.t}, over the "
@@ -579,7 +570,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ParameterError(f"--seed must be >= 0, got {args.seed}")
         report = args.func(args)
-        text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+        text = json.dumps(report, indent=2, sort_keys=True)
         out = getattr(args, "out", None)
         if out:
             with _open_output(out) as fh:

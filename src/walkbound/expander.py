@@ -35,7 +35,7 @@ length N, plus the operator's own scratch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -209,19 +209,9 @@ class SpectralReport:
     alpha_cover: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "lambda_second": self.lambda_second,
-            "lambda_min": self.lambda_min,
-            "method": self.method,
-            "iterations": self.iterations,
-            "tol": self.tol,
-            "converged": self.converged,
-            "matvecs": dict(self.matvecs),
-        }
-        if self.alpha_cover is not None:
-            out["alpha_cover"] = self.alpha_cover
+        out = asdict(self)
+        if self.alpha_cover is None:
+            del out["alpha_cover"]
         return out
 
 

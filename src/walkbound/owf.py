@@ -618,12 +618,7 @@ class SecurityEstimate:
     unbounded: bool
 
     def to_dict(self) -> dict:
-        return {
-            "time_cost": self.time_cost,
-            "success": self.success,
-            "security": None if self.unbounded else self.security,
-            "unbounded": self.unbounded,
-        }
+        return {**asdict(self), "security": None if self.unbounded else self.security}
 
 
 @dataclass(frozen=True, eq=False)
@@ -635,13 +630,7 @@ class InversionReport:
     security: SecurityEstimate
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "success": self.success,
-            "trials": self.trials,
-            "soundness_violations": self.soundness_violations,
-            "security": self.security.to_dict(),
-        }
+        return {**asdict(self), "security": self.security.to_dict()}
 
 
 def measure_inversion(
@@ -734,14 +723,7 @@ class EnvelopeReport:
         return self.dominance_excess is None or self.dominance_excess <= self.tol
 
     def to_dict(self) -> dict:
-        return {
-            "envelope_excess": self.envelope_excess,
-            "dominance_excess": self.dominance_excess,
-            "dominance_applicable": self.dominance_applicable,
-            "points": self.points,
-            "tol": self.tol,
-            "holds": self.holds,
-        }
+        return {**asdict(self), "holds": self.holds}
 
 
 def envelope_check(

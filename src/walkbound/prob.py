@@ -30,7 +30,7 @@ permutations are derived from the words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -195,7 +195,8 @@ def _weight_faults(weights: np.ndarray) -> list:
     totals = np.sum(weights, axis=1)
     return [
         (np.any(weights < 0.0, axis=1), lambda r: StructuralError("weights must be nonnegative")),
-        (np.abs(totals - 1.0) > WEIGHT_TOL, lambda r: StructuralError(
+        # written as "not within" so that a NaN total is a fault too
+        (~(np.abs(totals - 1.0) <= WEIGHT_TOL), lambda r: StructuralError(
             f"weights sum to {float(totals[r])!r}, expected 1 within {WEIGHT_TOL}")),
     ]
 
@@ -366,17 +367,7 @@ class BoundReport:
         return 1.0 - self.beta
 
     def to_dict(self) -> dict:
-        return {
-            "expectation": self.expectation,
-            "tail_terms": list(self.tail_terms),
-            "bound_value": self.bound_value,
-            "slack": self.slack,
-            "holds": self.holds,
-            "variant": self.variant,
-            "beta": self.beta,
-            "epsilons": list(self.epsilons),
-            "t": self.t,
-        }
+        return asdict(self)
 
 
 def _tail_masses(mass: np.ndarray, values: np.ndarray, eps: float) -> np.ndarray:
@@ -574,14 +565,14 @@ class IndependenceReport:
         return self.worst_ratio <= 1.0 + RATIO_TOL
 
     def to_dict(self) -> dict:
-        return {
-            "worst_ratio": self.worst_ratio,
-            "witnesses": [list(w) for w in self.witnesses],
-            "n_single": self.n_single,
-            "n_sampled": self.n_sampled,
-            "beta": self.beta,
-            "holds": self.holds,
-        }
+        return {**asdict(self), "holds": self.holds}
+
+
+def _grid_size_text(shape: tuple) -> str:
+    """The number of points of a grid over ``shape``: in full below 10**100,
+    else the power of ten it reaches, which needs no huge integer."""
+    digits = math.fsum(map(math.log10, shape))
+    return str(math.prod(shape)) if digits < 100 else f"at least 10**{int(digits)}"
 
 
 def _grid(shape: tuple) -> np.ndarray:
@@ -593,14 +584,17 @@ def _grid(shape: tuple) -> np.ndarray:
     coordinates, its float64 weight, Z value and weight times Z, the int64 bin
     index of ``_binned_sums`` and the copy of the read-only weights that
     ``np.bincount`` makes.  The whole
-    grid must fit GRID_MAX_BYTES, which is checked before anything is allocated.
+    grid must fit GRID_MAX_BYTES, which is checked before anything is allocated
+    and, for a long shape, before its product exists.
     """
-    size = math.prod(shape)
-    if size * (8 * len(shape) + 40) > GRID_MAX_BYTES:
-        raise BudgetError(
-            f"a product grid of {size} outcomes over {len(shape)} coordinates exceeds the "
-            f"{GRID_MAX_BYTES}-byte budget"
-        )
+    size = 1
+    for k in shape:
+        size *= k
+        if size * (8 * len(shape) + 40) > GRID_MAX_BYTES:
+            raise BudgetError(
+                f"a product grid of {_grid_size_text(shape)} outcomes over {len(shape)} "
+                f"coordinates exceeds the {GRID_MAX_BYTES}-byte budget"
+            )
     # coordinate i counts through its k values in runs of prod(shape[i+1:]);
     # written through reshaped views, so any number of coordinates works
     coords = np.empty((len(shape), size), dtype=np.int64)

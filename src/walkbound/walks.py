@@ -125,9 +125,10 @@ def walk_count(g: HybridGraph, t: int) -> int:
     """Number of t-step walks, ``N * d**t``; errors past the 64-bit range."""
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t}")
-    total = g.n_vertices * g.d ** t
+    # d**63 is past the range for any d >= 2, so a long walk never builds d**t
+    total = g.n_vertices * g.d ** min(t, 63)
     if total >= 1 << 63:
-        raise BudgetError(f"walk count {total} exceeds the 64-bit range")
+        raise BudgetError(f"walk count {g.n_vertices} * {g.d}**{t} exceeds the 64-bit range")
     return total
 
 

@@ -2,16 +2,19 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -455,6 +458,9 @@ class TestBound:
             (["--count", "1", "--t", "40", "--psi", "6"], 2,
              "error: a product grid of 13367494538843734067838845976576 outcomes over 40 "
              "coordinates exceeds the 1073741824-byte budget"),
+            (["--t", "14400", "--psi", "2"], 2,
+             "error: a product grid of at least 10**4334 outcomes over 14400 coordinates "
+             "exceeds the 1073741824-byte budget"),
             (["--t", "0"], 2, "error: need t >= 1 and psi >= 1"),
             (["--count", "0", "--t", "0"], 0, ""),
             (["--eps", "0.1", "0.2", "--variant", "percoord", "--t", "3"], 2,
@@ -464,7 +470,7 @@ class TestBound:
             (["--eps", "1.5"], 2, "error: eps must lie in (0, 1), got 1.5"),
             (["--beta", "1.5"], 2, "error: beta must lie in [0, 1], got 1.5"),
         ],
-        ids=["grid-budget", "t-zero", "no-instances", "eps-count", "pooled-eps-count", "eps-range",
+        ids=["grid-budget", "grid-past-the-int-string-limit", "t-zero", "no-instances", "eps-count", "pooled-eps-count", "eps-range",
              "beta-range"],
     )
     def test_sweep_exit_codes_and_errors(self, capsys, argv, code, error):
@@ -536,9 +542,11 @@ class TestBound:
              "'z'"),
             ({"weights": [0.5, 0.5], "objects": [[0, 1], [1, 0]], "z": [0.2, 0.9],
               "eps": [0.01, 0.5], "variant": "pooled"}, "pooled bound takes one eps"),
+            ({"weights": [float("nan"), 1.0], "objects": [[0, 1]], "z": [0.5, 0.5], "eps": 0.1},
+             "weights sum to nan"),
         ],
         ids=["missing-file", "weights-string", "objects-number", "eps-string", "objects-fractional",
-             "numeric-strings", "z-boolean", "pooled-eps-list"],
+             "numeric-strings", "z-boolean", "pooled-eps-list", "weights-nan"],
     )
     def test_malformed_instance_is_a_usage_error(self, capsys, tmp_path, content, needle):
         path = tmp_path / "inst.json"
@@ -750,6 +758,9 @@ class TestHarness:
             ["bound", "--preset", "sweep", "--count", "-1", "--seed", "1"],
             ["bound", "--preset", "random", "--t", "40", "--psi", "6", "--seed", "1"],
             ["bound", "--preset", "cube", "--t", "70"],
+            ["bound", "--preset", "cube", "--t", "14400"],
+            ["bound", "--preset", "cube", "--t", "1000000"],
+            ["bound", "--preset", "random", "--t", "14400", "--psi", "2", "--seed", "1"],
             ["bound", "--preset", "sweep", "--count", "1", "--t", "40", "--psi", "6", "--seed", "1"],
             ["bound", "--preset", "sweep", "--t", "0", "--seed", "1"],
             ["bound", "--preset", "sweep", "--eps", "0.1", "0.2", "--variant", "percoord",
@@ -786,12 +797,17 @@ class TestHarness:
             ["spectral", "--m", "11"],
             ["verify-beta", "--m", "10", "--t", "2", "--mode", "sampled", "--trials", "10",
              "--agree", "0", "--seed", "1"],
+            ["verify-beta", "--m", "1", "--t", "4800", "--mode", "sampled", "--trials", "1",
+             "--agree", "0", "--seed", "1"],
+            ["verify-beta", "--m", "1", "--t", "10000000", "--mode", "sampled", "--trials", "1",
+             "--agree", "0", "--seed", "1"],
         ],
         ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
              "verify-agree-over-enumeration-ceiling", "negative-trials", "negative-agree",
              "sampled-zero-trials", "spectral-m-min-zero",
              "verify-negative-t", "verify-walk-count-over-64-bits", "verify-m-zero",
-             "amplify-walk-m-zero", "spectral-m-over-budget", "verify-sampled-m-over-budget"],
+             "amplify-walk-m-zero", "spectral-m-over-budget", "verify-sampled-m-over-budget",
+             "verify-walk-count-4800-steps", "verify-walk-count-10**7-steps"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
         import walkbound.cli as cli
@@ -803,6 +819,76 @@ class TestHarness:
         code, report, err = run_cli(capsys, argv)
         assert code == 2 and report is None
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-beta", "--m", "1", "--t", "10000000", "--mode", "sampled", "--trials", "1",
+             "--agree", "0", "--seed", "1"],
+            ["bound", "--preset", "cube", "--t", "1000000"],
+            ["bound", "--preset", "sweep", "--t", "1000000", "--psi", "2", "--seed", "1"],
+        ],
+        ids=["verify-beta", "cube", "sweep"],
+    )
+    def test_giant_sizes_are_refused_within_a_second(self, capsys, argv):
+        # the size checks never build the walk count or the grid size: 2**(3t)
+        # or 2**t as an integer takes seconds to multiply out
+        start = time.perf_counter()
+        code, report, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and report is None
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, classes",
+        [
+            (["spectral", "--m", "6"], {"SpectralReport"}),
+            (["verify-beta", "--m", "2", "--t", "3", "--seed", "1"],
+             {"SpectralReport", "IndependenceReport"}),
+            (["bound", "--preset", "cube", "--t", "8"], {"BoundReport"}),
+            (["bound", "--preset", "sweep", "--count", "5", "--t", "3", "--seed", "1"], set()),
+            (["amplify", "--construction", "walk", "--m", "2", "--t", "3", "--seed", "1",
+              "--mode", "mc", "--trials", "50"],
+             {"SpectralReport", "InversionReport", "SecurityEstimate"}),
+            (["amplify", "--construction", "direct", "--n", "3", "--t", "2", "--seed", "1",
+              "--delta", "0.95", "--mode", "mc", "--trials", "50"],
+             {"InversionReport", "SecurityEstimate"}),
+            (None, {"EnvelopeReport"}),
+        ],
+        ids=["spectral", "verify-beta", "bound", "sweep", "amplify-walk", "amplify-unbounded",
+             "envelope"],
+    )
+    def test_each_report_lists_its_fields_once(self, monkeypatch, argv, classes):
+        # a report's dict is its dataclass fields plus what is derived from
+        # them, and each command's report is plain JSON; no command reports
+        # an envelope check, so that case calls it directly
+        import walkbound.cli as cli
+
+        derived = {wb.IndependenceReport: {"holds"}, wb.EnvelopeReport: {"holds"}}
+        seen = []
+        for cls in (wb.SpectralReport, wb.BoundReport, wb.IndependenceReport,
+                    wb.SecurityEstimate, wb.InversionReport, wb.EnvelopeReport):
+            def recorded(rep, to_dict=cls.to_dict):
+                out = to_dict(rep)
+                seen.append((rep, out))
+                return out
+
+            monkeypatch.setattr(cls, "to_dict", recorded)
+        if argv is None:
+            report = wb.envelope_check(0.5, 20, np.linspace(0.0, 1.0, 11)).to_dict()
+        else:
+            args = cli._build_parser().parse_args(argv)
+            report = args.func(args)
+        json.dumps(report, allow_nan=False)
+        assert {type(rep).__name__ for rep, _ in seen} == classes
+        for rep, out in seen:
+            keys = {f.name for f in dataclasses.fields(rep)} | derived.get(type(rep), set())
+            if isinstance(rep, wb.SpectralReport) and rep.alpha_cover is None:
+                keys.remove("alpha_cover")
+            assert set(out) == keys
+        if argv == ["spectral", "--m", "6"]:
+            # the dense rows have no covering route and the Lanczos rows do
+            assert {"alpha_cover" in out for _, out in seen} == {True, False}
 
     @pytest.mark.parametrize(
         "argv",

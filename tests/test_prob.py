@@ -50,6 +50,11 @@ class TestSpaces:
         with pytest.raises(StructuralError):
             wb.FiniteSpace(np.array([0.7, 0.7]))
 
+    def test_nan_weights_rejected(self):
+        # NaN fails every comparison, so the total is tested as "not within"
+        with pytest.raises(StructuralError, match="weights sum to nan"):
+            wb.FiniteSpace(np.array([np.nan, 1.0]))
+
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(StructuralError):
             wb.FiniteSpace(np.array([1.5, -0.5]))

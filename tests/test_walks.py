@@ -49,6 +49,13 @@ class TestWalkIndexing:
         with pytest.raises(BudgetError):
             wb.walk_count(g_identity, 21)
 
+    def test_long_walk_count_is_refused_without_its_power(self, g_identity):
+        # 8**(10**7) is never built; with one edge slot every length has N walks
+        with pytest.raises(BudgetError, match=r"walk count 16 \* 8\*\*10000000 exceeds"):
+            wb.walk_count(g_identity, 10 ** 7)
+        loop = wb.ColoredRotation(0, 2, 1, [[1], [0]], [[0], [0]])
+        assert wb.walk_count(wb.HybridGraph(loop, [1, 0]), 10 ** 7) == 2
+
     def test_round_trip_exhaustive_t2(self, g_random):
         for idx in range(wb.walk_count(g_random, 2)):
             w = wb.walk_from_index(g_random, 2, idx)
