@@ -13,6 +13,10 @@ is 0 when every check in the run holds, 1 when some check fails, and 2 for
 usage, parse, or resource errors.  Randomized commands require ``--seed``;
 rerunning any command with identical flags reproduces every number except the
 wall time.
+
+Each handler imports the library modules it runs as its first statements, so
+a process runs only its command's modules (``spectral`` never runs ``prob``,
+``walks`` or ``owf``), and their loading stays out of the reported wall time.
 """
 
 from __future__ import annotations
@@ -28,59 +32,6 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetError, ParameterError, StructuralError, WalkboundError
-from .expander import (
-    ALPHA_FAMILY_BOUND,
-    adjacency_chunks,
-    k4_rotation,
-    mgg_rotation,
-    second_eigenvalue_magnitude,
-    torus_spectrum,
-)
-from .owf import (
-    TABLE_MAX_BITS,
-    AdversaryOracle,
-    BlockwiseInverter,
-    ExperimentConfig,
-    WalkChainInverter,
-    direct_power,
-    image_distribution,
-    measure_inversion,
-    planted_profile,
-    random_permutation,
-    reduce_direct,
-    reduce_walk,
-    repeat_amplify,
-    walk_permutation,
-)
-from .prob import (
-    HOLDS_SLACK,
-    STREAM_AGREE,
-    STREAM_PERMUTATION,
-    STREAM_SUBSEEDS,
-    STREAM_SWEEP,
-    FiniteSpace,
-    RandomObject,
-    RandomVariable,
-    cube_instance,
-    integers,
-    percoord_bound,
-    permutation,
-    pooled_bound,
-    product_bound_sweep,
-    random_product_instance,
-    stream_key,
-    words,
-)
-from .walks import (
-    ROUTE_AGREE_TOL,
-    SUBSET_EXH_MAX_N,
-    WALK_ENUM_MAX,
-    HybridGraph,
-    family_event_probs,
-    family_event_probs_matrix,
-    random_families,
-    verify_walk_independence,
-)
 
 SPECTRAL_M_MAX = 10           # eigensolver budget: N = 4**m vertices
 # verify-beta's own budget: its sampled check takes about 30 s and 285 MiB at
@@ -124,6 +75,10 @@ def _write_csv(path: str, fieldnames: list, rows: list) -> None:
 
 
 def cmd_spectral(args) -> dict:
+    from .expander import (ALPHA_FAMILY_BOUND, adjacency_chunks, k4_rotation, mgg_rotation,
+                           second_eigenvalue_magnitude, torus_spectrum)
+    from .rng import ROUTE_AGREE_TOL
+
     t0 = time.perf_counter()
     if args.m_min < 1:
         raise ParameterError(f"--m-min must be >= 1, got {args.m_min}")
@@ -181,6 +136,11 @@ def cmd_spectral(args) -> dict:
 
 
 def cmd_verify_beta(args) -> dict:
+    from .expander import mgg_rotation, torus_spectrum
+    from .rng import ROUTE_AGREE_TOL, STREAM_AGREE, STREAM_PERMUTATION, permutation, stream_key
+    from .walks import (SUBSET_EXH_MAX_N, WALK_ENUM_MAX, HybridGraph, family_event_probs,
+                        family_event_probs_matrix, random_families, verify_walk_independence)
+
     t0 = time.perf_counter()
     if args.m < 1:
         raise ParameterError(f"--m must be >= 1, got {args.m}")
@@ -267,6 +227,8 @@ def _numeric(value, field: str, dtype=float) -> np.ndarray:
 
 
 def _instance_from_file(path: str) -> tuple:
+    from .prob import FiniteSpace, RandomObject, RandomVariable
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -310,13 +272,10 @@ def _bound_eps(variant, eps: list, t: int):
     return eps * t if len(eps) == 1 else eps
 
 
-def _run_bound(z, objects, variant, eps: list, beta):
-    bound = pooled_bound if variant == "pooled" else percoord_bound
-    return bound(z, objects, _bound_eps(variant, eps, len(objects)), beta)
-
-
 def _bound_instance(args) -> tuple:
     """``(z, objects, variant, eps, beta, config)`` of a one-instance ``bound`` run."""
+    from .prob import cube_instance, random_product_instance
+
     if args.instance_file:
         config = {"preset": "file", "instance_file": args.instance_file}
         return *_instance_from_file(args.instance_file), config
@@ -333,6 +292,9 @@ def _bound_instance(args) -> tuple:
 
 
 def cmd_bound(args) -> dict:
+    from .prob import grid_points, percoord_bound, pooled_bound, product_bound_sweep
+    from .rng import ROUTE_AGREE_TOL, STREAM_SWEEP, integers, stream_key
+
     t0 = time.perf_counter()
     checks = []
     results = {}
@@ -342,7 +304,8 @@ def cmd_bound(args) -> dict:
 
     if args.instance_file or args.preset != "sweep":
         z, objects, variant, eps, beta, config = _bound_instance(args)
-        rep = _run_bound(z, objects, variant, eps, beta)
+        bound = pooled_bound if variant == "pooled" else percoord_bound
+        rep = bound(z, objects, _bound_eps(variant, eps, len(objects)), beta)
         results["bound"] = rep.to_dict()
         checks.append(_check("bound-holds", rep.holds, slack=rep.slack))
         # below the conditional's single nonzero level the cube's bound is tight up to t*eps
@@ -353,6 +316,8 @@ def cmd_bound(args) -> dict:
         if args.count < 0:
             raise ParameterError(f"--count must be >= 0, got {args.count}")
         seeds = integers(stream_key(seed, STREAM_SWEEP), np.arange(args.count), 1 << 62).tolist()
+        if seeds:   # the grid is refused before _bound_eps lists t epsilons
+            grid_points(args.t, args.psi)
         reports = product_bound_sweep(
             args.t, args.psi, seeds, _bound_eps(args.variant, args.eps, args.t), args.beta,
             pooled=args.variant == "pooled",
@@ -378,6 +343,15 @@ def _mc_tolerance(p: float, trials: int) -> float:
 
 
 def cmd_amplify(args) -> dict:
+    from .expander import mgg_rotation, torus_spectrum
+    from .owf import (TABLE_MAX_BITS, AdversaryOracle, BlockwiseInverter, ExperimentConfig,
+                      WalkChainInverter, direct_power, image_distribution, measure_inversion,
+                      planted_profile, random_permutation, reduce_direct, reduce_walk,
+                      repeat_amplify, walk_permutation)
+    from .prob import HOLDS_SLACK
+    from .rng import STREAM_SUBSEEDS, stream_key, words
+    from .walks import HybridGraph
+
     t0 = time.perf_counter()
     checks = []
     if args.construction == "walk":

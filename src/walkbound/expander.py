@@ -41,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, StructuralError
-from .prob import RATIO_TOL, uniforms
+from .rng import RATIO_TOL, uniforms
 
 DENSE_EIGENSOLVE_MAX = 1024   # dense eigvalsh up to this N (torus: four N/4 blocks); Lanczos above
 EIGEN_TOL = 1e-8              # residual stop of the Lanczos routes
@@ -231,7 +231,7 @@ def _spectral_report(lam2: float, lam_min: float, tol: float, method: str, itera
 
 
 def _start_vector(n: int) -> np.ndarray:
-    """The fixed Lanczos start: the keyed words of key 0 (``prob.words``, plain
+    """The fixed Lanczos start: the keyed words of key 0 (``rng.words``, plain
     splitmix64 of each vertex index, since mix(0) = 0) as uniforms, scaled to
     [-1, 1)."""
     return 2.0 * uniforms(0, np.arange(n)) - 1.0

@@ -12,7 +12,7 @@ Each construction comes with its reduction turning an inverter for the big
 function into one for the small function using exactly one inner query per call.
 
 Oracle randomness is counter-based: query q of an oracle seeded with s reads
-its own counters of s's key for that oracle's stream (``prob.words``), so
+its own counters of s's key for that oracle's stream (``rng.words``), so
 repeated trials are independent yet whole experiments replay bit-for-bit.
 """
 
@@ -26,8 +26,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
-from .prob import (STREAM_INPUTS, STREAM_ORACLE, STREAM_PERMUTATION, STREAM_REDUCTION,
-                   _frozen_array, integers, permutation, stream_key, uniforms)
+from .prob import _frozen_array
+from .rng import (STREAM_INPUTS, STREAM_ORACLE, STREAM_PERMUTATION, STREAM_REDUCTION, integers,
+                  permutation, stream_key, uniforms)
 from .walks import (WALK_SCRATCH_BYTES, HybridGraph, Walk, _assemble, _digits, _pack, _replay,
                     reverse_index, reverse_indices, walk_count, walk_from_index, walk_space)
 
@@ -151,7 +152,7 @@ def identity_function(n: int) -> ToyFunction:
 
 def random_permutation(n: int, seed: int) -> ToyFunction:
     """A uniformly random permutation of the n-bit strings, under the seed's
-    STREAM_PERMUTATION key (``prob.permutation``)."""
+    STREAM_PERMUTATION key (``rng.permutation``)."""
     _check_table_bits(n, "input")
     return ToyFunction(n, n, permutation(stream_key(seed, STREAM_PERMUTATION), 1 << n), True)
 

@@ -16,15 +16,8 @@ way spectral-gap arguments require (see ``walkbound.walks``).
 
 Both evaluators are the one-row case of a block evaluator: ``product_bound_sweep``
 runs it over blocks of random product instances that share one grid, with every
-check of the per-instance path and bit-identical reports.
-
-Every random draw in the package comes from one keyed, counter-based generator
-(``words``): word c of key k is the splitmix64 finalizer of
-``(c + 1) * 0x9E3779B97F4A7C15 + mix(k)``.  A draw site's key is the user seed
-under that site's fixed stream id (``stream_key``), and each draw reads its own
-counter, so a draw does not depend on how many draws came before it or on how
-they were batched.  Uniform floats, 0/1 flags, bounded integers and
-permutations are derived from the words.
+check of the per-instance path and bit-identical reports.  Random instances
+draw from the keyed generator of ``walkbound.rng``.
 """
 
 from __future__ import annotations
@@ -41,127 +34,14 @@ from .errors import (
     ParameterError,
     StructuralError,
 )
+from .rng import RATIO_TOL, STREAM_INSTANCE, stream_keys, uniforms
 
 WEIGHT_TOL = 1e-12        # allowed drift of a weight vector's total mass from 1
 IDENTICAL_TOL = 1e-12     # marginal histograms closer than this count as identical
 HOLDS_SLACK = 1e-9        # bound - E[Z] >= -HOLDS_SLACK counts as the bound holding
-RATIO_TOL = 1e-9          # joint/product ratios up to 1 + RATIO_TOL count as bounded
 GRID_MAX_BYTES = 2 ** 30  # a product instance and its bound: coordinates, weights, Z, scratch
 SWEEP_SCRATCH_BYTES = 2 ** 21  # working memory of one block of a product-instance sweep
 MAX_WITNESSES = 16
-
-# stream ids: one per draw site, so no two sites read the same words for a seed
-STREAM_PERMUTATION = 1   # a random vertex or input permutation (verify-beta, amplify)
-STREAM_FAMILIES = 2      # sampled families of the independence checks
-STREAM_AGREE = 3         # verify-beta's route-agreement families
-STREAM_SWEEP = 4         # the instance seeds of a bound sweep
-STREAM_INSTANCE = 5      # a random product instance's marginals and Z values
-STREAM_SUBSEEDS = 6      # amplify's oracle, reduction and Monte Carlo seeds
-STREAM_ORACLE = 7        # an adversary oracle's per-query coin
-STREAM_REDUCTION = 8     # a reduction's per-query position and fillers
-STREAM_INPUTS = 9        # Monte Carlo inputs of measure_inversion
-# stream id 10 is retired: no draw site reads it
-
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MASK64 = (1 << 64) - 1
-
-
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, in place on a uint64 array (which it returns);
-    a bijection of 64-bit words with mix(0) = 0."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def words(key, counters) -> np.ndarray:
-    """Word c of key k for every counter: ``mix((c + 1) * 0x9E3779B97F4A7C15 +
-    mix(k))`` as uint64, modulo 2**64.  ``key`` is a 64-bit int or a uint64 array
-    that broadcasts against ``counters``.  At a fixed key distinct counters give
-    distinct words, since both maps are bijections."""
-    counters = np.asarray(counters, dtype=np.uint64)
-    mixed = _mix(np.array(key, dtype=np.uint64, ndmin=1))
-    z = np.empty(np.broadcast_shapes(counters.shape, mixed.shape), dtype=np.uint64)
-    np.add(counters, np.uint64(1), out=z)
-    z *= _GOLDEN
-    z += mixed
-    return _mix(z)
-
-
-def stream_keys(seeds: Sequence[int], stream: int) -> np.ndarray:
-    """(len(seeds),) uint64: the key of draw site ``stream`` under each seed.
-
-    A seed is read in 64-bit limbs, lowest first, and each limb l takes the key
-    k (the stream id before the first limb) to word k of key l.  So a seed below
-    2**64 has key ``words(seed, stream)``, and every nonnegative seed has one.
-    """
-    rest = [int(s) for s in seeds]
-    if any(s < 0 for s in rest):
-        raise ParameterError("seeds must be >= 0")
-    keys = np.full(len(rest), stream, dtype=np.uint64)
-    todo = np.arange(len(rest))
-    while todo.size:
-        limbs = np.array([rest[i] & _MASK64 for i in todo], dtype=np.uint64)
-        keys[todo] = words(limbs, keys[todo])
-        for i in todo:
-            rest[i] >>= 64
-        todo = todo[[rest[i] > 0 for i in todo]]
-    return keys
-
-
-def stream_key(seed: int, stream: int) -> int:
-    """The key of draw site ``stream`` under ``seed`` (see ``stream_keys``)."""
-    return int(stream_keys([seed], stream)[0])
-
-
-def uniforms(key, counters) -> np.ndarray:
-    """Floats in [0, 1), one per counter: the top 53 bits of its word."""
-    return (words(key, counters) >> np.uint64(11)) * 2.0 ** -53
-
-
-def coins(key: int, lo: int, hi: int) -> np.ndarray:
-    """Flips lo .. hi-1 of key's 0/1 stream as a bool array: flip f is bit f % 64
-    of word f // 64, so every bit of a word is used."""
-    first = lo // 64
-    w = words(key, np.arange(first, -(-hi // 64), dtype=np.uint64))
-    bits = np.unpackbits(w.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-    return bits[lo - 64 * first: hi - 64 * first].view(bool)
-
-
-def integers(key: int, counters, bound: int) -> np.ndarray:
-    """Exactly uniform int64 draws in [0, bound), one per counter, for
-    1 <= bound <= 2**63.
-
-    A draw is its word's low bits under the smallest mask 2**b - 1 that covers
-    bound - 1; at a power of two every draw is accepted.  A draw of bound or
-    more is rejected and read again at the same counter of key + 1, then of
-    key + 2, and so on, so it stays one counter's draw.
-    """
-    if not 1 <= bound <= 1 << 63:
-        raise ParameterError(f"bound must lie in 1..2**63, got {bound}")
-    key = int(key)
-    mask = np.uint64((1 << (bound - 1).bit_length()) - 1)
-    counters = np.asarray(counters, dtype=np.uint64)
-    out = (words(key, counters) & mask).astype(np.int64)
-    if bound & (bound - 1) == 0:
-        return out
-    redraw = np.flatnonzero(out >= bound)
-    shift = 0
-    while redraw.size:
-        shift += 1
-        out.flat[redraw] = words((key + shift) & _MASK64, counters.flat[redraw]) & mask
-        redraw = redraw[out.flat[redraw] >= bound]
-    return out
-
-
-def permutation(key: int, n: int) -> np.ndarray:
-    """A uniformly random permutation of range(n) as int64: the argsort of words
-    0 .. n-1 of ``key``.  The words are distinct, so the order is unique and
-    every sort algorithm, stable or not, returns the same permutation."""
-    return np.argsort(words(key, np.arange(n, dtype=np.uint64)))
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -568,38 +448,48 @@ class IndependenceReport:
         return {**asdict(self), "holds": self.holds}
 
 
-def _grid_size_text(shape: tuple) -> str:
-    """The number of points of a grid over ``shape``: in full below 10**100,
-    else the power of ten it reaches, which needs no huge integer."""
-    digits = math.fsum(map(math.log10, shape))
-    return str(math.prod(shape)) if digits < 100 else f"at least 10**{int(digits)}"
+def _grid_size_text(t: int, psi: int) -> str:
+    """The number of points of a grid of t coordinates of psi values each: in
+    full below 10**100, else the power of ten it reaches, which needs no huge
+    integer."""
+    digits = t * math.log10(psi)
+    return str(psi ** t) if digits < 100 else f"at least 10**{int(digits)}"
 
 
-def _grid(shape: tuple) -> np.ndarray:
-    """Read-only coordinate columns of the grid of index tuples over ``shape``,
-    in ``itertools.product`` order: row i holds coordinate i of every point.
+def grid_points(t: int, psi: int) -> int:
+    """psi**t, the points of the grid of t coordinates of psi values each, once
+    t >= 1, psi >= 1 and the grid fits GRID_MAX_BYTES at 8t + 40 bytes a point
+    (see ``_grid``).  The checks read t and psi alone: no sequence of length t
+    exists before them, and psi**t only once it can fit."""
+    if t < 1 or psi < 1:
+        raise ParameterError("need t >= 1 and psi >= 1")
+    # with psi >= 2 there are at least 2**t points, over the budget once 2**t is
+    if (psi > 1 and t >= GRID_MAX_BYTES.bit_length()) or psi ** t * (8 * t + 40) > GRID_MAX_BYTES:
+        raise BudgetError(
+            f"a product grid of {_grid_size_text(t, psi)} outcomes over {t} "
+            f"coordinates exceeds the {GRID_MAX_BYTES}-byte budget"
+        )
+    return psi ** t
+
+
+def _grid(t: int, psi: int) -> np.ndarray:
+    """Read-only coordinate columns of the grid of index tuples over t
+    coordinates of psi values each, in ``itertools.product`` order: row i
+    holds coordinate i of every point.
 
     An instance's objects share these rows as their index maps, so a grid
     point of an instance and its bound costs 8t + 40 bytes: t int64
     coordinates, its float64 weight, Z value and weight times Z, the int64 bin
     index of ``_binned_sums`` and the copy of the read-only weights that
-    ``np.bincount`` makes.  The whole
-    grid must fit GRID_MAX_BYTES, which is checked before anything is allocated
-    and, for a long shape, before its product exists.
+    ``np.bincount`` makes.  ``grid_points`` checks the whole grid against
+    GRID_MAX_BYTES before anything is allocated.
     """
-    size = 1
-    for k in shape:
-        size *= k
-        if size * (8 * len(shape) + 40) > GRID_MAX_BYTES:
-            raise BudgetError(
-                f"a product grid of {_grid_size_text(shape)} outcomes over {len(shape)} "
-                f"coordinates exceeds the {GRID_MAX_BYTES}-byte budget"
-            )
-    # coordinate i counts through its k values in runs of prod(shape[i+1:]);
+    size = grid_points(t, psi)
+    # coordinate i counts through its psi values in runs of psi**(t-1-i);
     # written through reshaped views, so any number of coordinates works
-    coords = np.empty((len(shape), size), dtype=np.int64)
-    for i, k in enumerate(shape):
-        coords[i].reshape(-1, k, math.prod(shape[i + 1:]))[...] = np.arange(k)[:, None]
+    coords = np.empty((t, size), dtype=np.int64)
+    for i in range(t):
+        coords[i].reshape(-1, psi, psi ** (t - 1 - i))[...] = np.arange(psi)[:, None]
     coords.setflags(write=False)
     return coords
 
@@ -620,15 +510,6 @@ def _grid_weights(margs: Sequence[np.ndarray]) -> np.ndarray:
     return weights
 
 
-def _product_space(margs: Sequence[np.ndarray]) -> tuple:
-    """The product of the marginals ``margs`` over the grid of their index
-    tuples, plus the grid's coordinate columns (see ``_grid``)."""
-    coords = _grid(tuple(len(m) for m in margs))
-    weights = _grid_weights([np.asarray(m)[None] for m in margs])[0]
-    weights.setflags(write=False)   # read-only, so the space keeps it uncopied
-    return FiniteSpace(weights), coords
-
-
 def cube_instance(p: float, t: int) -> tuple:
     """Two-point product grid with an indicator of the all-zeros corner.
 
@@ -640,20 +521,17 @@ def cube_instance(p: float, t: int) -> tuple:
         raise ParameterError(f"p must lie in (0, 1), got {p}")
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
+    coords = _grid(t, 2)
     q = p ** (1.0 / t)
-    space, coords = _product_space([np.array((q, 1.0 - q))] * t)
+    weights = _grid_weights([np.array((q, 1.0 - q))[None]] * t)[0]
+    weights.setflags(write=False)   # read-only, so the space keeps it uncopied
+    space = FiniteSpace(weights)
     z_values = np.zeros(space.size)
     z_values[0] = 1.0                   # grid point 0 is the all-zeros corner
     z_values.setflags(write=False)
     z = RandomVariable(space, z_values)
     objects = [RandomObject(space, (0, 1), c) for c in coords]
     return z, objects
-
-
-def _instance_grid(t: int, psi: int) -> np.ndarray:
-    if t < 1 or psi < 1:
-        raise ParameterError("need t >= 1 and psi >= 1")
-    return _grid((psi,) * t)
 
 
 def _draw_instances(seeds: Sequence[int], t: int, psi: int, identical: bool) -> tuple:
@@ -680,7 +558,7 @@ def random_product_instance(
     Coordinates are genuinely independent; with ``identical=True`` they share one
     marginal, otherwise each coordinate draws its own.  Returns ``(z, objects)``.
     """
-    coords = _instance_grid(t, psi)
+    coords = _grid(t, psi)
     weights, values = _draw_instances([seed], t, psi, identical)
     weights.setflags(write=False)   # read-only, so the space and Z keep their rows uncopied
     values.setflags(write=False)
@@ -706,7 +584,7 @@ def product_bound_sweep(
     seeds = [int(s) for s in seeds]
     if not seeds:
         return []
-    coords = _instance_grid(t, psi)
+    coords = _grid(t, psi)
     if not pooled:
         eps = [float(e) for e in eps]
     per = max(1, SWEEP_SCRATCH_BYTES // (40 * coords.shape[1]))

@@ -34,15 +34,15 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError, StructuralError
 from .expander import ColoredRotation, _push
-from .prob import (MAX_WITNESSES, RATIO_TOL, STREAM_FAMILIES, FiniteSpace, IndependenceReport,
-                   RandomObject, coins, mask_int, stream_key, subset_sums)
+from .prob import (MAX_WITNESSES, FiniteSpace, IndependenceReport, RandomObject, mask_int,
+                   subset_sums)
+from .rng import RATIO_TOL, ROUTE_AGREE_TOL, STREAM_FAMILIES, coins, stream_key
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
 # working memory of one batch of families of the count operator, and of one
 # range of start vertices of the enumeration route
 WALK_SCRATCH_BYTES = 2 ** 21
-ROUTE_AGREE_TOL = 1e-12   # largest gap between two routes to one number
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,7 +501,7 @@ def random_families(key: int, count: int, t: int, n: int, first: int = 0) -> np.
     """Families ``first`` .. ``first + count - 1`` of key's uniformly random
     families of t+1 sets of n points, as a (count, t+1, n) boolean array.
 
-    Family f is flips f * (t+1) * n onward of the 0/1 stream (``prob.coins``),
+    Family f is flips f * (t+1) * n onward of the 0/1 stream (``rng.coins``),
     position-major then point by point, so its sets do not depend on ``count``,
     ``first`` or the batching.  The flips are drawn ``_batch_size`` families at
     a time, so a batch's words stay within WALK_SCRATCH_BYTES.

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -89,7 +90,7 @@ class TestSpectral:
         assert "budget" in err.lower() or "error" in err.lower()
 
     def test_m10_is_within_the_budget(self, capsys, monkeypatch):
-        import walkbound.cli as cli
+        from walkbound import expander
 
         built = []
 
@@ -97,7 +98,7 @@ class TestSpectral:
             built.append(m)
             raise wb.StructuralError("stopped before the build")
 
-        monkeypatch.setattr(cli, "mgg_rotation", stop)
+        monkeypatch.setattr(expander, "mgg_rotation", stop)
         code, _, err = run_cli(capsys, ["spectral", "--m", "10", "--m-min", "10"])
         assert code == 2 and built == [10] and "stopped" in err
 
@@ -150,15 +151,15 @@ class TestSpectral:
     def test_alpha_drop_fails_the_monotone_check(self, capsys, monkeypatch):
         from dataclasses import replace
 
-        import walkbound.cli as cli
+        from walkbound import expander
 
-        honest = cli.torus_spectrum
+        honest = expander.torus_spectrum
 
         def dropped(rot, base=None):
             rep = honest(rot, base)
             return replace(rep, alpha=rep.alpha - 0.2) if rot.m == 3 else rep
 
-        monkeypatch.setattr(cli, "torus_spectrum", dropped)
+        monkeypatch.setattr(expander, "torus_spectrum", dropped)
         code, report, _ = run_cli(capsys, ["spectral", "--m", "3"])
         assert code == 1
         check = report["checks"][1]
@@ -179,56 +180,149 @@ class TestSpectral:
     def test_unconverged_spectrum_fails_its_consumers(self, capsys, monkeypatch, argv, name):
         from dataclasses import replace
 
-        import walkbound.cli as cli
+        from walkbound import expander
 
-        honest = cli.torus_spectrum
-        monkeypatch.setattr(cli, "torus_spectrum",
+        honest = expander.torus_spectrum
+        monkeypatch.setattr(expander, "torus_spectrum",
                             lambda rot: replace(honest(rot), converged=False))
         code, report, _ = run_cli(capsys, argv)
         assert code == 1
         assert [c["holds"] for c in report["checks"] if c["name"] == name] == [False]
 
 
+SPECTRAL_RUNS = "cli errors expander rng"
+BOUND_RUNS = "cli errors prob rng"
+VERIFY_BETA_RUNS = "cli errors expander prob rng walks"
+AMPLIFY_RUNS = "cli errors expander owf prob rng walks"
+
+
 class TestNoNumpyRandom:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, code, ran",
         [
-            ["spectral", "--m", "6"],
-            ["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--trials", "200", "--agree", "0"],
-            ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled", "--trials", "300",
-             "--agree", "20", "--seed", "1"],
-            ["bound", "--preset", "cube", "--t", "3"],
-            ["bound", "--preset", "random", "--t", "3", "--seed", "2"],
-            ["bound", "--preset", "sweep", "--count", "20", "--seed", "2"],
-            ["bound", "--instance-file", "{instance}"],
-            ["amplify", "--construction", "walk", "--m", "2", "--t", "3", "--seed", "1"],
-            ["amplify", "--construction", "direct", "--n", "4", "--t", "2", "--seed", "1"],
-            ["amplify", "--construction", "walk", "--m", "2", "--t", "3", "--mode", "mc",
-             "--trials", "200", "--seed", "1"],
-            ["amplify", "--construction", "direct", "--n", "4", "--t", "2", "--mode", "mc",
-             "--trials", "200", "--seed", "1"],
+            (["spectral", "--m", "6"], 0, SPECTRAL_RUNS),
+            (["verify-beta", "--m", "2", "--t", "2", "--seed", "1", "--trials", "200",
+              "--agree", "0"], 0, VERIFY_BETA_RUNS),
+            (["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled", "--trials", "300",
+              "--agree", "20", "--seed", "1"], 0, VERIFY_BETA_RUNS),
+            (["bound", "--preset", "cube", "--t", "3"], 0, BOUND_RUNS),
+            (["bound", "--preset", "random", "--t", "3", "--seed", "2"], 0, BOUND_RUNS),
+            (["bound", "--preset", "sweep", "--count", "20", "--seed", "2"], 0, BOUND_RUNS),
+            (["bound", "--instance-file", "{instance}"], 0, BOUND_RUNS),
+            (["amplify", "--construction", "walk", "--m", "2", "--t", "3", "--seed", "1"], 0,
+             AMPLIFY_RUNS),
+            (["amplify", "--construction", "direct", "--n", "4", "--t", "2", "--seed", "1"], 0,
+             AMPLIFY_RUNS),
+            (["amplify", "--construction", "walk", "--m", "2", "--t", "3", "--mode", "mc",
+              "--trials", "200", "--seed", "1"], 0, AMPLIFY_RUNS),
+            (["amplify", "--construction", "direct", "--n", "4", "--t", "2", "--mode", "mc",
+              "--trials", "200", "--seed", "1"], 0, AMPLIFY_RUNS),
+            (["--version"], 0, "cli errors"),
+            (["spectral"], 2, "cli errors"),
         ],
         ids=["spectral", "verify-beta-exhaustive", "verify-beta-sampled-agree", "bound-cube",
              "bound-random", "bound-sweep", "bound-instance-file", "amplify-walk-exact",
-             "amplify-direct-exact", "amplify-walk-mc", "amplify-direct-mc"],
+             "amplify-direct-exact", "amplify-walk-mc", "amplify-direct-mc", "version",
+             "usage-error"],
     )
-    def test_command_does_not_import_numpy_random(self, tmp_path, argv):
-        # every draw is a keyed hash (prob.words), so no command needs numpy's
-        # generators or the OpenSSL-backed secrets module they import
+    def test_command_does_not_import_numpy_random(self, tmp_path, argv, code, ran):
+        # every draw is a keyed hash (rng.words), so no command needs numpy's
+        # generators or the OpenSSL-backed secrets module they import; and a
+        # command runs only the walkbound modules it uses (a module that is
+        # registered but not yet run is a lazy placeholder, not a ModuleType)
         instance = tmp_path / "inst.json"
         instance.write_text(json.dumps({"weights": [0.5, 0.5], "objects": [[0, 1], [1, 0]],
                                         "z": [0.25, 0.75], "eps": 0.01, "variant": "percoord"}))
         argv = [arg.format(instance=instance) for arg in argv]
         script = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, sys, types\n"
             "from walkbound.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = main({argv!r})\n"
-            "print(code, 'numpy.random' in sys.modules, 'secrets' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "ran = sorted(name.split('.')[1] for name, module in sys.modules.items()\n"
+            "             if name.startswith('walkbound.') and type(module) is types.ModuleType)\n"
+            "print(code, 'numpy.random' in sys.modules, 'secrets' in sys.modules, *ran)\n"
         )
         run = run_python(script)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["0", "False", "False"]
+        assert run.stdout.split() == [str(code), "False", "False", *ran.split()]
+
+
+class TestLazyPackage:
+    ALL = [
+        "ALPHA_FAMILY_BOUND", "AdversaryOracle", "BlockwiseInverter", "BoundReport",
+        "BudgetError", "ColoredRotation", "ContractionReport", "EnvelopeReport",
+        "ExperimentConfig", "ExtensionReport", "FiniteSpace", "HybridGraph",
+        "IndependenceReport", "InversionReport", "Inverter", "MarginalMismatchError",
+        "ParameterError", "RandomObject", "RandomVariable", "RangedTable",
+        "ReducedDirectInverter", "ReducedWalkInverter", "RepeatedInverter", "SecurityEstimate",
+        "SpectralReport", "StructuralError", "ToyFunction", "Walk", "WalkChainInverter",
+        "WalkSpace", "WalkboundError", "adjacency_chunks", "adjacency_text",
+        "check_extension_identity", "check_independence", "check_projection_contraction",
+        "conditional_expectation", "conditioned_reverse_index", "cube_instance",
+        "direct_power", "envelope_check", "errors", "expander", "expectation",
+        "family_event_probs", "family_event_probs_matrix", "identity_function",
+        "image_distribution", "k4_rotation", "measure_inversion", "mgg_rotation", "owf",
+        "percoord_bound", "planted_profile", "pooled_bound", "prob", "product_bound_sweep",
+        "projection_objects", "random_families", "random_permutation",
+        "random_product_instance", "reduce_direct", "reduce_walk", "repeat_amplify",
+        "reverse_index", "reverse_indices", "second_eigenvalue_magnitude",
+        "single_set_event_probs", "subset_sums", "tail_probability", "torus_character_blocks",
+        "torus_cover_spectrum", "torus_spectrum", "validate_walk", "verify_walk_independence",
+        "vertex_function", "walk_count", "walk_from_index", "walk_index", "walk_permutation",
+        "walk_space", "walks",
+    ]
+
+    def test_names_load_on_first_use(self):
+        script = (
+            "import json, sys, types\n"
+            "def ran():\n"
+            "    return sorted(name for name, module in sys.modules.items()\n"
+            "                  if name.startswith('walkbound.') and type(module) is types.ModuleType)\n"
+            "import walkbound\n"
+            "out = {'import': ran(), 'all': walkbound.__all__}\n"
+            "out['space'] = walkbound.prob.FiniteSpace.__module__\n"
+            "out['after_prob'] = ran()\n"
+            "import walkbound.cli\n"
+            "out['registered'] = sorted(name for name in sys.modules\n"
+            "                           if name.startswith('walkbound.'))\n"
+            "out['after_cli'] = ran()\n"
+            "homes = {}\n"
+            "for name in walkbound.__all__:\n"
+            "    value = getattr(walkbound, name)\n"
+            "    if isinstance(value, types.ModuleType):\n"
+            "        home = value\n"
+            "    else:\n"
+            "        # classes and functions name their module; the one public\n"
+            "        # constant, a numpy float, is expander's\n"
+            "        home = sys.modules[value.__module__ if callable(value) else 'walkbound.expander']\n"
+            "        assert value is vars(home)[name], name\n"
+            "    homes[name] = home.__name__\n"
+            "out['homes'] = homes\n"
+            "out['modules_are_registered'] = all(\n"
+            "    getattr(walkbound, m) is sys.modules['walkbound.' + m]\n"
+            "    for m in ('errors', 'prob', 'expander', 'walks', 'owf'))\n"
+            "print(json.dumps(out))\n"
+        )
+        run = run_python(script)
+        assert run.returncode == 0, run.stderr
+        out = json.loads(run.stdout)
+        assert out["import"] == []
+        assert out["all"] == self.ALL
+        # walkbound.prob is an attribute from the start: no import statement runs it
+        assert out["space"] == "walkbound.prob"
+        assert out["after_prob"] == ["walkbound.errors", "walkbound.prob", "walkbound.rng"]
+        layers = {f"walkbound.{m}" for m in ("prob", "expander", "walks", "owf")}
+        assert layers <= set(out["registered"])
+        assert out["after_cli"] == ["walkbound.cli", "walkbound.errors", "walkbound.prob",
+                                    "walkbound.rng"]
+        assert out["modules_are_registered"]
+        assert set(out["homes"]) == set(self.ALL)
+        assert set(out["homes"].values()) == {
+            f"walkbound.{m}" for m in ("errors", "prob", "expander", "walks", "owf")}
 
 
 class TestVerifyBeta:
@@ -260,15 +354,16 @@ class TestVerifyBeta:
 
     def test_sanity_families_take_one_matrix_call(self, capsys, monkeypatch):
         # every walk, and none: one (2, t+1, N) batch through the family route
-        import walkbound.cli as cli
+        from walkbound import walks
 
         shapes = []
+        honest = walks.family_event_probs_matrix
 
         def spy(g, t, masks):
             shapes.append(masks.shape)
-            return wb.family_event_probs_matrix(g, t, masks)
+            return honest(g, t, masks)
 
-        monkeypatch.setattr(cli, "family_event_probs_matrix", spy)
+        monkeypatch.setattr(walks, "family_event_probs_matrix", spy)
         code, report, _ = run_cli(
             capsys,
             ["verify-beta", "--m", "2", "--t", "3", "--seed", "3", "--mode", "sampled",
@@ -306,7 +401,7 @@ class TestVerifyBeta:
         assert strip_wall_time(split) == strip_wall_time(whole)
 
     def test_verify_beta_leaves_the_reverse_packing_unbuilt(self, capsys, monkeypatch):
-        import walkbound.cli as cli
+        from walkbound import walks
 
         graphs = []
 
@@ -315,7 +410,7 @@ class TestVerifyBeta:
                 super().__post_init__()
                 graphs.append(self)
 
-        monkeypatch.setattr(cli, "HybridGraph", Recorded)
+        monkeypatch.setattr(walks, "HybridGraph", Recorded)
         code, _, _ = run_cli(capsys, ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled",
                                       "--trials", "200", "--agree", "20", "--seed", "1"])
         assert code == 0
@@ -323,7 +418,7 @@ class TestVerifyBeta:
         assert spaces and all("reverse" not in vars(space) for space in spaces)
 
     def test_amplify_leaves_the_walk_columns_unbuilt(self, capsys, monkeypatch):
-        import walkbound.cli as cli
+        from walkbound import walks
 
         graphs = []
 
@@ -332,7 +427,7 @@ class TestVerifyBeta:
                 super().__post_init__()
                 graphs.append(self)
 
-        monkeypatch.setattr(cli, "HybridGraph", Recorded)
+        monkeypatch.setattr(walks, "HybridGraph", Recorded)
         code, _, _ = run_cli(capsys, ["amplify", "--construction", "walk", "--m", "3", "--t", "3",
                                       "--seed", "1"])
         assert code == 0
@@ -349,7 +444,7 @@ class TestVerifyBeta:
 
     def test_exact_amplify_leaves_the_reverse_packing_unbuilt(self, capsys, monkeypatch):
         # the walk permutation's checks stream over the reverse packing's ranges
-        import walkbound.cli as cli
+        from walkbound import walks
 
         graphs = []
 
@@ -358,7 +453,7 @@ class TestVerifyBeta:
                 super().__post_init__()
                 graphs.append(self)
 
-        monkeypatch.setattr(cli, "HybridGraph", Recorded)
+        monkeypatch.setattr(walks, "HybridGraph", Recorded)
         code, _, _ = run_cli(capsys, ["amplify", "--construction", "walk", "--m", "3", "--t", "3",
                                       "--seed", "1"])
         assert code == 0
@@ -366,7 +461,7 @@ class TestVerifyBeta:
         assert spaces and all("reverse" not in vars(space) for space in spaces)
 
     def test_mc_amplify_builds_no_reverse_packing(self, capsys, monkeypatch):
-        import walkbound.cli as cli
+        from walkbound import walks
         from walkbound.walks import WalkSpace
 
         graphs, built = [], []
@@ -383,7 +478,7 @@ class TestVerifyBeta:
             built.append(space)
             return fold(space)
 
-        monkeypatch.setattr(cli, "HybridGraph", Recorded)
+        monkeypatch.setattr(walks, "HybridGraph", Recorded)
         monkeypatch.setattr(reverse, "func", counted)
         code, _, _ = run_cli(capsys, ["amplify", "--construction", "walk", "--m", "2", "--t", "3",
                                       "--mode", "mc", "--trials", "200", "--seed", "11"])
@@ -668,12 +763,12 @@ class TestAmplify:
         "argv", [["--n", "8", "--t", "3"], ["--n", "12", "--t", "2"]], ids=["n8-t3", "n12-t2"]
     )
     def test_reduced_profile_budget_is_checked_before_any_table(self, capsys, monkeypatch, argv):
-        import walkbound.cli as cli
+        from walkbound import owf
 
         def never(n, seed):
             raise AssertionError("random_permutation ran before the budget was checked")
 
-        monkeypatch.setattr(cli, "random_permutation", never)
+        monkeypatch.setattr(owf, "random_permutation", never)
         code, report, err = run_cli(
             capsys, ["amplify", "--construction", "direct", *argv, "--seed", "1"]
         )
@@ -702,12 +797,12 @@ class TestHarness:
 
     def test_spectral_has_no_tolerance_flag(self, capsys, monkeypatch):
         # a slack flag could loosen alpha-bound-m<m> until it cannot fail
-        import walkbound.cli as cli
+        from walkbound import expander
 
         def never(m):
             raise AssertionError(f"mgg_rotation({m}) ran before the arguments were checked")
 
-        monkeypatch.setattr(cli, "mgg_rotation", never)
+        monkeypatch.setattr(expander, "mgg_rotation", never)
         with pytest.raises(SystemExit) as exc:
             main(["spectral", "--help"])
         assert exc.value.code == 0 and "--tol" not in capsys.readouterr().out
@@ -740,12 +835,12 @@ class TestHarness:
         assert json.loads(path.read_text()) == report
 
     def test_out_of_memory_is_a_resource_error(self, capsys, monkeypatch):
-        import walkbound.cli as cli
+        from walkbound import expander
 
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "second_eigenvalue_magnitude", exhausted)
+        monkeypatch.setattr(expander, "second_eigenvalue_magnitude", exhausted)
         code, report, err = run_cli(capsys, ["spectral", "--m", "3"])
         assert code == 2 and report is None
         assert err.startswith("error:") and "memory" in err and err.count("\n") == 1
@@ -810,12 +905,12 @@ class TestHarness:
              "verify-walk-count-4800-steps", "verify-walk-count-10**7-steps"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
-        import walkbound.cli as cli
+        from walkbound import expander
 
         def never(m):
             raise AssertionError(f"mgg_rotation({m}) ran before the arguments were checked")
 
-        monkeypatch.setattr(cli, "mgg_rotation", never)
+        monkeypatch.setattr(expander, "mgg_rotation", never)
         code, report, err = run_cli(capsys, argv)
         assert code == 2 and report is None
         assert err.startswith("error:") and err.count("\n") == 1
@@ -838,6 +933,28 @@ class TestHarness:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and report is None
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--preset", "cube", "--t", "10000000"],
+            ["bound", "--preset", "sweep", "--t", "10000000", "--psi", "2", "--variant",
+             "percoord", "--seed", "1"],
+        ],
+        ids=["cube", "sweep-percoord"],
+    )
+    def test_giant_grids_are_refused_before_any_length_t_sequence(self, capsys, argv):
+        # the grid budget is decided from t and psi alone: no list of t
+        # marginals, coordinates or epsilons is built first
+        tracemalloc.start()
+        try:
+            code, report, err = run_cli(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and report is None
+        assert err.startswith("error: a product grid of at least 10**3010299 outcomes")
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize(
         "argv, classes",

@@ -251,11 +251,11 @@ class TestAdversaryOracle:
     def test_coin_of_query_q_is_counter_q_of_the_oracle_key(self, monkeypatch):
         # the coins of a block of queries are drawn at once; the block size
         # changes nothing
-        from walkbound import owf, prob
+        from walkbound import owf, rng
 
         f = wb.random_permutation(4, 0)
-        key = prob.stream_key(9, prob.STREAM_ORACLE)
-        expect = (prob.uniforms(key, np.arange(50)) < 0.5).tolist()
+        key = rng.stream_key(9, rng.STREAM_ORACLE)
+        expect = (rng.uniforms(key, np.arange(50)) < 0.5).tolist()
         for block in (owf.QUERY_BLOCK, 7):
             monkeypatch.setattr(owf, "QUERY_BLOCK", block)
             oracle = wb.AdversaryOracle(f, np.full(16, 0.5), seed=9)

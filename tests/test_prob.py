@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkbound as wb
-from walkbound import prob
+from walkbound import prob, rng
 from walkbound.errors import (
     BudgetError,
     MarginalMismatchError,
@@ -513,10 +513,10 @@ class TestIndependence:
         pts = np.arange(8) % k
         u = wb.RandomObject(wb.FiniteSpace.uniform(8), tuple(range(k)), pts)
         rep = wb.check_independence([u] * t, beta=1.0, mode="sampled", trials=200, seed=6)
-        key = prob.stream_key(6, prob.STREAM_FAMILIES)
+        key = rng.stream_key(6, rng.STREAM_FAMILIES)
         expect = []
         for f in range(200):
-            sets = prob.coins(key, f * t * k, (f + 1) * t * k).reshape(t, k)
+            sets = rng.coins(key, f * t * k, (f + 1) * t * k).reshape(t, k)
             joint = sum(0.125 for p in pts if all(s[p] for s in sets))
             prod = math.prod(sum(0.125 for p in pts if s[p]) for s in sets)
             if prod > 0 and joint / prod > 1.0 + 1e-9:
@@ -534,16 +534,16 @@ def reference_sweep(t, psi, seeds, eps, beta, pooled):
     for seed in seeds:
         # an instance's keyed stream: psi marginal weights per drawn marginal,
         # then one Z value per grid point
-        key = prob.stream_key(seed, prob.STREAM_INSTANCE)
+        key = rng.stream_key(seed, rng.STREAM_INSTANCE)
         n_marg = 1 if pooled else t
-        draws = [0.1 + 0.9 * prob.uniforms(key, np.arange(i * psi, (i + 1) * psi))
+        draws = [0.1 + 0.9 * rng.uniforms(key, np.arange(i * psi, (i + 1) * psi))
                  for i in range(n_marg)]
         margs = [m / m.sum() for m in draws] * (t if pooled else 1)
         w = np.ones(len(grid))
         for m, c in zip(margs, cols):
             w = w * m[c]
         space = wb.FiniteSpace(w / np.sum(w))
-        z = wb.RandomVariable(space, prob.uniforms(key, np.arange(n_marg * psi,
+        z = wb.RandomVariable(space, rng.uniforms(key, np.arange(n_marg * psi,
                                                                   n_marg * psi + len(grid))))
         conds = [wb.conditional_expectation(z, wb.RandomObject(space, range(psi), c)) for c in cols]
         if pooled:
@@ -717,40 +717,40 @@ def reference_key(seed, stream):
 class TestKeyedStream:
     def test_key_zero_is_plain_splitmix64(self):
         # the published splitmix64 outputs of state 0
-        assert prob.words(0, np.arange(3)).tolist() == [
+        assert rng.words(0, np.arange(3)).tolist() == [
             0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
     @pytest.mark.parametrize("seed, stream", [
-        (0, prob.STREAM_PERMUTATION), (1, prob.STREAM_FAMILIES), (5, prob.STREAM_ORACLE),
-        (2 ** 63 + 3, prob.STREAM_SWEEP), (2 ** 64 + 5, prob.STREAM_INPUTS),
+        (0, rng.STREAM_PERMUTATION), (1, rng.STREAM_FAMILIES), (5, rng.STREAM_ORACLE),
+        (2 ** 63 + 3, rng.STREAM_SWEEP), (2 ** 64 + 5, rng.STREAM_INPUTS),
         (7 << 130, 10),
     ])
     def test_first_words_match_a_pure_python_reference(self, seed, stream):
-        key = prob.stream_key(seed, stream)
+        key = rng.stream_key(seed, stream)
         assert key == reference_key(seed, stream)
-        assert prob.words(key, np.arange(8)).tolist() == [
+        assert rng.words(key, np.arange(8)).tolist() == [
             splitmix64_word(key, c) for c in range(8)]
 
     def test_keys_of_a_block_match_the_one_seed_keys(self):
         seeds = [0, 9, 2 ** 64 - 1, 2 ** 64, 3 << 70]
-        assert prob.stream_keys(seeds, prob.STREAM_INSTANCE).tolist() == [
-            prob.stream_key(s, prob.STREAM_INSTANCE) for s in seeds]
+        assert rng.stream_keys(seeds, rng.STREAM_INSTANCE).tolist() == [
+            rng.stream_key(s, rng.STREAM_INSTANCE) for s in seeds]
         with pytest.raises(ParameterError):
-            prob.stream_key(-1, prob.STREAM_INSTANCE)
+            rng.stream_key(-1, rng.STREAM_INSTANCE)
 
     def test_uniforms_and_coins_read_the_words(self):
-        key = prob.stream_key(4, prob.STREAM_FAMILIES)
-        assert prob.uniforms(key, np.arange(5)).tolist() == [
+        key = rng.stream_key(4, rng.STREAM_FAMILIES)
+        assert rng.uniforms(key, np.arange(5)).tolist() == [
             (splitmix64_word(key, c) >> 11) * 2.0 ** -53 for c in range(5)]
         # flips 50 .. 199 straddle three words, from the middle of the first
-        assert prob.coins(key, 50, 200).tolist() == [
+        assert rng.coins(key, 50, 200).tolist() == [
             bool(splitmix64_word(key, f // 64) >> (f % 64) & 1) for f in range(50, 200)]
 
     @pytest.mark.parametrize("bound", [3, 5, 8, 1])
     def test_bounded_draws_match_a_rejection_reference(self, bound):
         # t - 1 = 3 at t = 4: a draw of 3 under the mask 3 is redrawn at the
         # same counter of the next key, as often as it takes
-        key = prob.stream_key(11, prob.STREAM_REDUCTION)
+        key = rng.stream_key(11, rng.STREAM_REDUCTION)
         mask = (1 << (bound - 1).bit_length()) - 1
         expect, redrawn = [], 0
         for c in range(2000):
@@ -759,14 +759,14 @@ class TestKeyedStream:
                 shift += 1
             expect.append(w)
             redrawn += shift > 0
-        got = prob.integers(key, np.arange(2000), bound)
+        got = rng.integers(key, np.arange(2000), bound)
         assert got.dtype == np.int64 and got.tolist() == expect
         assert (redrawn > 0) == (bound & (bound - 1) != 0)
         with pytest.raises(ParameterError):
-            prob.integers(key, np.arange(3), 0)
+            rng.integers(key, np.arange(3), 0)
 
     def test_permutation_orders_the_words(self):
-        key = prob.stream_key(2, prob.STREAM_PERMUTATION)
-        perm = prob.permutation(key, 300)
+        key = rng.stream_key(2, rng.STREAM_PERMUTATION)
+        perm = rng.permutation(key, 300)
         ws = [splitmix64_word(key, c) for c in range(300)]
         assert perm.tolist() == sorted(range(300), key=ws.__getitem__)

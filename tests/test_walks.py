@@ -581,10 +581,10 @@ class TestWalkIndependence:
     def test_family_draws_do_not_depend_on_the_batching(self, monkeypatch):
         # family f is flips 48f .. 48f + 47 of the key's 0/1 stream, whichever
         # call and batch draws it
-        from walkbound import prob, walks
+        from walkbound import rng, walks
 
-        key = prob.stream_key(3, prob.STREAM_AGREE)
-        whole = prob.coins(key, 0, 9 * 3 * 16).reshape(9, 3, 16)
+        key = rng.stream_key(3, rng.STREAM_AGREE)
+        whole = rng.coins(key, 0, 9 * 3 * 16).reshape(9, 3, 16)
         assert np.array_equal(wb.random_families(key, 9, 2, 16), whole)
         assert np.array_equal(wb.random_families(key, 4, 2, 16, first=5), whole[5:])
         monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
@@ -593,11 +593,11 @@ class TestWalkIndependence:
 
     def test_family_draws_fit_the_scratch_budget(self):
         # N = 4096: 100 families drawn at once would take 9.4 MiB of int64 draws
-        from walkbound import prob, walks
+        from walkbound import rng, walks
 
         tracemalloc.start()
         try:
-            masks = wb.random_families(prob.stream_key(1, prob.STREAM_AGREE), 100, 2, 4096)
+            masks = wb.random_families(rng.stream_key(1, rng.STREAM_AGREE), 100, 2, 4096)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
