@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -138,34 +139,26 @@ def cmd_spectral(args) -> dict:
 def cmd_verify_beta(args) -> dict:
     from .expander import mgg_rotation, torus_spectrum
     from .rng import ROUTE_AGREE_TOL, STREAM_AGREE, STREAM_PERMUTATION, permutation, stream_key
-    from .walks import (SUBSET_EXH_MAX_N, WALK_ENUM_MAX, HybridGraph, family_event_probs,
-                        family_event_probs_matrix, random_families, verify_walk_independence)
+    from .walks import (HybridGraph, family_event_probs, family_event_probs_matrix,
+                        random_families, subset_count, verify_walk_independence, walk_space_size,
+                        walk_total)
 
     t0 = time.perf_counter()
     if args.m < 1:
         raise ParameterError(f"--m must be >= 1, got {args.m}")
     if args.m > VERIFY_BETA_M_MAX:
         raise BudgetError(f"m={args.m} exceeds the verify-beta budget (m <= {VERIFY_BETA_M_MAX})")
-    if args.t < 0:
-        raise ParameterError(f"--t must be >= 0, got {args.t}")
     if args.trials < 0 or args.agree < 0:
         raise ParameterError("--trials and --agree must be >= 0")
     if args.mode == "sampled" and args.trials == 0:
         raise ParameterError("--mode sampled needs --trials >= 1")
-    if args.mode == "exhaustive" and 4 ** args.m > SUBSET_EXH_MAX_N:
-        raise BudgetError(
-            f"--mode exhaustive sweeps 2**{4 ** args.m} subsets at m={args.m}, over the "
-            f"2**{SUBSET_EXH_MAX_N} ceiling (use --mode sampled)"
-        )
-    bits = 2 * args.m + 3 * args.t      # 4**m vertices times 8**t label strings
-    if bits >= 63:
-        raise BudgetError(f"walk count 2**{bits} at m={args.m}, t={args.t} exceeds the 64-bit range")
-    walks = 1 << bits
-    if args.agree > 0 and walks > WALK_ENUM_MAX:
-        raise BudgetError(
-            f"--agree enumerates {walks} walks at m={args.m}, t={args.t}, over the "
-            f"{WALK_ENUM_MAX} ceiling (use --agree 0)"
-        )
+    # the library's ceilings in run order, on the torus's 4**m vertices of degree 8
+    n = 4 ** args.m
+    walk_total(n, 8, args.t)
+    if args.mode == "exhaustive":
+        subset_count(n)
+    if args.agree > 0:
+        walk_space_size(n, 8, args.t)
     rot = mgg_rotation(args.m)
     spectral = torus_spectrum(rot)
     # the same stream as amplify's random_permutation: one seed, one graph
@@ -308,9 +301,12 @@ def cmd_bound(args) -> dict:
         rep = bound(z, objects, _bound_eps(variant, eps, len(objects)), beta)
         results["bound"] = rep.to_dict()
         checks.append(_check("bound-holds", rep.holds, slack=rep.slack))
-        # below the conditional's single nonzero level the cube's bound is tight up to t*eps
-        if config["preset"] == "cube" and eps[0] < args.p ** (1.0 - 1.0 / args.t):
-            gap = abs(rep.bound_value - (rep.expectation + args.t * eps[0]))
+        # at beta = 1 with each object's eps below the conditionals' nonzero level,
+        # the cube's bound is E[Z] plus those t epsilons (fsum: t * eps to the bit)
+        epsilons = _bound_eps("percoord", eps, len(objects))
+        if (config["preset"] == "cube" and beta == 1.0
+                and max(epsilons) < args.p ** (1.0 - 1.0 / args.t)):
+            gap = abs(rep.bound_value - (rep.expectation + math.fsum(epsilons)))
             checks.append(_check("cube-tightness", gap <= ROUTE_AGREE_TOL, gap=gap))
     else:  # sweep
         if args.count < 0:
@@ -344,42 +340,38 @@ def _mc_tolerance(p: float, trials: int) -> float:
 
 def cmd_amplify(args) -> dict:
     from .expander import mgg_rotation, torus_spectrum
-    from .owf import (TABLE_MAX_BITS, AdversaryOracle, BlockwiseInverter, ExperimentConfig,
-                      WalkChainInverter, direct_power, image_distribution, measure_inversion,
+    from .owf import (AdversaryOracle, BlockwiseInverter, ExperimentConfig, WalkChainInverter,
+                      check_reduced_profile, direct_power, image_distribution, measure_inversion,
                       planted_profile, random_permutation, reduce_direct, reduce_walk,
-                      repeat_amplify, walk_permutation)
+                      repeat_amplify, table_size, walk_permutation)
     from .prob import HOLDS_SLACK
     from .rng import STREAM_SUBSEEDS, stream_key, words
-    from .walks import HybridGraph
+    from .walks import HybridGraph, walk_space_size
 
     t0 = time.perf_counter()
     checks = []
     if args.construction == "walk":
         if args.m is None:
             raise ParameterError("walk construction requires --m")
-        if args.m < 1:
-            raise ParameterError(f"--m must be >= 1, got {args.m}")
         n = 2 * args.m
         if args.n is not None and args.n != n:
             raise ParameterError(f"walk construction at m={args.m} fixes n={n}")
         if args.t < 2:
             raise ParameterError("walk construction needs t >= 2 for its reduction")
-        bits = n + 3 * args.t           # degree-8 torus: 3 label bits per step
-        if bits > TABLE_MAX_BITS:
-            raise BudgetError(f"walk permutation needs {bits} bits, over {TABLE_MAX_BITS}")
-        rot = mgg_rotation(args.m)
     else:
         if args.n is None:
             raise ParameterError("direct construction requires --n")
         n = args.n
-        # the reduction's exact profile: t tables of 2**(n*t) entries, n*t + ceil(log2 t) bits
-        bits = n * args.t + (args.t - 1).bit_length()
-        if bits > TABLE_MAX_BITS:
-            raise BudgetError(f"exact reduced profile needs {bits} bits, over {TABLE_MAX_BITS}")
     cfg = ExperimentConfig(
         n=n, t=args.t, k=args.k, delta=args.delta, eps=args.eps, seed=args.seed,
         mode=args.mode, trials=args.trials, m=args.m if args.construction == "walk" else None,
     )
+    # the library's ceilings, the base table's first so that 4**m is formed at small m
+    table_size(cfg.n, "input")
+    if cfg.m is None:
+        check_reduced_profile(cfg.n, cfg.t)
+    else:
+        walk_space_size(4 ** cfg.m, 8, cfg.t)   # the torus: 4**m vertices of degree 8
     base_seed, mc_seed, red_seed, mc_seed2 = words(
         stream_key(cfg.seed, STREAM_SUBSEEDS), np.arange(4)).tolist()
 
@@ -391,19 +383,17 @@ def cmd_amplify(args) -> dict:
     if args.construction == "direct":
         big = direct_power(func, cfg.t)
         amplified = BlockwiseInverter(base, cfg.t, power=big)
-        alpha, beta = 0.0, 1.0
+        alpha, beta, spectral_ok = 0.0, 1.0, True
         reduced = reduce_direct(amplified, func, cfg.t, red_seed)
-        amplified_bits = cfg.n * cfg.t
         spectral_row = None
-        spectral_ok = True
     else:
+        rot = mgg_rotation(cfg.m)
         spectral = torus_spectrum(rot)
         alpha, beta, spectral_ok = spectral.alpha, spectral.beta, spectral.converged
         g = HybridGraph(rot, func.table)
         big = walk_permutation(g, cfg.t)
         amplified = WalkChainInverter(base, g, cfg.t, permutation=big)
         reduced = reduce_walk(amplified, g, cfg.t, red_seed)
-        amplified_bits = big.n
         spectral_row = spectral.to_dict()
 
     bound = (alpha + beta * tail) ** cfg.t + cfg.t * cfg.eps
@@ -426,7 +416,7 @@ def cmd_amplify(args) -> dict:
     results = {
         "construction": args.construction,
         "base_bits": cfg.n,
-        "amplified_bits": amplified_bits,
+        "amplified_bits": big.n,
         "alpha": alpha,
         "beta": beta,
         "tail": tail,

@@ -25,12 +25,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import prob
 from .errors import BudgetError, ParameterError, StructuralError
-from .prob import _frozen_array
 from .rng import (STREAM_INPUTS, STREAM_ORACLE, STREAM_PERMUTATION, STREAM_REDUCTION, integers,
                   permutation, stream_key, uniforms)
-from .walks import (WALK_SCRATCH_BYTES, HybridGraph, Walk, _assemble, _digits, _pack, _replay,
-                    reverse_index, reverse_indices, walk_count, walk_from_index, walk_space)
+from .walks import (HybridGraph, Walk, _assemble, _digits, _pack, _replay, reverse_index,
+                    reverse_indices, walk_count, walk_from_index, walk_space)
 
 TABLE_MAX_BITS = 24        # exhaustive tables and profiles stop at 2**24 entries
 QUERY_BLOCK = 4096         # queries whose draws an oracle makes at once
@@ -43,10 +43,16 @@ def _exact_log2(x: int) -> int:
     return b
 
 
-def _check_table_bits(bits: int, what: str) -> None:
-    """BudgetError unless a 2**bits-entry table fits, before anything allocates it."""
+def table_size(bits: int, what: str) -> int:
+    """2**bits, once 1 <= bits <= TABLE_MAX_BITS: nothing allocates a larger table."""
     if bits < 1 or bits > TABLE_MAX_BITS:
-        raise BudgetError(f"{what} length {bits} outside 1..{TABLE_MAX_BITS}")
+        raise BudgetError(f"{what} needs {bits} bits, outside 1..{TABLE_MAX_BITS}")
+    return 1 << bits
+
+
+def check_reduced_profile(out_bits: int, t: int) -> None:
+    """BudgetError unless the exact reduced profile's t tables of 2**(out_bits*t) entries fit."""
+    table_size(out_bits * t + (t - 1).bit_length(), "exact reduced profile")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +91,14 @@ class ToyFunction:
     is_permutation: bool
 
     def __post_init__(self):
-        _check_table_bits(self.n, "input")
-        _check_table_bits(self.out_bits, "output")
+        table_size(self.n, "input")
+        table_size(self.out_bits, "output")
         if self.is_permutation and self.out_bits != self.n:
             raise StructuralError("a permutation must be length-preserving")
         if isinstance(self.source, RangedTable):
             ranges = self.source.ranges()
         else:
-            t = _frozen_array(self.source, dtype=np.int64)
+            t = prob._frozen_array(self.source, dtype=np.int64)
             object.__setattr__(self, "source", t)
             ranges = [(0, t)]
         seen = np.zeros(1 << self.out_bits, dtype=bool) if self.is_permutation else None
@@ -146,15 +152,14 @@ class ToyFunction:
 
 
 def identity_function(n: int) -> ToyFunction:
-    _check_table_bits(n, "input")
-    return ToyFunction(n, n, np.arange(1 << n, dtype=np.int64), True)
+    return ToyFunction(n, n, np.arange(table_size(n, "input"), dtype=np.int64), True)
 
 
 def random_permutation(n: int, seed: int) -> ToyFunction:
     """A uniformly random permutation of the n-bit strings, under the seed's
     STREAM_PERMUTATION key (``rng.permutation``)."""
-    _check_table_bits(n, "input")
-    return ToyFunction(n, n, permutation(stream_key(seed, STREAM_PERMUTATION), 1 << n), True)
+    size = table_size(n, "input")
+    return ToyFunction(n, n, permutation(stream_key(seed, STREAM_PERMUTATION), size), True)
 
 
 def vertex_function(g: HybridGraph) -> ToyFunction:
@@ -269,7 +274,7 @@ class AdversaryOracle(Inverter):
 
     def __init__(self, func: ToyFunction, profile: np.ndarray, seed: int, cost: float = 1.0):
         super().__init__(func, cost)
-        profile = _frozen_array(profile)   # a writable profile is copied
+        profile = prob._frozen_array(profile)   # a writable profile is copied
         if profile.shape != (1 << func.out_bits,):
             raise StructuralError("profile must assign one probability per output point")
         if np.any(profile < 0.0) or np.any(profile > 1.0):
@@ -326,7 +331,7 @@ def direct_power(func: ToyFunction, t: int) -> ToyFunction:
     One point evaluator serves every read: an input splits into its t blocks
     of n bits, each is looked up in the base table, and the outputs are
     recombined.  The ranges are that evaluator on consecutive inputs, as many
-    per range as fit WALK_SCRATCH_BYTES at 32 bytes per input (the inputs,
+    per range as fit SCRATCH_BYTES at 32 bytes per input (the inputs,
     the outputs, one block and its lookup, all int64).  The checks stream over
     those ranges, and the whole table is put together from them on its first
     read; no power of fewer blocks is ever tabulated.
@@ -334,9 +339,7 @@ def direct_power(func: ToyFunction, t: int) -> ToyFunction:
     if t < 1:
         raise ParameterError(f"t must be >= 1, got {t}")
     n, bits = func.n, func.out_bits
-    if n * t > TABLE_MAX_BITS:
-        raise BudgetError(f"power table needs {n * t} input bits, over {TABLE_MAX_BITS}")
-    base, size = func.table, 1 << (n * t)
+    size, base = table_size(n * t, "power table"), func.table
 
     def fill(xs, out, block, looked):
         for j in range(t):
@@ -352,7 +355,7 @@ def direct_power(func: ToyFunction, t: int) -> ToyFunction:
     def evaluate(xs):
         return fill(xs, *(np.empty_like(xs) for _ in range(3)))
 
-    step = min(size, WALK_SCRATCH_BYTES // 32)
+    step = min(size, prob.SCRATCH_BYTES // 32)
 
     def ranges(out=None):
         # one set of scratch arrays for every range, the inputs advanced in place
@@ -400,9 +403,7 @@ def walk_permutation(g: HybridGraph, t: int) -> ToyFunction:
     walk space's shared ``reverse``.
     """
     bits = _exact_log2(walk_count(g, t))
-    if bits > TABLE_MAX_BITS:
-        raise BudgetError(f"walk permutation needs {bits} bits, over {TABLE_MAX_BITS}")
-    space = walk_space(g, t)
+    space = walk_space(g, t)   # refused past WALK_ENUM_MAX = 2**TABLE_MAX_BITS walks
     return ToyFunction(bits, bits, RangedTable(space.reverse_ranges, lambda: space.reverse,
                                                lambda xs: reverse_indices(g, t, xs)), True)
 
@@ -436,8 +437,7 @@ class BlockwiseInverter(Inverter):
         return out
 
     def _exact_profile(self) -> np.ndarray:
-        if self.base.func.out_bits * self.t > TABLE_MAX_BITS:
-            raise BudgetError("blockwise profile too large to materialize")
+        table_size(self.base.func.out_bits * self.t, "blockwise profile")
         prof = self.base.success_profile()
         out = prof
         for _ in range(self.t - 1):
@@ -528,8 +528,7 @@ class ReducedDirectInverter(Inverter):
         profile contracted against the image distribution in the other blocks."""
         t = self.t
         k = 1 << self.func.out_bits
-        if t * (k ** t) > 1 << TABLE_MAX_BITS:
-            raise BudgetError("exact reduced profile too large")
+        check_reduced_profile(self.func.out_bits, t)
         inner = self.inner.success_profile().reshape((k,) * t)
         img = image_distribution(self.func)
         acc = np.zeros(k)
@@ -780,6 +779,8 @@ class ExperimentConfig:
     m: Optional[int] = None
 
     def __post_init__(self):
+        if self.m is not None and self.m < 1:
+            raise ParameterError(f"m must be >= 1, got {self.m}")
         if self.n < 1 or self.t < 1 or self.k < 1:
             raise ParameterError("n, t, k must be >= 1")
         if not (0.0 < self.delta < 1.0):
@@ -790,8 +791,6 @@ class ExperimentConfig:
             raise ParameterError(f"mode must be 'exact' or 'mc', got {self.mode!r}")
         if self.trials < 0 or self.seed < 0:
             raise ParameterError("trials and seed must be >= 0")
-        if self.m is not None and self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
 
     def to_dict(self) -> dict:
         return asdict(self)

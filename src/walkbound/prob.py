@@ -40,7 +40,7 @@ WEIGHT_TOL = 1e-12        # allowed drift of a weight vector's total mass from 1
 IDENTICAL_TOL = 1e-12     # marginal histograms closer than this count as identical
 HOLDS_SLACK = 1e-9        # bound - E[Z] >= -HOLDS_SLACK counts as the bound holding
 GRID_MAX_BYTES = 2 ** 30  # a product instance and its bound: coordinates, weights, Z, scratch
-SWEEP_SCRATCH_BYTES = 2 ** 21  # working memory of one block of a product-instance sweep
+SCRATCH_BYTES = 2 ** 21   # working memory of one block of a sweep, of walks or of a table
 MAX_WITNESSES = 16
 
 
@@ -499,12 +499,13 @@ def _grid_weights(margs: Sequence[np.ndarray]) -> np.ndarray:
     (rows, k_i), coordinate i's marginal per row.  Each weight is the product
     ``1 * m_0[c_0] * m_1[c_1] * ...`` taken left to right, and each row is then
     divided by its own ``np.sum``."""
-    shape = tuple(m.shape[1] for m in margs)
     rows = margs[0].shape[0]
-    weights = np.ones((rows, math.prod(shape)))
-    for i, m in enumerate(margs):
+    weights = np.ones((rows, math.prod(m.shape[1] for m in margs)))
+    run = weights.shape[1]
+    for m in margs:
         # the same runs as in _grid: a 4-d view broadcasts any number of coordinates
-        view = weights.reshape(rows, -1, shape[i], math.prod(shape[i + 1:]))
+        run //= m.shape[1]
+        view = weights.reshape(rows, -1, m.shape[1], run)
         view *= m[:, None, :, None]
     weights /= np.sum(weights, axis=1, keepdims=True)
     return weights
@@ -578,7 +579,7 @@ def product_bound_sweep(
     would raise, but without building the instances.
 
     All instances share one grid.  Seeds are drawn and evaluated in blocks of
-    about SWEEP_SCRATCH_BYTES: weights, values, their products and the bincount
+    about SCRATCH_BYTES: weights, values, their products and the bincount
     indices take some 40 bytes per instance and grid point.
     """
     seeds = [int(s) for s in seeds]
@@ -587,7 +588,7 @@ def product_bound_sweep(
     coords = _grid(t, psi)
     if not pooled:
         eps = [float(e) for e in eps]
-    per = max(1, SWEEP_SCRATCH_BYTES // (40 * coords.shape[1]))
+    per = max(1, SCRATCH_BYTES // (40 * coords.shape[1]))
     maps_fault = _map_fault(coords, psi)
     reports = []
     for lo in range(0, len(seeds), per):

@@ -32,17 +32,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import prob
 from .errors import BudgetError, ParameterError, StructuralError
 from .expander import ColoredRotation, _push
-from .prob import (MAX_WITNESSES, FiniteSpace, IndependenceReport, RandomObject, mask_int,
-                   subset_sums)
+from .prob import FiniteSpace, IndependenceReport, RandomObject, subset_sums
 from .rng import RATIO_TOL, ROUTE_AGREE_TOL, STREAM_FAMILIES, coins, stream_key
 
 WALK_ENUM_MAX = 2 ** 24     # full walk enumerations stop at this many walks
 SUBSET_EXH_MAX_N = 20       # exhaustive single-set sweeps stop at 2**N subsets
-# working memory of one batch of families of the count operator, and of one
-# range of start vertices of the enumeration route
-WALK_SCRATCH_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +118,35 @@ def validate_walk(g: HybridGraph, w: Walk) -> None:
         raise StructuralError("vertex sequence does not match the labels")
 
 
-def walk_count(g: HybridGraph, t: int) -> int:
-    """Number of t-step walks, ``N * d**t``; errors past the 64-bit range."""
+def walk_total(n: int, d: int, t: int) -> int:
+    """``n * d**t``, the t-step walks on n vertices of degree d, below 2**63."""
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t}")
     # d**63 is past the range for any d >= 2, so a long walk never builds d**t
-    total = g.n_vertices * g.d ** min(t, 63)
+    total = n * d ** min(t, 63)
     if total >= 1 << 63:
-        raise BudgetError(f"walk count {g.n_vertices} * {g.d}**{t} exceeds the 64-bit range")
+        raise BudgetError(f"walk count {n} * {d}**{t} exceeds the 64-bit range")
     return total
+
+
+def walk_count(g: HybridGraph, t: int) -> int:
+    """Number of t-step walks of ``g``, ``N * d**t`` (``walk_total``)."""
+    return walk_total(g.n_vertices, g.d, t)
+
+
+def walk_space_size(n: int, d: int, t: int) -> int:
+    """``walk_total(n, d, t)``, once a walk space that size is within WALK_ENUM_MAX."""
+    total = walk_total(n, d, t)
+    if total > WALK_ENUM_MAX:
+        raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
+    return total
+
+
+def subset_count(k: int) -> int:
+    """2**k, the subsets of k points, once k <= SUBSET_EXH_MAX_N."""
+    if k > SUBSET_EXH_MAX_N:
+        raise BudgetError(f"2**{k} subsets of {k} points exceed the 2**{SUBSET_EXH_MAX_N} ceiling")
+    return 1 << k
 
 
 def _pack(g: HybridGraph, head: int, labels: Sequence[int]) -> int:
@@ -293,7 +310,7 @@ class WalkSpace:
         Column s < t copies each head along its run of d**(t-s) walks.  Column
         t is ``successors[heads[t-1]]``, taken straight into place in ranges of
         heads, so the intp copy that ``np.take`` makes of its indices stays
-        within WALK_SCRATCH_BYTES / 8 and nothing else has a column's length.
+        within SCRATCH_BYTES / 8 and nothing else has a column's length.
         """
         n, d = self.successors.shape
         t = len(self.heads)
@@ -304,7 +321,7 @@ class WalkSpace:
         if t:
             last, ends = columns[t].reshape(-1, d), self.heads[t - 1]
             # take(mode="clip") writes into ``out`` without a buffer; vertices never clip
-            step = max(1, WALK_SCRATCH_BYTES // 64)
+            step = max(1, prob.SCRATCH_BYTES // 64)
             for lo in range(0, ends.size, step):
                 np.take(self.successors, ends[lo: lo + step], axis=0, out=last[lo: lo + step],
                         mode="clip")
@@ -326,7 +343,7 @@ class WalkSpace:
         An add fold down the walk-index tree (``_descend``): step s < t adds
         ``back_labels[u, j] * d**(s-1)`` per child j of a prefix ending at u,
         and the last step adds ``successors * d**t + back_labels * d**(t-1)``.
-        A range's whole working set fits WALK_SCRATCH_BYTES at 8 + 16/(d-1)
+        A range's whole working set fits SCRATCH_BYTES at 8 + 16/(d-1)
         bytes per walk, rounded up (11 at d = 8): the int64 chunk, and the
         fold's partial sums and the intp copies ``np.take`` makes of the heads,
         at most 8/(d-1) each (8 at d = 1).
@@ -345,10 +362,10 @@ class WalkSpace:
 
     def _start_ranges(self, walk_bytes: int):
         """Ranges ``lo <= v < hi`` of start vertices whose walks take at most
-        WALK_SCRATCH_BYTES at ``walk_bytes`` each (at least one vertex), each
+        SCRATCH_BYTES at ``walk_bytes`` each (at least one vertex), each
         with its subtree's slices of the heads: ``(lo, hi, parents)``."""
         n, d = self.successors.shape
-        step = max(1, WALK_SCRATCH_BYTES // (walk_bytes * d ** len(self.heads)))
+        step = max(1, prob.SCRATCH_BYTES // (walk_bytes * d ** len(self.heads)))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             yield lo, hi, [h[lo * d ** s: hi * d ** s] for s, h in enumerate(self.heads)]
@@ -382,12 +399,12 @@ class WalkSpace:
         Summing weights over runs gives each level's subtree sums, from level
         t-1 (position 1) up to level 1 (position t-1), and bincounts over
         ranges of each level add them per vertex, so the intp copy that
-        ``np.bincount`` makes of its indices stays within WALK_SCRATCH_BYTES / 8.
+        ``np.bincount`` makes of its indices stays within SCRATCH_BYTES / 8.
         """
         sums = np.asarray(weights, dtype=float)
         n = self.successors.shape[0]
         out = np.zeros(n)
-        step = max(1, WALK_SCRATCH_BYTES // 64)
+        step = max(1, prob.SCRATCH_BYTES // 64)
         for level in self.levels[:0:-1]:
             if sums.size != level.size:
                 sums = sums.reshape(level.size, -1).sum(axis=1)
@@ -407,9 +424,7 @@ def walk_space(g: HybridGraph, t: int) -> WalkSpace:
     read, and the reverse packing's ranges are folded on each request.
     """
     if t not in g._spaces:
-        total = walk_count(g, t)
-        if total > WALK_ENUM_MAX:
-            raise BudgetError(f"enumerating {total} walks exceeds the ceiling of {WALK_ENUM_MAX}")
+        total = walk_space_size(g.n_vertices, g.d, t)
         n = g.n_vertices
         dtype = np.min_scalar_type(n - 1)
         succ = g.perm[g.rot.neighbors].astype(dtype, order="C")
@@ -493,8 +508,8 @@ def _batch_size(n: int, t: int) -> int:
     """Families per batch: the (B, t+1, N) flags at 4 bytes each (the bool mask,
     its transposed copy and the unpacked draw one byte each, the drawn words
     under one), plus three (N, B) count arrays of at most int64, fit in
-    WALK_SCRATCH_BYTES (at least one family)."""
-    return max(1, WALK_SCRATCH_BYTES // (n * (4 * (t + 1) + 24)))
+    SCRATCH_BYTES (at least one family)."""
+    return max(1, prob.SCRATCH_BYTES // (n * (4 * (t + 1) + 24)))
 
 
 def random_families(key: int, count: int, t: int, n: int, first: int = 0) -> np.ndarray:
@@ -504,7 +519,7 @@ def random_families(key: int, count: int, t: int, n: int, first: int = 0) -> np.
     Family f is flips f * (t+1) * n onward of the 0/1 stream (``rng.coins``),
     position-major then point by point, so its sets do not depend on ``count``,
     ``first`` or the batching.  The flips are drawn ``_batch_size`` families at
-    a time, so a batch's words stay within WALK_SCRATCH_BYTES.
+    a time, so a batch's words stay within SCRATCH_BYTES.
     """
     masks = np.empty((count, t + 1, n), dtype=bool)
     size = (t + 1) * n
@@ -555,11 +570,7 @@ def _check_families(marginals: np.ndarray, per: int, event_probs, beta: float, m
     if mode == "sampled" and trials == 0:
         raise ParameterError("sampled mode needs trials >= 1")
     t, k = marginals.shape
-    if mode == "exhaustive" and k > SUBSET_EXH_MAX_N:
-        raise BudgetError(
-            f"exhaustive single-set sweep needs 2**{k} subsets, over the "
-            f"2**{SUBSET_EXH_MAX_N} ceiling"
-        )
+    n_single = subset_count(k) if mode == "exhaustive" else 0
     alpha = 1.0 - beta
     worst = 0.0
     witnesses: list = []
@@ -572,10 +583,9 @@ def _check_families(marginals: np.ndarray, per: int, event_probs, beta: float, m
         ratios = np.divide(probs, bound, out=np.zeros_like(probs), where=bound > 0)
         ratios[(bound == 0) & (probs > 0)] = np.inf
         worst = max(worst, float(np.max(ratios)))
-        for idx in np.nonzero(ratios > 1.0 + RATIO_TOL)[0][: MAX_WITNESSES - len(witnesses)]:
+        for idx in np.nonzero(ratios > 1.0 + RATIO_TOL)[0][: prob.MAX_WITNESSES - len(witnesses)]:
             witnesses.append((describe(int(idx)), float(ratios[idx])))
 
-    n_single = 1 << k if mode == "exhaustive" else 0
     bit_cols = np.arange(k, dtype=np.int64)
     step = _batch_size(k, t - 1)
     for lo in range(0, n_single, step):
@@ -589,7 +599,7 @@ def _check_families(marginals: np.ndarray, per: int, event_probs, beta: float, m
     while n_sampled < trials:
         masks = random_families(key, min(per, trials - n_sampled), t - 1, k, first=n_sampled)
         _note(masks, event_probs(masks, None),
-              lambda i, masks=masks: ("multi", tuple(map(mask_int, masks[i]))))
+              lambda i, masks=masks: ("multi", tuple(map(prob.mask_int, masks[i]))))
         n_sampled += masks.shape[0]
 
     return IndependenceReport(
@@ -641,7 +651,7 @@ def check_independence(
     (bit v set iff some object maps the outcome to v), built once on the first
     read; sampled families sum the weights of the outcomes every object maps
     into its set.  A sampled batch holds the family flags and one float and two
-    boolean copies of the outcome axis, within WALK_SCRATCH_BYTES.
+    boolean copies of the outcome axis, within SCRATCH_BYTES.
     """
     objects = list(objects)
     if len(objects) == 0:
@@ -672,7 +682,7 @@ def check_independence(
             member &= np.take(masks[:, i], maps[i], axis=1)
         return member @ w
 
-    per = max(1, WALK_SCRATCH_BYTES // (10 * (t * k + domain.size)))
+    per = max(1, prob.SCRATCH_BYTES // (10 * (t * k + domain.size)))
     marginals = np.stack([u.distribution() for u in objects])
     return _check_families(marginals, per, event_probs, beta, mode, trials, seed)
 
@@ -687,14 +697,13 @@ def single_set_event_probs(g: HybridGraph, t: int) -> np.ndarray:
     transform.
     """
     n = g.n_vertices
-    if n > SUBSET_EXH_MAX_N:
-        raise BudgetError(f"subset table needs 2**{n} entries, over the ceiling")
+    size = subset_count(n)
     space = walk_space(g, t)
     bits = [np.int64(1) << space.successors] * t
-    counts = np.zeros(1 << n, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
     for lo, hi, parents in space._start_ranges(8):
         sig = _descend(parents, np.int64(1) << np.arange(lo, hi), bits, np.bitwise_or)
-        counts += np.bincount(sig, minlength=1 << n)
+        counts += np.bincount(sig, minlength=size)
     return subset_sums(counts.astype(float), n) / space.n_walks
 
 
@@ -743,7 +752,7 @@ def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
     tree (``_descend``) over the tables ``words[s][successors]``.  Each bit's
     count over the walks comes from a carry-save adder tree (``_bit_counts``).
     Walks are taken in ranges of whole start vertices (d**t walks each), as many
-    per range as fit WALK_SCRATCH_BYTES at 12 bytes per walk (the leaf word and
+    per range as fit SCRATCH_BYTES at 12 bytes per walk (the leaf word and
     half a word of adder-tree buffer), so the scratch does not grow with the
     walk count; beside it a block holds its t tables of N * d words, and
     ``columns`` is never built.

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import walkbound as wb
 from walkbound.cli import main
+from walkbound.errors import BudgetError
 
 
 def run_cli(capsys, argv):
@@ -47,6 +49,11 @@ def run_python(script):
 def report_schema(name="run_report"):
     ref = resources.files("walkbound") / "schemas" / f"{name}.schema.json"
     return json.loads(ref.read_text())
+
+
+def torus_graph(m):
+    """The torus of parameter m with the vertex permutation of seed 1."""
+    return wb.HybridGraph(wb.mgg_rotation(m), np.random.default_rng(1).permutation(4 ** m))
 
 
 def strip_wall_time(report):
@@ -390,12 +397,12 @@ class TestVerifyBeta:
     def test_report_does_not_depend_on_the_scratch_budget(self, capsys, monkeypatch):
         # every family is drawn at its own counters, so one-family batches of
         # the sampled and the agreement families give the same report
-        from walkbound import walks
+        from walkbound import prob, walks
 
         argv = ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled", "--trials", "400",
                 "--agree", "30", "--seed", "5"]
         _, whole, _ = run_cli(capsys, argv)
-        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        monkeypatch.setattr(prob, "SCRATCH_BYTES", 1)
         assert walks._batch_size(16, 3) == 1
         _, split, _ = run_cli(capsys, argv)
         assert strip_wall_time(split) == strip_wall_time(whole)
@@ -513,6 +520,29 @@ class TestBound:
         assert code == 0
         assert [c["name"] for c in report["checks"]] == ["bound-holds"]
 
+    @pytest.mark.parametrize(
+        "argv, gap",
+        [
+            (["--beta", "0.5"], None),
+            (["--beta", "0.999"], None),
+            (["--variant", "percoord", "--eps", "0.1", "0.6"], None),
+            (["--variant", "percoord", "--eps", "0.3", "0.2"], 0.0),
+            (["--variant", "percoord", "--eps", "0.05"], 0.0),
+        ],
+        ids=["beta-half", "beta-below-one", "percoord-one-eps-past-the-level",
+             "percoord-distinct-eps", "percoord-one-eps-repeated"],
+    )
+    def test_cube_tightness_is_checked_where_the_bound_is_tight(self, capsys, argv, gap):
+        # the bound is E[Z] + sum(eps) only at beta = 1 with every eps below the
+        # conditionals' nonzero level p**(1 - 1/t) = 0.5
+        code, report, err = run_cli(
+            capsys, ["bound", "--preset", "cube", "--p", "0.25", "--t", "2", *argv]
+        )
+        assert code == 0, err
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["bound-holds"]["holds"]
+        assert checks.get("cube-tightness", {}).get("gap") == gap
+
     def test_random_preset_needs_seed(self, capsys):
         code, _, err = run_cli(capsys, ["bound", "--preset", "random"])
         assert code == 2 and "--seed" in err
@@ -542,7 +572,7 @@ class TestBound:
         argv = ["bound", "--preset", "sweep", "--count", "30", "--t", "3", "--psi", "4",
                 "--variant", variant, "--beta", "0.4", "--seed", "7"]
         _, whole, _ = run_cli(capsys, argv)
-        monkeypatch.setattr(prob, "SWEEP_SCRATCH_BYTES", 1)
+        monkeypatch.setattr(prob, "SCRATCH_BYTES", 1)
         _, split, _ = run_cli(capsys, argv)
         assert strip_wall_time(split) == strip_wall_time(whole)
         assert whole["all_hold"] and len({row["seed"] for row in whole["results"]["rows"]}) == 30
@@ -775,11 +805,17 @@ class TestAmplify:
         assert code == 2 and report is None
         assert err.startswith("error:") and "reduced profile" in err and err.count("\n") == 1
 
-    def test_reduced_profile_at_the_budget_runs(self, capsys):
-        # 2 x 2**22 entries: the largest direct run under the 2**24 budget at t = 2
-        code, report, _ = run_cli(
-            capsys, ["amplify", "--construction", "direct", "--n", "11", "--t", "2", "--seed", "1"]
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [["--construction", "direct", "--n", "11", "--t", "2"],
+         ["--construction", "walk", "--m", "3", "--t", "6"]],
+        ids=["direct-n11-t2", "walk-m3-t6"],
+    )
+    def test_largest_accepted_sizes_run(self, capsys, argv):
+        # direct: 2 x 2**22 entries, the largest reduced profile under the 2**24
+        # budget at t = 2; walk: 2**24 walks, at both the table and the
+        # enumeration ceiling
+        code, report, _ = run_cli(capsys, ["amplify", *argv, "--seed", "1"])
         assert code == 0 and report["all_hold"]
 
 
@@ -896,13 +932,18 @@ class TestHarness:
              "--agree", "0", "--seed", "1"],
             ["verify-beta", "--m", "1", "--t", "10000000", "--mode", "sampled", "--trials", "1",
              "--agree", "0", "--seed", "1"],
+            ["amplify", "--construction", "walk", "--m", "3", "--t", "7", "--seed", "1"],
+            ["amplify", "--construction", "walk", "--m", "100000", "--t", "2", "--seed", "1"],
+            ["verify-beta", "--m", "3", "--t", "2", "--seed", "1"],
         ],
         ids=["walk-table-over-budget", "verify-m-over-budget", "verify-exhaustive-over-budget",
              "verify-agree-over-enumeration-ceiling", "negative-trials", "negative-agree",
              "sampled-zero-trials", "spectral-m-min-zero",
              "verify-negative-t", "verify-walk-count-over-64-bits", "verify-m-zero",
              "amplify-walk-m-zero", "spectral-m-over-budget", "verify-sampled-m-over-budget",
-             "verify-walk-count-4800-steps", "verify-walk-count-10**7-steps"],
+             "verify-walk-count-4800-steps", "verify-walk-count-10**7-steps",
+             "walk-space-over-enumeration-ceiling", "walk-m-past-the-int-string-limit",
+             "verify-exhaustive-at-64-vertices"],
     )
     def test_rejected_before_the_graph_is_built(self, capsys, monkeypatch, argv):
         from walkbound import expander
@@ -914,6 +955,44 @@ class TestHarness:
         code, report, err = run_cli(capsys, argv)
         assert code == 2 and report is None
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (["verify-beta", "--m", "3", "--t", "2", "--seed", "1"],
+             lambda: wb.verify_walk_independence(torus_graph(3), 2, 0.5)),
+            (["verify-beta", "--m", "1", "--t", "4800", "--mode", "sampled", "--trials", "1",
+              "--agree", "0", "--seed", "1"],
+             lambda: wb.verify_walk_independence(torus_graph(1), 4800, 0.5, "sampled", 1)),
+            (["verify-beta", "--m", "3", "--t", "7", "--mode", "sampled", "--trials", "1",
+              "--agree", "1", "--seed", "1"],
+             lambda: wb.family_event_probs(torus_graph(3), 7, np.ones((1, 8, 64), dtype=bool))),
+            (["amplify", "--construction", "walk", "--m", "3", "--t", "7", "--seed", "1"],
+             lambda: wb.walk_permutation(torus_graph(3), 7)),
+            (["amplify", "--construction", "walk", "--m", "13", "--t", "2", "--seed", "1"],
+             lambda: wb.random_permutation(26, 1)),
+            (["amplify", "--construction", "direct", "--n", "8", "--t", "3", "--seed", "1"],
+             lambda: wb.ReducedDirectInverter(
+                 types.SimpleNamespace(func=types.SimpleNamespace(n=24, out_bits=24), cost=1.0),
+                 wb.random_permutation(8, 1), 3, 0).success_runs()),
+            (["amplify", "--construction", "direct", "--n", "25", "--t", "1", "--seed", "1"],
+             lambda: wb.random_permutation(25, 1)),
+            (["bound", "--preset", "cube", "--t", "70"], lambda: wb.cube_instance(0.25, 70)),
+            (["bound", "--preset", "sweep", "--t", "40", "--psi", "6", "--seed", "1"],
+             lambda: wb.product_bound_sweep(40, 6, [1], 0.01)),
+        ],
+        ids=["subset-ceiling", "walk-count-64-bits", "verify-enumeration-ceiling",
+             "walk-permutation-enumeration-ceiling", "walk-base-table", "direct-reduced-profile",
+             "direct-base-table", "cube-grid", "sweep-grid"],
+    )
+    def test_ceiling_refusal_prints_the_library_message(self, capsys, argv, library):
+        # the preflight calls the check that the allocating code calls, on the
+        # same sizes, so the two refusals read alike
+        with pytest.raises(BudgetError) as refused:
+            library()
+        code, report, err = run_cli(capsys, argv)
+        assert code == 2 and report is None
+        assert err == f"error: {refused.value}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -420,9 +420,9 @@ class TestDirectPower:
 
     def test_ranges_fit_the_scratch_budget_at_any_block_count(self):
         # ten 2-bit blocks, 2**20 inputs: the bijection mask takes 1 MiB and one
-        # range WALK_SCRATCH_BYTES; a table of the other nine blocks' power,
+        # range SCRATCH_BYTES; a table of the other nine blocks' power,
         # beside two ranges of it, took 7 MiB
-        from walkbound.walks import WALK_SCRATCH_BYTES
+        from walkbound.prob import SCRATCH_BYTES
 
         f = wb.identity_function(2)
         tracemalloc.start()
@@ -432,7 +432,7 @@ class TestDirectPower:
         finally:
             tracemalloc.stop()
         assert p.is_permutation and "table" not in vars(p)
-        assert peak < 2 ** 20 + WALK_SCRATCH_BYTES + 2 ** 18
+        assert peak < 2 ** 20 + SCRATCH_BYTES + 2 ** 18
 
     def test_mc_reads_no_power_table(self):
         f = wb.random_permutation(4, 3)

@@ -9,7 +9,7 @@ import pytest
 import walkbound as wb
 from walkbound.errors import BudgetError, ParameterError, StructuralError
 
-from walkbound import expander
+from walkbound import expander, prob
 
 from conftest import TREE_GRAPHS, dense_oracle, exact_family_counts, exact_family_prob, tree_graph
 
@@ -133,8 +133,6 @@ class TestEnumeration:
     def test_reverse_scratch_stays_within_the_budget(self):
         # m = 3, t = 5: 2**21 walks, a 16 MiB result; one (N * d**4)-entry
         # temporary beside it would take 2 MiB as int64
-        from walkbound import walks
-
         g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(26).permutation(64))
         space = wb.walk_space(g, 5)
         tracemalloc.start()
@@ -143,7 +141,7 @@ class TestEnumeration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < reverse.nbytes + walks.WALK_SCRATCH_BYTES
+        assert peak < reverse.nbytes + prob.SCRATCH_BYTES
         idx = np.random.default_rng(27).integers(0, reverse.size, size=40)
         for i in idx:
             assert reverse[i] == wb.reverse_index(g, wb.walk_from_index(g, 5, int(i)))
@@ -406,12 +404,10 @@ class TestEnumerationKernels:
         assert np.array_equal(probs, member.sum(axis=1) / space.n_walks)
 
     def test_one_start_vertex_per_range_gives_the_same_probabilities(self, monkeypatch):
-        from walkbound import walks
-
         g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(9).permutation(64))
         masks = random_masks(np.random.default_rng(23), 130, 2, 64)
         whole = wb.family_event_probs(g, 2, masks)
-        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        monkeypatch.setattr(prob, "SCRATCH_BYTES", 1)
         assert np.array_equal(wb.family_event_probs(g, 2, masks), whole)
         assert np.array_equal(whole, wb.family_event_probs_matrix(g, 2, masks))
 
@@ -419,8 +415,6 @@ class TestEnumerationKernels:
                              ids=["one-vertex", "three-vertices", "default"])
     def test_start_ranges_split_the_start_vertices_within_the_budget(self, monkeypatch, scratch):
         # m = 2, t = 3: 16 start vertices of 8**3 walks each, 4 KiB at 8 bytes a walk
-        from walkbound import walks
-
         def graph():
             return wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(3).permutation(16))
 
@@ -431,14 +425,14 @@ class TestEnumerationKernels:
         # the oracle columns are built under the default budget
         columns = space.columns
         if scratch is not None:
-            monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", scratch)
+            monkeypatch.setattr(prob, "SCRATCH_BYTES", scratch)
         ranges = list(space._start_ranges(8))
         assert ranges[0][0] == 0 and ranges[-1][1] == g.n_vertices
         assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
         expect = {1: 1, 3 * 8 * 8 ** 3: 3, None: g.n_vertices}[scratch]
         assert max(hi - lo for lo, hi, _ in ranges) == expect
         for lo, hi, parents in ranges:
-            assert hi - lo == 1 or (hi - lo) * per_start * 8 <= walks.WALK_SCRATCH_BYTES
+            assert hi - lo == 1 or (hi - lo) * per_start * 8 <= prob.SCRATCH_BYTES
             assert len(parents) == 3
             for s, head in enumerate(parents):
                 column = columns[s][lo * per_start: hi * per_start]
@@ -448,8 +442,6 @@ class TestEnumerationKernels:
     def test_enumeration_scratch_does_not_grow_with_the_walks(self):
         # W = 256 * 8**4 = 2**20 walks: one membership word per walk would be 8 MiB,
         # a second full-length temporary 16 MiB
-        from walkbound import walks
-
         g = wb.HybridGraph(wb.mgg_rotation(4), np.random.default_rng(24).permutation(256))
         wb.walk_space(g, 4)
         masks = random_masks(np.random.default_rng(25), 64, 4, 256)
@@ -459,7 +451,7 @@ class TestEnumerationKernels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * walks.WALK_SCRATCH_BYTES
+        assert peak < 4 * prob.SCRATCH_BYTES
         assert np.array_equal(p_enum, wb.family_event_probs_matrix(g, 4, masks))
 
 
@@ -559,7 +551,7 @@ class TestWalkIndependence:
         g = wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(8).permutation(16))
         kwargs = dict(mode=mode, trials=700, seed=9)
         whole = wb.verify_walk_independence(g, 2, 1.0, **kwargs).to_dict()
-        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", scratch)
+        monkeypatch.setattr(prob, "SCRATCH_BYTES", scratch)
         assert walks._batch_size(16, 2) < 700
         split = wb.verify_walk_independence(g, 2, 1.0, **kwargs).to_dict()
         assert split == whole
@@ -567,8 +559,6 @@ class TestWalkIndependence:
 
     def test_sampled_batches_fit_the_scratch_budget(self):
         # N = 4096: 100 families drawn at once would take 9.4 MiB of int64 draws
-        from walkbound import walks
-
         g = wb.HybridGraph(wb.mgg_rotation(6), np.random.default_rng(19).permutation(4096))
         tracemalloc.start()
         try:
@@ -576,24 +566,24 @@ class TestWalkIndependence:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * walks.WALK_SCRATCH_BYTES
+        assert peak < 2 * prob.SCRATCH_BYTES
 
     def test_family_draws_do_not_depend_on_the_batching(self, monkeypatch):
         # family f is flips 48f .. 48f + 47 of the key's 0/1 stream, whichever
         # call and batch draws it
-        from walkbound import rng, walks
+        from walkbound import rng
 
         key = rng.stream_key(3, rng.STREAM_AGREE)
         whole = rng.coins(key, 0, 9 * 3 * 16).reshape(9, 3, 16)
         assert np.array_equal(wb.random_families(key, 9, 2, 16), whole)
         assert np.array_equal(wb.random_families(key, 4, 2, 16, first=5), whole[5:])
-        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        monkeypatch.setattr(prob, "SCRATCH_BYTES", 1)
         assert np.array_equal(wb.random_families(key, 9, 2, 16), whole)
         assert np.array_equal(wb.random_families(key, 4, 2, 16, first=5), whole[5:])
 
     def test_family_draws_fit_the_scratch_budget(self):
         # N = 4096: 100 families drawn at once would take 9.4 MiB of int64 draws
-        from walkbound import rng, walks
+        from walkbound import rng
 
         tracemalloc.start()
         try:
@@ -601,7 +591,7 @@ class TestWalkIndependence:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < masks.nbytes + walks.WALK_SCRATCH_BYTES
+        assert peak < masks.nbytes + prob.SCRATCH_BYTES
 
     def test_report_serializes(self, g_random):
         rep = wb.verify_walk_independence(g_random, 2, 0.3, mode="sampled", trials=100, seed=4)
@@ -711,21 +701,17 @@ class TestReverseTree:
 
     @pytest.mark.parametrize("t", [0, 3])
     def test_one_start_vertex_per_range_gives_the_same_reverse(self, monkeypatch, t):
-        from walkbound import walks
-
         def graph():
             return wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(29).permutation(16))
 
         whole = wb.walk_space(graph(), t).reverse
-        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        monkeypatch.setattr(prob, "SCRATCH_BYTES", 1)
         space = wb.walk_space(graph(), t)
         assert len(list(space._start_ranges(8))) == 16
         assert np.array_equal(space.reverse, whole)
         assert np.array_equal(np.sort(whole), np.arange(space.n_walks))
 
     def test_one_byte_budget_gives_the_same_columns_and_visits(self, monkeypatch):
-        from walkbound import walks
-
         def graph():
             return wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(30).permutation(16))
 
@@ -733,7 +719,7 @@ class TestReverseTree:
         weights = np.random.default_rng(31).integers(0, 100, size=16 * 8 ** 3).astype(float)
         space = wb.walk_space(graph(), 3)
         columns, visits = space.columns, space.interior_visits(weights)
-        monkeypatch.setattr(walks, "WALK_SCRATCH_BYTES", 1)
+        monkeypatch.setattr(prob, "SCRATCH_BYTES", 1)
         space = wb.walk_space(graph(), 3)
         assert np.array_equal(space.columns, columns)
         assert np.array_equal(space.interior_visits(weights), visits)
