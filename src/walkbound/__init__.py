@@ -30,9 +30,8 @@ _ORIGIN = {
     ), "prob"),
     **dict.fromkeys((
         "ALPHA_FAMILY_BOUND", "ColoredRotation", "ContractionReport", "SpectralReport",
-        "adjacency_chunks", "adjacency_text", "check_projection_contraction", "k4_rotation",
-        "mgg_rotation", "second_eigenvalue_magnitude", "torus_character_blocks",
-        "torus_cover_spectrum", "torus_spectrum",
+        "adjacency_chunks", "check_projection_contraction", "k4_rotation", "mgg_rotation",
+        "second_eigenvalue_magnitude", "torus_cover_spectrum", "torus_spectrum",
     ), "expander"),
     **dict.fromkeys((
         "ExtensionReport", "HybridGraph", "Walk", "WalkSpace", "check_extension_identity",
@@ -46,9 +45,8 @@ _ORIGIN = {
         "InversionReport", "Inverter", "RangedTable", "ReducedDirectInverter",
         "ReducedWalkInverter", "RepeatedInverter", "SecurityEstimate", "ToyFunction",
         "WalkChainInverter", "conditioned_reverse_index", "direct_power", "envelope_check",
-        "identity_function", "image_distribution", "measure_inversion", "planted_profile",
-        "random_permutation", "reduce_direct", "reduce_walk", "repeat_amplify",
-        "vertex_function", "walk_permutation",
+        "image_distribution", "measure_inversion", "planted_profile", "random_permutation",
+        "reduce_direct", "reduce_walk", "repeat_amplify", "vertex_function", "walk_permutation",
     ), "owf"),
 }
 

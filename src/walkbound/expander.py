@@ -18,7 +18,7 @@ row, and that sum over d is one step of A.  The dense N x N matrix is built
 from the same table only for the generic engine's small sizes.  The doubling
 also makes translation by ``2**(m-1)`` in either coordinate commute with every
 neighbor map, so the torus operator splits into four character blocks of size
-N/4 (``torus_character_blocks``).  No torus spectrum builds the dense N x N
+N/4 (``_character_blocks``).  No torus spectrum builds the dense N x N
 matrix: up to ``DENSE_EIGENSOLVE_MAX`` vertices the four blocks are solved
 densely, one at a time, above it Lanczos runs over the push.
 
@@ -215,19 +215,20 @@ class SpectralReport:
         return out
 
 
-def _spectral_report(lam2: float, lam_min: float, tol: float, method: str, iterations: int,
+def _spectral_report(lam2: float, lam_min: float, method: str, iterations: int,
                      converged: bool, matvecs: dict) -> SpectralReport:
-    """Report of a computed spectrum, after the structural checks it settles: a
-    second eigenvalue within ``tol`` of 1 means disconnected, a smallest one
-    within ``tol`` of -1 bipartite."""
-    if 1.0 - lam2 <= tol:
+    """Report of a computed spectrum, certified at ``EIGEN_TOL``, after the
+    structural checks it settles: a second eigenvalue within ``EIGEN_TOL`` of
+    1 means disconnected, a smallest one within ``EIGEN_TOL`` of -1
+    bipartite."""
+    if 1.0 - lam2 <= EIGEN_TOL:
         raise StructuralError("graph must be connected")
-    if 1.0 + lam_min <= tol:
+    if 1.0 + lam_min <= EIGEN_TOL:
         raise StructuralError("graph must not be bipartite")
     alpha = max(abs(lam2), abs(lam_min))
     return SpectralReport(alpha=alpha, beta=1.0 - alpha, lambda_second=lam2, lambda_min=lam_min,
-                          method=method, iterations=iterations, tol=tol, converged=converged,
-                          matvecs=matvecs)
+                          method=method, iterations=iterations, tol=EIGEN_TOL,
+                          converged=converged, matvecs=matvecs)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -331,7 +332,7 @@ def _lanczos_extremes(matvec, project, n: int, tol: float, degree: int = 1) -> t
     return float(theta[-1]), float(theta[0]), steps, False
 
 
-def second_eigenvalue_magnitude(rot: ColoredRotation, tol: float = EIGEN_TOL) -> SpectralReport:
+def second_eigenvalue_magnitude(rot: ColoredRotation) -> SpectralReport:
     """alpha = max(|second largest|, |most negative|) eigenvalue of the
     normalized adjacency A of a connected, non-bipartite rotation's graph;
     beta = 1 - alpha.
@@ -344,14 +345,13 @@ def second_eigenvalue_magnitude(rot: ColoredRotation, tol: float = EIGEN_TOL) ->
     if n <= DENSE_EIGENSOLVE_MAX:
         evals = np.linalg.eigvalsh(_dense_operator(rot))
         lam2 = float(evals[-2]) if n > 1 else 0.0
-        return _spectral_report(lam2, float(evals[0]), tol, "full-eigensolve", 0, True, {})
-    lam2, lam_min, steps, converged = _lanczos_extremes(_step(rot), lambda v: v - v.mean(), n, tol,
-                                                       rot.d)
-    return _spectral_report(lam2, lam_min, tol, "lanczos", steps, converged, {"lanczos": steps})
+        return _spectral_report(lam2, float(evals[0]), "full-eigensolve", 0, True, {})
+    lam2, lam_min, steps, converged = _lanczos_extremes(_step(rot), lambda v: v - v.mean(), n,
+                                                       EIGEN_TOL, rot.d)
+    return _spectral_report(lam2, lam_min, "lanczos", steps, converged, {"lanczos": steps})
 
 
-def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport,
-                         tol: float = EIGEN_TOL) -> SpectralReport:
+def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport) -> SpectralReport:
     """The spectrum of the affine torus at level m from that of level m-1.
 
     Reducing both coordinates mod ``2**(m-1)`` maps ``rot`` onto the level m-1
@@ -383,18 +383,28 @@ def torus_cover_spectrum(rot: ColoredRotation, base: SpectralReport,
         f = v.reshape(2, half, 2, half)
         return (f - f.mean(axis=(0, 2), keepdims=True)).reshape(-1)
 
-    top, bottom, steps, converged = _lanczos_extremes(_step(rot), fiber_free, n, tol, d)
-    return _spectral_report(max(base.lambda_second, top), min(base.lambda_min, bottom), tol,
+    top, bottom, steps, converged = _lanczos_extremes(_step(rot), fiber_free, n, EIGEN_TOL, d)
+    return _spectral_report(max(base.lambda_second, top), min(base.lambda_min, bottom),
                             "torus-cover", steps, converged and base.converged,
                             {"torus-cover": steps})
 
 
 def _character_blocks(rot: ColoredRotation):
-    """The four blocks of ``torus_character_blocks``, yielded one at a time in
-    the order [0, 0], [0, 1], [1, 0], [1, 1]: each is its own ``bincount``
-    over the same cells in the same order as the stack's, so it holds the same
-    floats, and a caller that drops each block before asking for the next
-    holds one N/4 x N/4 block at a time."""
+    """The torus operator A split by its half translations, one block at a time.
+
+    With ``h = 2**(m-1)``, translation by h in x or in y commutes with every
+    neighbor map of ``mgg_rotation(m)``, because ``2h = 0 mod 2**m``.  The two
+    translations generate a Klein four-group, so A is block diagonal over its
+    four characters (a, b) in {0,1}^2.  Yields the N/4 x N/4 blocks in the
+    order [0, 0], [0, 1], [1, 0], [1, 1]; block [a, b] acts on the quarter
+    ``x, y < h``: for each neighbor v of a quarter vertex u, ``B[u, rep(v)] +=
+    (-1)**(a*qx(v) + b*qy(v)) / d``, where rep(v) reduces both coordinates
+    mod h and qx, qy are the bits that reduction drops.  spec(A) is the union
+    of the four block spectra, and block [0, 0] is the level m-1 operator.
+    Both translations are first checked to commute with the neighbor table:
+    otherwise the blocks are not those of A and need not even be symmetric.
+    Each block is its own ``bincount``, so a caller that drops each block
+    before asking for the next holds one block at a time."""
     m, n, d = rot.m, rot.n_vertices, rot.d
     if m < 1 or n != 4 ** m:
         raise StructuralError(f"rotation on {n} vertices is not a 2**{m} x 2**{m} torus")
@@ -416,63 +426,37 @@ def _character_blocks(rot: ColoredRotation):
                           minlength=q * q).reshape(q, q)
 
 
-def torus_character_blocks(rot: ColoredRotation) -> np.ndarray:
-    """The torus operator A split by its half translations.
-
-    With ``h = 2**(m-1)``, translation by h in x or in y commutes with every
-    neighbor map of ``mgg_rotation(m)``, because ``2h = 0 mod 2**m``.  The two
-    translations generate a Klein four-group, so A is block diagonal over its
-    four characters (a, b) in {0,1}^2.  Returns a (2, 2, N/4, N/4) array
-    whose ``[a, b]`` block acts on the quarter ``x, y < h``: for each
-    neighbor v of a quarter vertex u, ``B[u, rep(v)] += (-1)**(a*qx(v) +
-    b*qy(v)) / d``, where rep(v) reduces both coordinates mod h and qx, qy
-    are the bits that reduction drops.  spec(A) is the union of the four
-    block spectra, and block [0, 0] is the level m-1 operator.  Both
-    translations are first checked to commute with the neighbor table, label
-    by label: otherwise the blocks are not those of A and need not even be
-    symmetric.
-    """
-    blocks = np.stack(list(_character_blocks(rot)))
-    return blocks.reshape((2, 2) + blocks.shape[1:])
-
-
-def _character_spectrum(rot: ColoredRotation) -> np.ndarray:
-    """spec(A) of a torus level, sorted: the four character blocks solved one at
-    a time (``map`` drops each block once ``eigvalsh`` has it)."""
-    return np.sort(np.concatenate(list(map(np.linalg.eigvalsh, _character_blocks(rot)))))
-
-
-def _one_route_spectrum(rot: ColoredRotation, tol: float) -> SpectralReport:
+def _one_route_spectrum(rot: ColoredRotation) -> SpectralReport:
     """One route's spectrum of a torus level: the dense eigensolve of the four
-    character blocks, one at a time, up to ``DENSE_EIGENSOLVE_MAX`` vertices,
-    else Lanczos over the push."""
+    character blocks, one at a time (``map`` drops each block once
+    ``eigvalsh`` has it), up to ``DENSE_EIGENSOLVE_MAX`` vertices, else
+    Lanczos over the push."""
     if rot.n_vertices > DENSE_EIGENSOLVE_MAX:
-        return second_eigenvalue_magnitude(rot, tol)
-    evals = _character_spectrum(rot)
-    return _spectral_report(float(evals[-2]), float(evals[0]), tol, "full-eigensolve", 0, True, {})
+        return second_eigenvalue_magnitude(rot)
+    evals = np.sort(np.concatenate(list(map(np.linalg.eigvalsh, _character_blocks(rot)))))
+    return _spectral_report(float(evals[-2]), float(evals[0]), "full-eigensolve", 0, True, {})
 
 
-def torus_spectrum(rot: ColoredRotation, base: Optional[SpectralReport] = None,
-                   tol: float = EIGEN_TOL) -> SpectralReport:
+def torus_spectrum(rot: ColoredRotation, base: Optional[SpectralReport] = None) -> SpectralReport:
     """Spectrum of ``mgg_rotation(m)`` by every route that applies.
 
     Up to ``DENSE_EIGENSOLVE_MAX`` vertices this is one route: a dense
-    eigensolve of each of the four ``torus_character_blocks``, whose
+    eigensolve of each of the four ``_character_blocks``, whose
     eigenvalues together are the spectrum; ``base`` is not used, so every
     level is solved on its own.  Above it, route A (Lanczos over the push
     on the complement of the all-ones vector) and route B (``torus_cover_spectrum`` over ``base``,
     the level m-1 spectrum, computed here by that level's one route when not
     given) both run; the report is route A's, with both routes' matvecs,
     route B's alpha, and ``converged`` only if both converged and their
-    alphas agree within ``tol``.
+    alphas agree within ``EIGEN_TOL``.
     """
-    lanczos = _one_route_spectrum(rot, tol)
+    lanczos = _one_route_spectrum(rot)
     if lanczos.method == "full-eigensolve":
         return lanczos
     if base is None:
-        base = _one_route_spectrum(mgg_rotation(rot.m - 1), tol)
-    cover = torus_cover_spectrum(rot, base, tol)
-    agree = abs(lanczos.alpha - cover.alpha) <= tol
+        base = _one_route_spectrum(mgg_rotation(rot.m - 1))
+    cover = torus_cover_spectrum(rot, base)
+    agree = abs(lanczos.alpha - cover.alpha) <= EIGEN_TOL
     return replace(lanczos, iterations=lanczos.iterations + cover.iterations,
                    converged=lanczos.converged and cover.converged and agree,
                    matvecs={**lanczos.matvecs, **cover.matvecs}, alpha_cover=cover.alpha)
@@ -526,17 +510,13 @@ def check_projection_contraction(rot: ColoredRotation, s1: np.ndarray, s2: np.nd
 
 
 def adjacency_chunks(rot: ColoredRotation):
-    """The lines of ``adjacency_text``, one string per range of ``_RANGE``
-    vertices: each range is formatted by one ``%`` over its flat table, so a
-    writer holds the table plus one range of text."""
+    """The adjacency list, one line per vertex, ``u: v0 v1 ... v_{d-1}`` with
+    neighbors in label order, as one string per range of ``_RANGE`` vertices:
+    each range is formatted by one ``%`` over its flat table, so a writer
+    holds the table plus one range of text."""
     n, d = rot.n_vertices, rot.d
     line = "%d: " + " ".join(["%d"] * d) + "\n"
     for lo in range(0, n, _RANGE):
         rows = rot.neighbors[lo: lo + _RANGE]
         ids = np.arange(lo, lo + len(rows), dtype=np.int64)[:, None]
         yield line * len(rows) % tuple(np.hstack([ids, rows]).ravel().tolist())
-
-
-def adjacency_text(rot: ColoredRotation) -> str:
-    """One line per vertex: ``u: v0 v1 ... v_{d-1}`` with neighbors in label order."""
-    return "".join(adjacency_chunks(rot))

@@ -58,13 +58,11 @@ def check_reduced_profile(out_bits: int, t: int) -> None:
 @dataclass(frozen=True, eq=False)
 class RangedTable:
     """A function table given one range at a time: ``ranges()`` yields
-    ``(offset, chunk)`` pairs whose chunks tile the inputs in order, and
-    ``build()`` returns the whole table as one read-only int64 array.
+    ``(offset, chunk)`` pairs whose chunks tile the inputs in order.
     ``evaluate(xs)`` is the point evaluator: the table's entries at an int64
     array of inputs, computed without the table."""
 
     ranges: Callable[[], Iterable]
-    build: Callable[[], np.ndarray]
     evaluate: Callable[[np.ndarray], np.ndarray]
 
 
@@ -72,14 +70,14 @@ class RangedTable:
 class ToyFunction:
     """A function on n-bit strings given by its full lookup table of integers.
 
-    ``source`` is the table as an array, or a ``RangedTable`` that builds it on
-    the first read of ``table``; an array is a single range.  Construction
-    streams over the ranges, dropping each chunk before the next is made:
-    every chunk must hold out_bits-bit values, and the chunks must tile the
-    2**n inputs.  The ``is_permutation`` flag is checked at every size: with
-    2**n entries, all in range, a table is a bijection exactly when it covers
-    every output, which one bool scatter of every chunk into a single mask of
-    the outputs decides in O(2**n).
+    ``source`` is the table as an array, or a ``RangedTable`` whose ranges
+    ``table`` puts together on its first read; an array is a single range.
+    Construction streams over the ranges, dropping each chunk before the next
+    is made: every chunk must hold out_bits-bit values, and the chunks must
+    tile the 2**n inputs.  The ``is_permutation`` flag is checked at every
+    size: with 2**n entries, all in range, a table is a bijection exactly when
+    it covers every output, which one bool scatter of every chunk into a
+    single mask of the outputs decides in O(2**n).
 
     ``evaluate`` and ``apply`` read points through a ranged table's point
     evaluator, so they never build ``table``.
@@ -119,9 +117,11 @@ class ToyFunction:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """The table as one read-only int64 array; a ``RangedTable`` builds it
-        here, on the first read."""
-        return self.source if isinstance(self.source, np.ndarray) else self.source.build()
+        """The table as one read-only int64 array; a ``RangedTable``'s chunks
+        are copied into place here, on the first read, one range at a time."""
+        if isinstance(self.source, RangedTable):
+            return _assemble(self.source.ranges(), 1 << self.n)
+        return self.source
 
     def evaluate(self, xs) -> np.ndarray:
         """The function at every input of ``xs``, as int64: a table lookup, or
@@ -149,10 +149,6 @@ class ToyFunction:
             object.__setattr__(self, "_pre", pre)
             cached = pre
         return cached
-
-
-def identity_function(n: int) -> ToyFunction:
-    return ToyFunction(n, n, np.arange(table_size(n, "input"), dtype=np.int64), True)
 
 
 def random_permutation(n: int, seed: int) -> ToyFunction:
@@ -357,18 +353,15 @@ def direct_power(func: ToyFunction, t: int) -> ToyFunction:
 
     step = min(size, prob.SCRATCH_BYTES // 32)
 
-    def ranges(out=None):
+    def ranges():
         # one set of scratch arrays for every range, the inputs advanced in place
         xs = np.arange(step, dtype=np.int64)
         block, looked = np.empty_like(xs), np.empty_like(xs)
         for lo in range(0, size, step):
-            place = np.empty_like(xs) if out is None else out[lo: lo + step]
-            yield lo, fill(xs, place, block, looked)
-            del place   # the next range is built without this one
+            yield lo, fill(xs, np.empty_like(xs), block, looked)
             xs += step
 
-    return ToyFunction(n * t, bits * t, RangedTable(ranges, lambda: _assemble(ranges, size), evaluate),
-                       func.is_permutation)
+    return ToyFunction(n * t, bits * t, RangedTable(ranges, evaluate), func.is_permutation)
 
 
 def conditioned_reverse_index(
@@ -399,12 +392,12 @@ def walk_permutation(g: HybridGraph, t: int) -> ToyFunction:
 
     Its checks stream over the walk space's ``reverse_ranges``, so building it
     holds no 2**n table.  Points are evaluated through the walk codec
-    (``reverse_indices``); its ``table``, built only when read whole, is the
-    walk space's shared ``reverse``.
+    (``reverse_indices``); its ``table`` puts the ranges together only when
+    read whole.
     """
     bits = _exact_log2(walk_count(g, t))
     space = walk_space(g, t)   # refused past WALK_ENUM_MAX = 2**TABLE_MAX_BITS walks
-    return ToyFunction(bits, bits, RangedTable(space.reverse_ranges, lambda: space.reverse,
+    return ToyFunction(bits, bits, RangedTable(space.reverse_ranges,
                                                lambda xs: reverse_indices(g, t, xs)), True)
 
 

@@ -242,10 +242,6 @@ class BoundReport:
     epsilons: tuple
     t: int
 
-    @property
-    def alpha(self) -> float:
-        return 1.0 - self.beta
-
     def to_dict(self) -> dict:
         return asdict(self)
 

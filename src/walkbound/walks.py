@@ -26,6 +26,7 @@ tree, so the walks are never moved between the orders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Sequence
@@ -125,7 +126,11 @@ def walk_total(n: int, d: int, t: int) -> int:
     # d**63 is past the range for any d >= 2, so a long walk never builds d**t
     total = n * d ** min(t, 63)
     if total >= 1 << 63:
-        raise BudgetError(f"walk count {n} * {d}**{t} exceeds the 64-bit range")
+        # n in full below 10**100, else the power of ten it reaches: str() refuses
+        # an int past 4300 digits, and log10 rounds up just below a power of ten
+        k = int(math.log10(n))
+        count = n if n < 10 ** 100 else f"at least 10**{k - (10 ** k > n)}"
+        raise BudgetError(f"walk count {count} * {d}**{t} exceeds the 64-bit range")
     return total
 
 
@@ -187,7 +192,7 @@ def reverse_index(g: HybridGraph, w: Walk) -> int:
 
     The back label of a step u -> F(rot(u, j)) is the rotation's back label
     at u, which recovers (u, j) from the step's far end once F is undone.  The
-    per-walk twin of ``WalkSpace.reverse``.
+    per-walk twin of ``WalkSpace.reverse_ranges``.
     """
     validate_walk(g, w)
     back = [int(g.rot.back_labels[u, j]) for u, j in zip(w.vertices, w.labels)]
@@ -227,37 +232,30 @@ def reverse_indices(g: HybridGraph, t: int, xs) -> np.ndarray:
     return out
 
 
-def _descend(parents: Sequence, acc: np.ndarray, tables: Sequence, op,
-             out: np.ndarray = None) -> np.ndarray:
+def _descend(parents: Sequence, acc: np.ndarray, tables: Sequence, op) -> np.ndarray:
     """Fold ``op`` down a prefix tree of vertices from ``acc``, one value per
     node of its top level.
 
     ``parents[s]`` holds the vertex of every node of level s.  The d children
     of a node at vertex u take the row ``tables[s][u]`` of an (N, d) edge
     table, combined in place with the node's value: ``op(row, acc)``.  Returns
-    the values of the last level, flat; with ``out``, they are also written
-    there (the top level itself when there is no level below it).
+    the values of the last level, flat.
     """
-    for s, (vertices, table) in enumerate(zip(parents, tables)):
-        if out is not None and s == len(parents) - 1:
-            child = out.reshape(vertices.size, -1)
-        else:
-            child = np.empty((vertices.size, table.shape[1]), dtype=table.dtype)
-        # take(mode="clip") writes into ``out`` without a buffer; vertices never clip
-        np.take(table, vertices, axis=0, out=child, mode="clip")
+    for vertices, table in zip(parents, tables):
+        child = np.take(table, vertices, axis=0, mode="clip")   # vertices never clip
         op(child, acc[:, None], out=child)
         acc = child.reshape(-1)
-    if out is not None and not len(parents):
-        out[:] = acc
     return acc
 
 
 def _assemble(ranges, size: int) -> np.ndarray:
-    """The read-only int64 array of ``size`` entries that ``ranges(out)``
-    writes in place, range by range."""
+    """The read-only int64 array of ``size`` entries tiled by the ``(offset,
+    chunk)`` pairs of ``ranges``, each chunk copied into place and dropped
+    before the next range is made."""
     out = np.empty(size, dtype=np.int64)
-    for _ in ranges(out):
-        pass
+    for lo, chunk in ranges:
+        out[lo: lo + chunk.size] = chunk
+        del chunk
     out.setflags(write=False)
     return out
 
@@ -284,9 +282,8 @@ class WalkSpace:
     predecessor table, ``predecessors[levels[k]]``.  The start vertex's level
     would be a full column, and no reader needs it.  ``reverse_ranges``
     yields the reverse packing per walk index (int64) one range of start
-    vertices at a time, and ``reverse`` is those ranges put together, built on
-    its first read: the walk permutation's checks stream over the ranges, and
-    only a read of its whole table builds ``reverse``; a point lookup goes
+    vertices at a time: the walk permutation's checks stream over the ranges,
+    only a read of its whole table puts them together, and a point lookup goes
     through ``reverse_indices``.
 
     ``successors[u, j]``, ``predecessors[w, b]`` (both in the heads' dtype)
@@ -328,17 +325,10 @@ class WalkSpace:
         columns.setflags(write=False)
         return columns
 
-    @cached_property
-    def reverse(self) -> np.ndarray:
-        """The reverse packing per walk index, read-only int64: every chunk of
-        ``reverse_ranges`` folded into its place."""
-        return _assemble(self.reverse_ranges, self.n_walks)
-
-    def reverse_ranges(self, out: np.ndarray = None):
+    def reverse_ranges(self):
         """``(offset, chunk)``: the reverse packings of walk indices offset ..
         offset + chunk.size - 1 as int64, in order, one range of start vertices
-        at a time.  With ``out`` (int64, one entry per walk), each chunk is
-        folded straight into its place there.
+        at a time.
 
         An add fold down the walk-index tree (``_descend``): step s < t adds
         ``back_labels[u, j] * d**(s-1)`` per child j of a prefix ending at u,
@@ -357,8 +347,7 @@ class WalkSpace:
         for lo, hi, parents in self._start_ranges(8 - (-16 // max(d - 1, 1))):
             # at t = 0 the packing is the start vertex itself
             root = np.zeros(hi - lo, dtype=np.int64) if t else np.arange(lo, hi, dtype=np.int64)
-            place = None if out is None else out[lo * d ** t: hi * d ** t]
-            yield lo * d ** t, _descend(parents, root, tables, np.add, place)
+            yield lo * d ** t, _descend(parents, root, tables, np.add)
 
     def _start_ranges(self, walk_bytes: int):
         """Ranges ``lo <= v < hi`` of start vertices whose walks take at most
@@ -420,15 +409,18 @@ def walk_space(g: HybridGraph, t: int) -> WalkSpace:
     The heads follow the narrow successor table from the start vertex, and
     the levels of the reverse tree follow the predecessor table from the
     terminal vertex: N * d**(t-1) entries each at the deepest level, all in
-    the narrow vertex dtype.  ``columns`` and ``reverse`` wait for their first
-    read, and the reverse packing's ranges are folded on each request.
+    the narrow vertex dtype.  The predecessor table is filled straight in that
+    dtype, so the graph's int64 ``predecessors`` is not built.  ``columns``
+    waits for its first read, and the reverse packing's ranges are folded on
+    each request.
     """
     if t not in g._spaces:
         total = walk_space_size(g.n_vertices, g.d, t)
         n = g.n_vertices
         dtype = np.min_scalar_type(n - 1)
         succ = g.perm[g.rot.neighbors].astype(dtype, order="C")
-        pred = g.predecessors.T.astype(dtype)
+        pred = np.empty_like(succ)
+        pred[g.perm] = g.rot.neighbors   # the d steps into perm(v) start at v's neighbors
         root = np.arange(n, dtype=dtype)
         heads, levels = [root], [root]
         for _ in range(1, t):
@@ -626,13 +618,13 @@ def verify_walk_independence(
     each of the t+1 positions) and additionally samples ``trials`` multi-set
     families; ``sampled`` does only the sampling.  ``beta`` is the caller's
     measured spectral gap; marginals are uniform so ``mu = |S|/N`` exactly.
-    Event probabilities come from the walk-count operator.
+    Event probabilities come from the walk-count route,
+    ``family_event_probs_matrix``.
     """
-    total = walk_count(g, t)
     n = g.n_vertices
     return _check_families(
         np.full((t + 1, n), 1.0 / n), _batch_size(n, t),
-        lambda masks, _: _family_counts(g, masks) / total, beta, mode, trials, seed,
+        lambda masks, _: family_event_probs_matrix(g, t, masks), beta, mode, trials, seed,
     )
 
 
@@ -757,9 +749,7 @@ def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
     walk count; beside it a block holds its t tables of N * d words, and
     ``columns`` is never built.
     """
-    masks = np.asarray(masks, dtype=bool)
-    if masks.ndim != 3 or masks.shape[1] != t + 1 or masks.shape[2] != g.n_vertices:
-        raise StructuralError("masks must have shape (B, t+1, N)")
+    masks = _family_masks(g, t, masks)
     space = walk_space(g, t)
     n_blocks = -(-masks.shape[0] // 64)
     packed = np.packbits(masks, axis=0, bitorder="little")
@@ -781,10 +771,15 @@ def family_event_probs(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
 def family_event_probs_matrix(g: HybridGraph, t: int, masks: np.ndarray) -> np.ndarray:
     """Walk-count route for a batch of families: same contract as
     family_event_probs, computed via terminal counts instead of enumeration."""
+    return _family_counts(g, _family_masks(g, t, masks)) / walk_count(g, t)
+
+
+def _family_masks(g: HybridGraph, t: int, masks) -> np.ndarray:
+    """``masks`` as a boolean array, once it has shape (B, t+1, N)."""
     masks = np.asarray(masks, dtype=bool)
-    if masks.ndim != 3 or masks.shape[1] != t + 1 or masks.shape[2] != g.n_vertices:
+    if masks.shape[1:] != (t + 1, g.n_vertices):
         raise StructuralError("masks must have shape (B, t+1, N)")
-    return _family_counts(g, masks) / walk_count(g, t)
+    return masks
 
 
 def projection_objects(g: HybridGraph, t: int) -> tuple:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import walkbound as wb
+from walkbound import walks
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +51,13 @@ def tree_graph(rotation, perm):
     n = rot.n_vertices
     p = np.arange(n) if perm == "identity" else np.random.default_rng(41).permutation(n)
     return wb.HybridGraph(rot, p)
+
+
+def reverse_table(g, t):
+    """The reverse packing of every t-step walk, in walk-index order: the walk
+    permutation's ``table``, put together from the walk space's ranges as that
+    table is, so it also serves walk counts that are no power of two."""
+    return walks._assemble(wb.walk_space(g, t).reverse_ranges(), wb.walk_count(g, t))
 
 
 def reverse_inv(g, t, packed):

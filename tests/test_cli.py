@@ -113,7 +113,7 @@ class TestSpectral:
         path = tmp_path / "graph.txt"
         code, _, _ = run_cli(capsys, ["spectral", "--m", "2", "--dump-graph", str(path)])
         assert code == 0
-        assert path.read_text() == wb.adjacency_text(wb.mgg_rotation(2))
+        assert path.read_text() == "".join(wb.adjacency_chunks(wb.mgg_rotation(2)))
 
     def test_csv_rows(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -267,17 +267,17 @@ class TestLazyPackage:
         "ParameterError", "RandomObject", "RandomVariable", "RangedTable",
         "ReducedDirectInverter", "ReducedWalkInverter", "RepeatedInverter", "SecurityEstimate",
         "SpectralReport", "StructuralError", "ToyFunction", "Walk", "WalkChainInverter",
-        "WalkSpace", "WalkboundError", "adjacency_chunks", "adjacency_text",
+        "WalkSpace", "WalkboundError", "adjacency_chunks",
         "check_extension_identity", "check_independence", "check_projection_contraction",
         "conditional_expectation", "conditioned_reverse_index", "cube_instance",
         "direct_power", "envelope_check", "errors", "expander", "expectation",
-        "family_event_probs", "family_event_probs_matrix", "identity_function",
+        "family_event_probs", "family_event_probs_matrix",
         "image_distribution", "k4_rotation", "measure_inversion", "mgg_rotation", "owf",
         "percoord_bound", "planted_profile", "pooled_bound", "prob", "product_bound_sweep",
         "projection_objects", "random_families", "random_permutation",
         "random_product_instance", "reduce_direct", "reduce_walk", "repeat_amplify",
         "reverse_index", "reverse_indices", "second_eigenvalue_magnitude",
-        "single_set_event_probs", "subset_sums", "tail_probability", "torus_character_blocks",
+        "single_set_event_probs", "subset_sums", "tail_probability",
         "torus_cover_spectrum", "torus_spectrum", "validate_walk", "verify_walk_independence",
         "vertex_function", "walk_count", "walk_from_index", "walk_index", "walk_permutation",
         "walk_space", "walks",
@@ -360,7 +360,8 @@ class TestVerifyBeta:
         assert "route-agreement" not in {c["name"] for c in report["checks"]}
 
     def test_sanity_families_take_one_matrix_call(self, capsys, monkeypatch):
-        # every walk, and none: one (2, t+1, N) batch through the family route
+        # every walk, and none: one (2, t+1, N) batch through the family route,
+        # after the sweep's one batch of 20 sampled families
         from walkbound import walks
 
         shapes = []
@@ -376,7 +377,7 @@ class TestVerifyBeta:
             ["verify-beta", "--m", "2", "--t", "3", "--seed", "3", "--mode", "sampled",
              "--trials", "20", "--agree", "0"],
         )
-        assert code == 0 and shapes == [(2, 4, 16)]
+        assert code == 0 and shapes == [(20, 4, 16), (2, 4, 16)]
         measured = {c["name"]: c.get("measured") for c in report["checks"]}
         assert measured["full-family-probability-one"] == 1.0
         assert measured["empty-set-probability-zero"] == 0.0
@@ -408,21 +409,15 @@ class TestVerifyBeta:
         assert strip_wall_time(split) == strip_wall_time(whole)
 
     def test_verify_beta_leaves_the_reverse_packing_unbuilt(self, capsys, monkeypatch):
-        from walkbound import walks
+        from walkbound import owf
 
-        graphs = []
+        def never(ranges, size):
+            raise AssertionError(f"a table of {size} entries was put together")
 
-        class Recorded(wb.HybridGraph):
-            def __post_init__(self):
-                super().__post_init__()
-                graphs.append(self)
-
-        monkeypatch.setattr(walks, "HybridGraph", Recorded)
+        monkeypatch.setattr(owf, "_assemble", never)
         code, _, _ = run_cli(capsys, ["verify-beta", "--m", "2", "--t", "3", "--mode", "sampled",
                                       "--trials", "200", "--agree", "20", "--seed", "1"])
         assert code == 0
-        spaces = [space for g in graphs for space in g._spaces.values()]
-        assert spaces and all("reverse" not in vars(space) for space in spaces)
 
     def test_amplify_leaves_the_walk_columns_unbuilt(self, capsys, monkeypatch):
         from walkbound import walks
@@ -451,25 +446,18 @@ class TestVerifyBeta:
 
     def test_exact_amplify_leaves_the_reverse_packing_unbuilt(self, capsys, monkeypatch):
         # the walk permutation's checks stream over the reverse packing's ranges
-        from walkbound import walks
+        from walkbound import owf
 
-        graphs = []
+        def never(ranges, size):
+            raise AssertionError(f"a table of {size} entries was put together")
 
-        class Recorded(wb.HybridGraph):
-            def __post_init__(self):
-                super().__post_init__()
-                graphs.append(self)
-
-        monkeypatch.setattr(walks, "HybridGraph", Recorded)
+        monkeypatch.setattr(owf, "_assemble", never)
         code, _, _ = run_cli(capsys, ["amplify", "--construction", "walk", "--m", "3", "--t", "3",
                                       "--seed", "1"])
         assert code == 0
-        spaces = [space for g in graphs for space in g._spaces.values()]
-        assert spaces and all("reverse" not in vars(space) for space in spaces)
 
     def test_mc_amplify_builds_no_reverse_packing(self, capsys, monkeypatch):
-        from walkbound import walks
-        from walkbound.walks import WalkSpace
+        from walkbound import owf, walks
 
         graphs, built = [], []
 
@@ -478,22 +466,23 @@ class TestVerifyBeta:
                 super().__post_init__()
                 graphs.append(self)
 
-        reverse = vars(WalkSpace)["reverse"]
-        fold = reverse.func
+        assemble = owf._assemble
 
-        def counted(space):
-            built.append(space)
-            return fold(space)
+        def counted(ranges, size):
+            built.append(size)
+            return assemble(ranges, size)
 
         monkeypatch.setattr(walks, "HybridGraph", Recorded)
-        monkeypatch.setattr(reverse, "func", counted)
+        monkeypatch.setattr(owf, "_assemble", counted)
         code, _, _ = run_cli(capsys, ["amplify", "--construction", "walk", "--m", "2", "--t", "3",
                                       "--mode", "mc", "--trials", "200", "--seed", "11"])
         assert code == 0
         (g,) = graphs
         assert 3 in g._spaces and built == []
-        assert wb.walk_permutation(g, 3).table is wb.walk_space(g, 3).reverse
-        assert len(built) == 1 and built[0] is g._spaces[3]
+        # a read of the whole table puts it together once, read-only
+        f = wb.walk_permutation(g, 3)
+        assert f.table is f.table and not f.table.flags.writeable
+        assert built == [wb.walk_count(g, 3)]
 
 
 class TestBound:

@@ -11,16 +11,21 @@ import pytest
 import walkbound as wb
 from walkbound.errors import BudgetError, ParameterError, StructuralError
 
-from conftest import TREE_GRAPHS, reverse_inv, tree_graph
+from conftest import TREE_GRAPHS, reverse_inv, reverse_table, tree_graph
 
 
 def mc_band(p, trials):
     return 4.0 * math.sqrt(p * (1.0 - p) / trials) + 1.0 / trials
 
 
+def identity(n):
+    """The identity on n-bit strings, flagged as a permutation."""
+    return wb.ToyFunction(n, n, np.arange(1 << n), True)
+
+
 class TestToyFunction:
     def test_identity(self):
-        f = wb.identity_function(4)
+        f = identity(4)
         assert f.apply(11) == 11 and f.is_permutation
 
     def test_table_shape_rejected(self):
@@ -49,13 +54,13 @@ class TestToyFunction:
         def ranges():
             return ((int(lo), np.array(c, dtype=np.int64)) for lo, c in zip(offsets, chunks))
 
-        return wb.RangedTable(ranges, lambda: np.concatenate(chunks).astype(np.int64),
-                              lambda xs: np.concatenate(chunks).astype(np.int64)[xs])
+        return wb.RangedTable(ranges, lambda xs: np.concatenate(chunks).astype(np.int64)[xs])
 
     def test_ranged_table_is_built_on_first_read(self):
         f = wb.ToyFunction(3, 3, self.ranged([3, 1, 0, 2], [7, 5, 4, 6]), True)
         assert "table" not in vars(f)
         assert f.apply(4) == 7 and np.array_equal(f.table, [3, 1, 0, 2, 7, 5, 4, 6])
+        assert f.table is f.table and f.table.dtype == np.int64 and not f.table.flags.writeable
 
     def test_ranged_collision_across_ranges_rejected(self):
         with pytest.raises(StructuralError, match="bijection"):
@@ -70,16 +75,15 @@ class TestToyFunction:
         def ranges():
             return ((lo, table[lo: lo + 1024].copy()) for lo in range(0, 1 << 12, 1024))
 
-        source = wb.RangedTable(ranges, lambda: table, lambda xs: table[xs])
+        source = wb.RangedTable(ranges, lambda xs: table[xs])
         with pytest.raises(StructuralError, match="bijection"):
             wb.ToyFunction(12, 12, source, True)
 
     def test_point_evaluator_serves_evaluate_and_apply_without_the_table(self):
-        source = wb.RangedTable(lambda: iter([(0, np.array([3, 2, 1, 0]))]),
-                                lambda: pytest.fail("the table was built"),
-                                lambda xs: 3 - xs)
+        source = wb.RangedTable(lambda: iter([(0, np.array([3, 2, 1, 0]))]), lambda xs: 3 - xs)
         f = wb.ToyFunction(2, 2, source, False)
         assert f.evaluate(np.array([0, 3])).tolist() == [3, 0] and f.apply(1) == 2
+        assert "table" not in vars(f)
         with pytest.raises(StructuralError):
             f.evaluate([4])
 
@@ -106,11 +110,9 @@ class TestToyFunction:
 
     def test_apply_range(self):
         with pytest.raises(StructuralError):
-            wb.identity_function(3).apply(8)
+            identity(3).apply(8)
 
-    @pytest.mark.parametrize(
-        "build", [wb.identity_function, lambda n: wb.random_permutation(n, 0)], ids=["identity", "random"]
-    )
+    @pytest.mark.parametrize("build", [lambda n: wb.random_permutation(n, 0)], ids=["random"])
     def test_table_budget_checked_before_allocation(self, build):
         # 2**25 int64 entries would be 256 MiB before any copy
         tracemalloc.start()
@@ -141,9 +143,6 @@ class TestToyFunction:
         assert np.array_equal(f.table, g_random.perm)
 
     def test_read_only_int64_tables_are_shared(self, g_random):
-        assert np.shares_memory(
-            wb.walk_permutation(g_random, 2).table, wb.walk_space(g_random, 2).reverse
-        )
         assert np.shares_memory(wb.vertex_function(g_random).table, g_random.perm)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
@@ -234,7 +233,7 @@ class TestDistributionsAndProfiles:
 
     def test_planted_delta_range(self):
         with pytest.raises(ParameterError):
-            wb.planted_profile(wb.identity_function(2), 0.0)
+            wb.planted_profile(identity(2), 0.0)
 
 
 class TestAdversaryOracle:
@@ -274,7 +273,7 @@ class TestAdversaryOracle:
         assert oracle.success_profile()[2] == 0.0
 
     def test_profile_validation(self):
-        f = wb.identity_function(3)
+        f = identity(3)
         with pytest.raises(StructuralError):
             wb.AdversaryOracle(f, np.ones(4), seed=0)
         with pytest.raises(ParameterError):
@@ -346,7 +345,7 @@ class TestRepeatedInverter:
         assert abs(mc.success - exact) <= mc_band(exact, 4000)
 
     def test_k_validation(self):
-        base = wb.AdversaryOracle(wb.identity_function(2), np.ones(4), seed=0)
+        base = wb.AdversaryOracle(identity(2), np.ones(4), seed=0)
         with pytest.raises(ParameterError):
             wb.repeat_amplify(base, 0)
 
@@ -365,11 +364,11 @@ class TestDirectPower:
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            wb.direct_power(wb.identity_function(13), 2)
+            wb.direct_power(identity(13), 2)
 
     def test_t_validation(self):
         with pytest.raises(ParameterError):
-            wb.direct_power(wb.identity_function(2), 0)
+            wb.direct_power(identity(2), 0)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -424,7 +423,7 @@ class TestDirectPower:
         # beside two ranges of it, took 7 MiB
         from walkbound.prob import SCRATCH_BYTES
 
-        f = wb.identity_function(2)
+        f = identity(2)
         tracemalloc.start()
         try:
             p = wb.direct_power(f, 10)
@@ -499,21 +498,20 @@ class TestWalkPermutation:
             assert wb.walk_index(g_random, w) == idx
             assert f.apply(idx) == wb.reverse_index(g_random, w)
 
-    def test_table_is_the_walk_spaces_reverse_read_on_first_use(self, g_random):
-        g = wb.HybridGraph(g_random.rot, g_random.perm)
-        f = wb.walk_permutation(g, 2)
-        assert "table" not in vars(f) and "reverse" not in vars(wb.walk_space(g, 2))
-        assert f.table is wb.walk_space(g, 2).reverse
+    def test_table_is_the_reverse_packing_read_once_on_first_use(self, g_random):
+        f = wb.walk_permutation(g_random, 2)
+        assert "table" not in vars(f)
+        assert np.array_equal(f.table, reverse_table(g_random, 2))
+        assert f.table is f.table and not f.table.flags.writeable
 
     @pytest.mark.parametrize("m, t", [(1, 1), (2, 3), (3, 4)])
     def test_evaluate_gives_the_reverse_packing_without_building_it(self, m, t):
         rot = wb.mgg_rotation(m)
         g = wb.HybridGraph(rot, np.random.default_rng(10 * m + t).permutation(rot.n_vertices))
         f = wb.walk_permutation(g, t)
-        space = wb.walk_space(g, t)
-        values = f.evaluate(np.arange(space.n_walks))
-        assert "table" not in vars(f) and "reverse" not in vars(space)
-        assert values.dtype == np.int64 and np.array_equal(values, space.reverse)
+        values = f.evaluate(np.arange(wb.walk_count(g, t)))
+        assert "table" not in vars(f)
+        assert values.dtype == np.int64 and np.array_equal(values, reverse_table(g, t))
 
     def test_checks_hold_one_reverse_range_at_a_time(self):
         # m = 3, t = 5, walk space built beforehand: the 2 MiB bijection mask
@@ -551,7 +549,7 @@ class TestWalkPermutation:
         g = tree_graph("k4", "random")
         with pytest.raises(StructuralError):
             wb.walk_permutation(g, 2)
-        inner = wb.AdversaryOracle(wb.identity_function(5), np.zeros(32), seed=0)
+        inner = wb.AdversaryOracle(identity(5), np.zeros(32), seed=0)
         with pytest.raises(StructuralError):
             wb.reduce_walk(inner, g, 2, seed=0)
 
@@ -568,7 +566,7 @@ class TestConditionedReverse:
         else:
             g = tree_graph("k4", "random")
         t, d = 3, g.d
-        reverse = wb.walk_space(g, t).reverse
+        reverse = reverse_table(g, t)
         produced = set()
         for fwd_idx in range(d ** (t - i)):
             fwd = [(fwd_idx // d ** s) % d for s in range(t - i)]
@@ -761,21 +759,23 @@ def vertex_profile(g, kind):
     return np.random.default_rng(43).random(g.n_vertices)
 
 
-def per_walk_chain(space, bp):
+def per_walk_chain(g, t, bp):
     """The product over positions 1..t in walk-index order, scattered through
     the reverse packing."""
-    vals = np.ones(space.columns.shape[1])
-    for col in space.columns[1:]:
+    columns = wb.walk_space(g, t).columns
+    vals = np.ones(columns.shape[1])
+    for col in columns[1:]:
         vals *= bp[col]
-    out = np.zeros(space.columns.shape[1])
-    out[space.reverse] = vals
+    out = np.zeros(columns.shape[1])
+    out[reverse_table(g, t)] = vals
     return out
 
 
-def per_walk_interior(space, weights, n):
+def per_walk_interior(g, t, weights):
     """Weights gathered into walk-index order, then one bincount per interior
     position."""
-    per_walk = weights[space.reverse]
+    space, n = wb.walk_space(g, t), g.n_vertices
+    per_walk = weights[reverse_table(g, t)]
     acc = np.zeros(n)
     for col in space.columns[1:-1]:
         acc += np.bincount(col, weights=per_walk, minlength=n)
@@ -800,7 +800,7 @@ class TestReverseTreeProfiles:
         g = tree_graph(*graph)
         bp = vertex_profile(g, kind)
         space = wb.walk_space(g, t)
-        expect = per_walk_chain(space, bp)
+        expect = per_walk_chain(g, t, bp)
         assert_profiles_match(np.repeat(space.path_products(bp), g.d), expect, kind)
         if graph[0] == "mgg2":
             base = wb.AdversaryOracle(wb.vertex_function(g), bp, seed=9)
@@ -814,17 +814,17 @@ class TestReverseTreeProfiles:
         g = tree_graph(*graph)
         space = wb.walk_space(g, t)
         bp = vertex_profile(g, kind)
-        weights = per_walk_chain(space, bp)
+        weights = per_walk_chain(g, t, bp)
         if kind == "random":
             weights = np.random.default_rng(44).random(weights.size)
-        expect = per_walk_interior(space, weights, g.n_vertices)
+        expect = per_walk_interior(g, t, weights)
         assert_profiles_match(space.interior_visits(weights), expect, kind)
         if graph[0] == "mgg2":
             base = wb.AdversaryOracle(wb.vertex_function(g), bp, seed=9)
             chain = wb.WalkChainInverter(base, g, t)
             inner = chain.success_profile()
             got = wb.reduce_walk(chain, g, t, seed=10).success_profile()
-            expect = per_walk_interior(space, inner, g.n_vertices) / ((t - 1) * g.d ** t)
+            expect = per_walk_interior(g, t, inner) / ((t - 1) * g.d ** t)
             assert_profiles_match(got, expect, kind)
 
 
@@ -885,7 +885,7 @@ class TestProfileRuns:
 
 class TestMeasureInversion:
     def test_zero_success_is_unbounded(self):
-        f = wb.identity_function(4)
+        f = identity(4)
         oracle = wb.AdversaryOracle(f, np.zeros(16), seed=0)
         rep = wb.measure_inversion(f, oracle, mode="exact")
         assert rep.security.unbounded and rep.security.security == math.inf
@@ -948,7 +948,7 @@ class TestMeasureInversion:
         assert "per_point" not in rep.to_dict()
 
     def test_mode_validation(self):
-        f = wb.identity_function(2)
+        f = identity(2)
         oracle = wb.AdversaryOracle(f, np.ones(4), seed=0)
         with pytest.raises(ParameterError):
             wb.measure_inversion(f, oracle, mode="sampled")

@@ -200,7 +200,6 @@ class TestPooledBound:
         expect = (0.2 + 0.8 * p) ** 3 + 3 * 0.07
         assert abs(rep.bound_value - expect) <= 1e-15
         assert rep.variant == "pooled-relaxed"
-        assert rep.alpha == 1.0 - rep.beta
 
     def test_beta_zero_is_vacuous(self):
         z, objs = random_product_instance(2, 3, 4, identical=True)

@@ -11,7 +11,8 @@ from walkbound.errors import BudgetError, ParameterError, StructuralError
 
 from walkbound import expander, prob
 
-from conftest import TREE_GRAPHS, dense_oracle, exact_family_counts, exact_family_prob, tree_graph
+from conftest import (TREE_GRAPHS, dense_oracle, exact_family_counts, exact_family_prob,
+                      reverse_table, tree_graph)
 
 
 def random_masks(rng, b, t, n):
@@ -55,6 +56,26 @@ class TestWalkIndexing:
             wb.walk_count(g_identity, 10 ** 7)
         loop = wb.ColoredRotation(0, 2, 1, [[1], [0]], [[0], [0]])
         assert wb.walk_count(wb.HybridGraph(loop, [1, 0]), 10 ** 7) == 2
+
+    def test_vertex_count_past_the_int_string_limit_is_a_budget_error(self):
+        # str() of an int past 4300 digits raises ValueError: such a count is
+        # written as the power of ten it reaches
+        from walkbound.walks import walk_space_size, walk_total
+
+        for refuse in (walk_total, walk_space_size):
+            for t in (0, 2):
+                message = rf"^walk count at least 10\*\*6020 \* 8\*\*{t} exceeds"
+                with pytest.raises(BudgetError, match=message):
+                    refuse(4 ** 10000, 8, t)
+        message = r"^walk count 4 \* 8\*\*4800 exceeds the 64-bit range$"
+        with pytest.raises(BudgetError, match=message):
+            walk_total(4, 8, 4800)
+        below = 10 ** 100 - 1
+        with pytest.raises(BudgetError, match=f"^walk count {below} \\* 8\\*\\*63 exceeds"):
+            walk_total(below, 8, 63)
+        # log10(10**200 - 1) rounds to 200.0
+        with pytest.raises(BudgetError, match=r"^walk count at least 10\*\*199 \* 8\*\*0 exceeds"):
+            walk_total(10 ** 200 - 1, 8, 0)
 
     def test_round_trip_exhaustive_t2(self, g_random):
         for idx in range(wb.walk_count(g_random, 2)):
@@ -131,13 +152,13 @@ class TestEnumeration:
         assert np.array_equal(columns[0], np.arange(n))
 
     def test_reverse_scratch_stays_within_the_budget(self):
-        # m = 3, t = 5: 2**21 walks, a 16 MiB result; one (N * d**4)-entry
-        # temporary beside it would take 2 MiB as int64
+        # m = 3, t = 5: 2**21 walks, a 16 MiB table; beside it one range of the
+        # reverse packing, SCRATCH_BYTES at 11 bytes per walk
         g = wb.HybridGraph(wb.mgg_rotation(3), np.random.default_rng(26).permutation(64))
-        space = wb.walk_space(g, 5)
+        f = wb.walk_permutation(g, 5)
         tracemalloc.start()
         try:
-            reverse = space.reverse
+            reverse = f.table
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -306,6 +327,13 @@ class TestRouteAgreement:
         assert wb.check_extension_identity(g_random, 2, range(40)).holds
         wb.verify_walk_independence(g_random, 1, 0.3, trials=10, seed=0)
 
+    def test_walk_space_fills_its_narrow_predecessors_without_the_graphs(self, rot2):
+        g = wb.HybridGraph(rot2, np.random.default_rng(19).permutation(16))
+        space = wb.walk_space(g, 2)
+        assert "predecessors" not in vars(g)
+        assert space.predecessors.dtype == np.uint8 and not space.predecessors.flags.writeable
+        assert np.array_equal(space.predecessors, g.predecessors.T)
+
     def test_predecessors_invert_one_step(self, g_random):
         pred = g_random.predecessors
         assert pred.shape == (8, 16) and not pred.flags.writeable
@@ -369,16 +397,13 @@ class TestEnumerationKernels:
         full = np.bitwise_and.reduce([words[s][space.columns[s]] for s in range(t + 1)])
         tables = [words[s][space.successors] for s in range(1, t + 1)]
 
-        def fold(lo, hi, out=None):
+        def fold(lo, hi):
             parents = [h[lo * g.d ** s: hi * g.d ** s] for s, h in enumerate(space.heads)]
-            return walks._descend(parents, words[0][lo:hi], tables, np.bitwise_and, out)
+            return walks._descend(parents, words[0][lo:hi], tables, np.bitwise_and)
 
         assert np.array_equal(fold(0, n), full)
         per_start = g.d ** t
         assert np.array_equal(fold(1, 3), full[per_start: 3 * per_start])
-        out = np.empty(2 * per_start, dtype=np.uint64)
-        fold(1, 3, out)
-        assert np.array_equal(out, full[per_start: 3 * per_start])
 
     @pytest.mark.parametrize("graph, t", [("k4", 3), ("m2", 3), ("m2", 0)],
                              ids=["k4-t3", "m2-t3", "m2-t0"])
@@ -661,11 +686,11 @@ class TestWalkSpaceMemo:
         for idx in (0, 97, 1023):
             assert tuple(theirs[:, idx]) == wb.walk_from_index(other, 2, idx).vertices
 
-    def test_reverse_packing_is_shared_read_only(self, g_random):
-        rho = wb.walk_space(g_random, 2).reverse
-        assert wb.walk_space(g_random, 2).reverse is rho
-        assert not rho.flags.writeable
-        assert np.array_equal(wb.walk_permutation(g_random, 2).table, rho)
+    def test_reverse_packing_is_read_only(self, g_random):
+        f = wb.walk_permutation(g_random, 2)
+        rho = f.table
+        assert f.table is rho and not rho.flags.writeable
+        assert np.array_equal(reverse_table(g_random, 2), rho)
 
 
 class TestReverseTree:
@@ -684,8 +709,9 @@ class TestReverseTree:
         for s in range(1, t + 1):
             label = x // d ** (t - s) % d
             expect += g.rot.back_labels[columns[s - 1], label] * d ** (s - 1)
-        assert space.reverse.dtype == np.int64 and not space.reverse.flags.writeable
-        assert np.array_equal(space.reverse, expect)
+        reverse = reverse_table(g, t)
+        assert reverse.dtype == np.int64 and not reverse.flags.writeable
+        assert np.array_equal(reverse, expect)
         assert np.array_equal(np.sort(expect), x)
 
     @pytest.mark.parametrize("t", range(5))
@@ -693,23 +719,24 @@ class TestReverseTree:
     def test_levels_hold_the_vertices_backward_from_the_end(self, graph, t):
         g = tree_graph(*graph)
         space = wb.walk_space(g, t)
+        reverse = reverse_table(g, t)
         assert len(space.levels) == t
         for k, level in enumerate(space.levels):
             assert level.size == g.n_vertices * g.d ** k
             assert level.dtype == space.columns.dtype and not level.flags.writeable
-            assert np.array_equal(level[space.reverse // g.d ** (t - k)], space.columns[t - k])
+            assert np.array_equal(level[reverse // g.d ** (t - k)], space.columns[t - k])
 
     @pytest.mark.parametrize("t", [0, 3])
     def test_one_start_vertex_per_range_gives_the_same_reverse(self, monkeypatch, t):
         def graph():
             return wb.HybridGraph(wb.mgg_rotation(2), np.random.default_rng(29).permutation(16))
 
-        whole = wb.walk_space(graph(), t).reverse
+        whole = reverse_table(graph(), t)
         monkeypatch.setattr(prob, "SCRATCH_BYTES", 1)
-        space = wb.walk_space(graph(), t)
-        assert len(list(space._start_ranges(8))) == 16
-        assert np.array_equal(space.reverse, whole)
-        assert np.array_equal(np.sort(whole), np.arange(space.n_walks))
+        g = graph()
+        assert len(list(wb.walk_space(g, t)._start_ranges(8))) == 16
+        assert np.array_equal(reverse_table(g, t), whole)
+        assert np.array_equal(np.sort(whole), np.arange(whole.size))
 
     def test_one_byte_budget_gives_the_same_columns_and_visits(self, monkeypatch):
         def graph():
@@ -726,7 +753,7 @@ class TestReverseTree:
 
     def test_scalar_packing_matches_at_degree_three(self):
         g = tree_graph("k4", "random")
-        reverse = wb.walk_space(g, 3).reverse
+        reverse = reverse_table(g, 3)
         packed = [wb.reverse_index(g, wb.walk_from_index(g, 3, idx)) for idx in range(reverse.size)]
         assert packed == reverse.tolist()
 
@@ -740,22 +767,22 @@ class TestReverseTree:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert "reverse" not in vars(space)
         assert peak < space.columns.nbytes + 2 * 2 ** 20
 
     def test_reverse_is_built_once_on_first_read(self):
-        # beside the 8 MiB int64 packing, only temporaries of N * d**3 = 2**17
-        # entries: the prefix sums and the gather's intp indices, 1 MiB each
+        # beside the 8 MiB int64 packing, one range of it: SCRATCH_BYTES at 11
+        # bytes per walk
         g = wb.HybridGraph(wb.mgg_rotation(4), np.random.default_rng(27).permutation(256))
-        space = wb.walk_space(g, 4)
+        f = wb.walk_permutation(g, 4)
+        assert "table" not in vars(f)
         tracemalloc.start()
         try:
-            rho = space.reverse
+            rho = f.table
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert space.reverse is rho
-        assert peak < rho.nbytes + 4 * 2 ** 20
+        assert f.table is rho and not rho.flags.writeable
+        assert peak < rho.nbytes + prob.SCRATCH_BYTES
 
     @pytest.mark.parametrize("t", range(5))
     @pytest.mark.parametrize("graph", TREE_GRAPHS, ids="-".join)
